@@ -19,13 +19,14 @@ import time
 from safevote.core import LinearOrder, ParseError, SafevoteError, all_orders, parse_profile, voters_of_type
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
-from safevote.rules import ScoringRule, parse_rule, random_table_rule, scores
+from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, parse_rule, random_table_rule, scores
 from safevote.strategy import (
     InconclusiveError,
     SafetyStatus,
     classify_safety,
     find_escapes,
     has_incentive,
+    representatives,
     threshold_scan,
     verify_certificate,
     verify_gs,
@@ -38,13 +39,11 @@ EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
 
-DEFAULT_BUDGET = 2_000_000
-
 
 def _default_budget() -> int:
     raw = os.environ.get("SAFEVOTE_BUDGET")
     if raw is None:
-        return DEFAULT_BUDGET
+        return DEFAULT_ENUMERATION_BOUND
     try:
         value = int(raw)
     except ValueError:
@@ -121,8 +120,8 @@ def _incentive_summary(rule, profile):
     """Per-type summary of which strategic orders carry an incentive."""
     summary = []
     for type_order in profile.types_present():
-        members = sorted(voters_of_type(profile, type_order))
-        voters_to_try = members[:1] if rule.anonymous else members
+        members = voters_of_type(profile, type_order)
+        voters_to_try = representatives(rule, members)
         orders_with_incentive = []
         for strategic in all_orders(profile.domain):
             if strategic == type_order:

@@ -78,6 +78,14 @@ class Rule:
             raise DomainMismatchError(f"rule expects {self.n} voters, profile has {profile.n}")
 
 
+def resolve_n(rule: Rule, n: int | None) -> int:
+    """The voter count to search: `n` if given, else the rule's fixed one."""
+    n = rule.n if n is None else n
+    if n is None:
+        raise ValueError("pass n explicitly for rules without a fixed voter count")
+    return n
+
+
 def _tiebreak_first(candidates: set[Alternative], tiebreak: LinearOrder) -> Alternative:
     return min(candidates, key=tiebreak.rank)
 
@@ -303,10 +311,7 @@ def two_voter_reduction(
     The reduced rule's value at (P, Q) is the parent's value when every
     voter in part1 reports P and every voter in part2 reports Q.
     """
-    if n is None:
-        n = rule.n
-    if n is None:
-        raise ValueError("pass n explicitly for rules without a fixed voter count")
+    n = resolve_n(rule, n)
     if not part1 or not part2 or (part1 & part2) or (part1 | part2) != frozenset(range(n)):
         raise ValueError(f"{sorted(part1)} / {sorted(part2)} is not a partition of 0..{n - 1}")
     p1 = sorted(part1)
@@ -356,10 +361,7 @@ def check_predicates(
     Exhaustive whenever the profile space fits in `bound`; otherwise falls
     back to analytic shortcuts, which exist only for scoring rules.
     """
-    if n is None:
-        n = rule.n
-    if n is None:
-        raise ValueError("pass n explicitly for rules without a fixed voter count")
+    n = resolve_n(rule, n)
     m = len(rule.domain)
     total = profile_space_size(m, n)
     if total <= bound:

@@ -1,12 +1,15 @@
 """Strategic-voting machinery: incentives, safety, witnesses, certificates.
 
-Every search here is deterministic: coalitions are enumerated by size and
-then lexicographically, profile scans walk the canonical mixed-radix
-order, and all emitted witnesses are minimal under that ordering.  For
-anonymous rules the subset searches collapse to coalition-size searches;
-the two paths are contract-equal and both are kept (`force_subsets=True`
-runs the general path on any rule, which the test suite uses as an
-oracle).
+Every search here is deterministic and all emitted witnesses are minimal
+under its enumeration order.  Coalitions come from one iterator,
+`_coalitions`: every subset by size then lexicographically, or, for
+anonymous rules, one canonical prefix per size.  `has_incentive` and
+`classify_safety` each run a single body over either order, so the two
+paths pick witnesses and Overshoot/Undershoot pairs by the same rule
+(`force_subsets=True` takes the all-subsets order on any rule, which the
+test suite uses as an oracle).  The three theorem verifiers share one
+profile scan, `_scan`, which walks the canonical mixed-radix order and
+certifies the first move that a per-claim generator yields.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from safevote.core import (
     Alternative,
@@ -28,7 +32,7 @@ from safevote.core import (
     switch_votes,
     voters_of_type,
 )
-from safevote.rules import Rule, profile_space_size, all_profiles
+from safevote.rules import Rule, all_profiles, profile_space_size, resolve_n
 
 
 class NoIncentiveError(SafevoteError):
@@ -137,21 +141,24 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _others(members: VoterSet, voter: int) -> list[int]:
-    return sorted(members - {voter})
+def _coalitions(voter: int, members: VoterSet, by_size: bool) -> Iterator[VoterSet]:
+    """Coalitions of members containing the voter, smallest first.
 
-
-def _prefix_coalition(voter: int, others: Sequence[int], size: int) -> VoterSet:
-    """The canonical coalition of the given size containing the voter."""
-    return frozenset((voter, *others[: size - 1]))
-
-
-def _coalitions_with(voter: int, members: VoterSet) -> Iterator[VoterSet]:
-    """All coalitions containing the voter, by size then lexicographically."""
-    others = _others(members, voter)
-    for size in range(1, len(members) + 1):
-        for combo in itertools.combinations(others, size - 1):
+    `by_size` yields one canonical prefix per size; otherwise every subset
+    comes, by size then lexicographically.
+    """
+    others = sorted(members - {voter})
+    for size in range(len(members)):
+        combos = [others[:size]] if by_size else itertools.combinations(others, size)
+        for combo in combos:
             yield frozenset((voter, *combo))
+
+
+def representatives(rule: Rule, members: VoterSet) -> list[int]:
+    """The voters of one type worth trying: for an anonymous rule the first
+    stands for all, otherwise every member in index order."""
+    ordered = sorted(members)
+    return ordered[:1] if rule.anonymous else ordered
 
 
 def _use_sizes(rule: Rule, force_subsets: bool) -> bool:
@@ -177,15 +184,7 @@ def has_incentive(
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
     sincere = rule.evaluate(profile)
-    if _use_sizes(rule, force_subsets):
-        others = _others(members, voter)
-        for size in range(1, len(members) + 1):
-            coalition = _prefix_coalition(voter, others, size)
-            outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
-            if type_order.prefers(outcome, sincere):
-                return IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
-        return None
-    for coalition in _coalitions_with(voter, members):
+    for coalition in _coalitions(voter, members, _use_sizes(rule, force_subsets)):
         outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
         if type_order.prefers(outcome, sincere):
             return IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
@@ -195,99 +194,6 @@ def has_incentive(
 # ---------------------------------------------------------------------------
 # Safety classification
 # ---------------------------------------------------------------------------
-
-
-def _classify_by_sizes(
-    rule: Rule,
-    profile: Profile,
-    voter: int,
-    strategic_order: LinearOrder,
-    type_order: LinearOrder,
-    members: VoterSet,
-    sincere: Alternative,
-) -> SafetyVerdict:
-    others = _others(members, voter)
-    outcome_by_size = {}
-    for size in range(1, len(members) + 1):
-        coalition = _prefix_coalition(voter, others, size)
-        outcome_by_size[size] = rule.evaluate(switch_votes(profile, coalition, strategic_order))
-    improving = [k for k, out in outcome_by_size.items() if type_order.prefers(out, sincere)]
-    worsening = [k for k, out in outcome_by_size.items() if type_order.prefers(sincere, out)]
-    if not worsening:
-        return SafetyVerdict(SafetyStatus.SAFE)
-    witness_bad = _prefix_coalition(voter, others, min(worsening))
-    # Prefer Overshoot when both nested-pair kinds exist.
-    over = [(kg, kb) for kg in improving for kb in worsening if kg < kb]
-    if over:
-        kg, kb = min(over)
-        return SafetyVerdict(
-            SafetyStatus.UNSAFE,
-            witness_bad=witness_bad,
-            kind=UnsafeKind.OVERSHOOT,
-            good=_prefix_coalition(voter, others, kg),
-            bad=_prefix_coalition(voter, others, kb),
-        )
-    under = [(kb, kg) for kb in worsening for kg in improving if kb < kg]
-    if under:
-        kb, kg = min(under)
-        return SafetyVerdict(
-            SafetyStatus.UNSAFE,
-            witness_bad=witness_bad,
-            kind=UnsafeKind.UNDERSHOOT,
-            good=_prefix_coalition(voter, others, kg),
-            bad=_prefix_coalition(voter, others, kb),
-        )
-    return SafetyVerdict(SafetyStatus.UNSAFE, witness_bad=witness_bad, kind=UnsafeKind.OTHER)
-
-
-def _classify_by_subsets(
-    rule: Rule,
-    profile: Profile,
-    voter: int,
-    strategic_order: LinearOrder,
-    type_order: LinearOrder,
-    members: VoterSet,
-    sincere: Alternative,
-) -> SafetyVerdict:
-    # The incentive clause of the unsafe definition is per member, so for
-    # non-anonymous rules each coalition member is checked individually.
-    incentivized = frozenset(
-        v
-        for v in members
-        if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
-    )
-    improving: list[VoterSet] = []
-    worsening: list[VoterSet] = []
-    for coalition in _coalitions_with(voter, members):
-        outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
-        if type_order.prefers(outcome, sincere):
-            improving.append(coalition)
-        elif type_order.prefers(sincere, outcome) and coalition <= incentivized:
-            worsening.append(coalition)
-    if not worsening:
-        return SafetyVerdict(SafetyStatus.SAFE)
-    witness_bad = worsening[0]
-    for bad in worsening:
-        for good in improving:
-            if good < bad:
-                return SafetyVerdict(
-                    SafetyStatus.UNSAFE,
-                    witness_bad=witness_bad,
-                    kind=UnsafeKind.OVERSHOOT,
-                    good=good,
-                    bad=bad,
-                )
-    for bad in worsening:
-        for good in improving:
-            if bad < good:
-                return SafetyVerdict(
-                    SafetyStatus.UNSAFE,
-                    witness_bad=witness_bad,
-                    kind=UnsafeKind.UNDERSHOOT,
-                    good=good,
-                    bad=bad,
-                )
-    return SafetyVerdict(SafetyStatus.UNSAFE, witness_bad=witness_bad, kind=UnsafeKind.OTHER)
 
 
 def classify_safety(
@@ -309,9 +215,37 @@ def classify_safety(
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
     sincere = rule.evaluate(profile)
-    if _use_sizes(rule, force_subsets):
-        return _classify_by_sizes(rule, profile, voter, strategic_order, type_order, members, sincere)
-    return _classify_by_subsets(rule, profile, voter, strategic_order, type_order, members, sincere)
+    by_size = _use_sizes(rule, force_subsets)
+    # The incentive clause of the unsafe definition is per member; under an
+    # anonymous rule every member shares the voter's incentive.
+    incentivized = members if by_size else frozenset(
+        v
+        for v in members
+        if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
+    )
+    improving: list[VoterSet] = []
+    worsening: list[VoterSet] = []
+    for coalition in _coalitions(voter, members, by_size):
+        outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
+        if type_order.prefers(outcome, sincere):
+            improving.append(coalition)
+        elif type_order.prefers(sincere, outcome) and coalition <= incentivized:
+            worsening.append(coalition)
+    if not worsening:
+        return SafetyVerdict(SafetyStatus.SAFE)
+    # Prefer Overshoot (good strictly inside bad) when both nested-pair kinds exist.
+    for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
+        for bad in worsening:
+            for good in improving:
+                if nested(good, bad):
+                    return SafetyVerdict(
+                        SafetyStatus.UNSAFE, witness_bad=worsening[0], kind=kind, good=good, bad=bad
+                    )
+    return SafetyVerdict(SafetyStatus.UNSAFE, witness_bad=worsening[0], kind=UnsafeKind.OTHER)
+
+
+def _is_safe(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> bool:
+    return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
 
 
 def threshold_scan(
@@ -351,10 +285,8 @@ def find_escapes(rule: Rule, profile: Profile) -> list[Certificate]:
     for type_order in profile.types_present():
         if type_order.bottom != winner:
             continue
-        members = sorted(voters_of_type(profile, type_order))
-        voters_to_try = members[:1] if rule.anonymous else members
         witness = None
-        for voter in voters_to_try:
+        for voter in representatives(rule, voters_of_type(profile, type_order)):
             for strategic_order in orders:
                 if strategic_order == type_order:
                     continue
@@ -409,7 +341,7 @@ def find_L_inferior(
             for combo in itertools.combinations(ordered, k)
         )
     for subset in candidates:
-        partial = rule.evaluate(switch_votes(profile, subset, strategic_order)) if subset else rule.evaluate(profile)
+        partial = rule.evaluate(switch_votes(profile, subset, strategic_order))
         if type_order.prefers(full_outcome, partial):
             inferior.append(subset)
     return inferior
@@ -437,10 +369,7 @@ def construct_safe_from_inferior(
     remaining = members - chosen
     voter = min(remaining)
     witness = has_incentive(rule, shifted, voter, strategic_order)
-    verified = (
-        witness is not None
-        and classify_safety(rule, shifted, voter, strategic_order).status == SafetyStatus.SAFE
-    )
+    verified = witness is not None and _is_safe(rule, shifted, voter, strategic_order)
     return Certificate(
         claim="SafelyManipulable",
         profile=shifted,
@@ -480,8 +409,7 @@ def construct_safe_from_endup(
     full_outcome = rule.evaluate(switch_votes(profile, members, strategic_order))
     if type_order.prefers(sincere, full_outcome):
         return None
-    verdict = classify_safety(rule, profile, voter, strategic_order)
-    if verdict.status == SafetyStatus.SAFE:
+    if _is_safe(rule, profile, voter, strategic_order):
         return Certificate(
             claim="SafelyManipulable",
             profile=profile,
@@ -513,12 +441,67 @@ def _scan_profiles(rule: Rule, n: int, budget: int | None) -> Iterator[Profile]:
         yield profile
 
 
-def _resolve_n(rule: Rule, n: int | None) -> int:
-    if n is None:
-        n = rule.n
-    if n is None:
-        raise ValueError("pass n explicitly for rules without a fixed voter count")
-    return n
+#: A claim's moves at one profile: (voter, strategic order, coalition,
+#: outcome before, outcome after), in the claim's canonical order.
+_Moves = Iterator[tuple[int, LinearOrder, VoterSet, Alternative, Alternative]]
+
+
+def _scan(
+    rule: Rule,
+    n: int | None,
+    budget: int | None,
+    claim: str,
+    moves: Callable[[Rule, Profile, list[LinearOrder]], _Moves],
+) -> Certificate | None:
+    """Certificate for the first move at the first profile that has one."""
+    orders = all_orders(rule.domain)
+    for profile in _scan_profiles(rule, resolve_n(rule, n), budget):
+        move = next(moves(rule, profile, orders), None)
+        if move is not None:
+            voter, strategic_order, coalition, before, after = move
+            return Certificate(
+                claim=claim,
+                profile=profile,
+                voter=voter,
+                strategic_order=strategic_order,
+                sets={"coalition": coalition},
+                outcomes={"before": before, "after": after},
+                verified=True,
+                rule_fingerprint=rule.fingerprint(),
+            )
+    return None
+
+
+def _pivotal_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
+    """Single-voter switches that improve the outcome for that voter."""
+    sincere = rule.evaluate(profile)
+    for voter in range(profile.n):
+        voter_order = profile.orders[voter]
+        solo = frozenset({voter})
+        for strategic_order in orders:
+            if strategic_order == voter_order:
+                continue
+            outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
+            if voter_order.prefers(outcome, sincere):
+                yield voter, strategic_order, solo, sincere, outcome
+
+
+def _safe_incentive_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
+    """Incentivized strategic votes that are safe, one type at a time."""
+    for type_order in profile.types_present():
+        for voter in representatives(rule, voters_of_type(profile, type_order)):
+            for strategic_order in orders:
+                if strategic_order == type_order:
+                    continue
+                witness = has_incentive(rule, profile, voter, strategic_order)
+                if witness is not None and _is_safe(rule, profile, voter, strategic_order):
+                    yield voter, strategic_order, witness.coalition, witness.outcome_before, witness.outcome_after
+
+
+def _safe_pivotal_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
+    for voter, strategic_order, *rest in _pivotal_moves(rule, profile, orders):
+        if _is_safe(rule, profile, voter, strategic_order):
+            yield voter, strategic_order, *rest
 
 
 def verify_gs(rule: Rule, n: int | None = None, budget: int | None = None) -> Certificate | None:
@@ -528,91 +511,21 @@ def verify_gs(rule: Rule, n: int | None = None, budget: int | None = None) -> Ce
     implies it is dictatorial or not onto.  A truncated scan raises
     InconclusiveError instead of silently returning None.
     """
-    n = _resolve_n(rule, n)
-    orders = all_orders(rule.domain)
-    for profile in _scan_profiles(rule, n, budget):
-        sincere = rule.evaluate(profile)
-        for voter in range(n):
-            voter_order = profile.orders[voter]
-            for strategic_order in orders:
-                if strategic_order == voter_order:
-                    continue
-                outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
-                if voter_order.prefers(outcome, sincere):
-                    return Certificate(
-                        claim="GS-manipulable",
-                        profile=profile,
-                        voter=voter,
-                        strategic_order=strategic_order,
-                        sets={"coalition": frozenset({voter})},
-                        outcomes={"before": sincere, "after": outcome},
-                        verified=True,
-                        rule_fingerprint=rule.fingerprint(),
-                    )
-    return None
+    return _scan(rule, n, budget, "GS-manipulable", _pivotal_moves)
 
 
 def verify_safely_manipulable(
     rule: Rule, n: int | None = None, budget: int | None = None
 ) -> Certificate | None:
     """First profile/voter/order whose strategic vote is incentivized and safe."""
-    n = _resolve_n(rule, n)
-    orders = all_orders(rule.domain)
-    for profile in _scan_profiles(rule, n, budget):
-        for type_order in profile.types_present():
-            members = sorted(voters_of_type(profile, type_order))
-            voters_to_try = members[:1] if rule.anonymous else members
-            for voter in voters_to_try:
-                for strategic_order in orders:
-                    if strategic_order == type_order:
-                        continue
-                    witness = has_incentive(rule, profile, voter, strategic_order)
-                    if witness is None:
-                        continue
-                    verdict = classify_safety(rule, profile, voter, strategic_order)
-                    if verdict.status == SafetyStatus.SAFE:
-                        return Certificate(
-                            claim="SafelyManipulable",
-                            profile=profile,
-                            voter=voter,
-                            strategic_order=strategic_order,
-                            sets={"coalition": witness.coalition},
-                            outcomes={"before": witness.outcome_before, "after": witness.outcome_after},
-                            verified=True,
-                            rule_fingerprint=rule.fingerprint(),
-                        )
-    return None
+    return _scan(rule, n, budget, "SafelyManipulable", _safe_incentive_moves)
 
 
 def verify_safe_pivotal(
     rule: Rule, n: int | None = None, budget: int | None = None
 ) -> Certificate | None:
     """First voter who is singly pivotal via a strategic vote that is safe."""
-    n = _resolve_n(rule, n)
-    orders = all_orders(rule.domain)
-    for profile in _scan_profiles(rule, n, budget):
-        sincere = rule.evaluate(profile)
-        for voter in range(n):
-            voter_order = profile.orders[voter]
-            for strategic_order in orders:
-                if strategic_order == voter_order:
-                    continue
-                outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
-                if not voter_order.prefers(outcome, sincere):
-                    continue
-                verdict = classify_safety(rule, profile, voter, strategic_order)
-                if verdict.status == SafetyStatus.SAFE:
-                    return Certificate(
-                        claim="SafePivotal",
-                        profile=profile,
-                        voter=voter,
-                        strategic_order=strategic_order,
-                        sets={"coalition": frozenset({voter})},
-                        outcomes={"before": sincere, "after": outcome},
-                        verified=True,
-                        rule_fingerprint=rule.fingerprint(),
-                    )
-    return None
+    return _scan(rule, n, budget, "SafePivotal", _safe_pivotal_moves)
 
 
 def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
@@ -636,8 +549,8 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     def pivotal_certificate(at_profile: Profile, voter: int) -> Certificate:
         before = rule.evaluate(at_profile)
         after = rule.evaluate(switch_votes(at_profile, frozenset({voter}), strategic_order))
-        verified = at_profile.orders[voter].prefers(after, before) and (
-            classify_safety(rule, at_profile, voter, strategic_order).status == SafetyStatus.SAFE
+        verified = at_profile.orders[voter].prefers(after, before) and _is_safe(
+            rule, at_profile, voter, strategic_order
         )
         return Certificate(
             claim="SafePivotal",
@@ -662,7 +575,7 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     # minimality implies inclusion minimality, so every proper subset
     # containing j leaves the outcome at the sincere winner.
     moving: VoterSet | None = None
-    for coalition in _coalitions_with(j, incentivized):
+    for coalition in _coalitions(j, incentivized, by_size=False):
         if rule.evaluate(switch_votes(profile, coalition, strategic_order)) != sincere:
             moving = coalition
             break
@@ -690,12 +603,12 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
         if certificate.claim == "SafelyManipulable":
             if has_incentive(rule, profile, voter, strategic_order) is None:
                 return False
-            return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
+            return _is_safe(rule, profile, voter, strategic_order)
         if certificate.claim == "SafePivotal":
             outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
             if not type_order.prefers(outcome, rule.evaluate(profile)):
                 return False
-            return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
+            return _is_safe(rule, profile, voter, strategic_order)
         if certificate.claim == "Escape":
             if type_order.bottom != rule.evaluate(profile):
                 return False
@@ -706,11 +619,7 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
                 return False
             members = voters_of_type(profile, type_order)
             full = rule.evaluate(switch_votes(profile, members, strategic_order))
-            partial = (
-                rule.evaluate(switch_votes(profile, inferior, strategic_order))
-                if inferior
-                else rule.evaluate(profile)
-            )
+            partial = rule.evaluate(switch_votes(profile, inferior, strategic_order))
             return type_order.prefers(full, partial)
     except SafevoteError:
         return False

@@ -197,11 +197,9 @@ def test_sampled_rule_searches_agree_across_paths(seed):
                 continue
             fast = has_incentive(rule, profile, voter, strategic)
             slow = has_incentive(rule, profile, voter, strategic, force_subsets=True)
-            assert (fast is None) == (slow is None)
+            assert fast == slow
             if fast is None:
                 continue
-            assert len(fast.coalition) == len(slow.coalition)
             v_fast = classify_safety(rule, profile, voter, strategic)
             v_slow = classify_safety(rule, profile, voter, strategic, force_subsets=True)
-            assert v_fast.status == v_slow.status
-            assert v_fast.kind == v_slow.kind
+            assert v_fast == v_slow

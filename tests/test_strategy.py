@@ -369,6 +369,34 @@ class TestVerifiers:
         )
         assert verify_certificate(rule, as_gs)
 
+    @staticmethod
+    def replaying_candidates(rule, n, claim):
+        """(profile, voter, strategic order) in canonical scan order whose
+        bare candidate certificate for the claim replays."""
+        orders = all_orders(rule.domain)
+        for profile in all_profiles(rule.domain, n):
+            for voter in range(n):
+                for strategic in orders:
+                    if strategic == profile.orders[voter]:
+                        continue
+                    candidate = Certificate(claim=claim, profile=profile, voter=voter, strategic_order=strategic)
+                    if verify_certificate(rule, candidate):
+                        yield profile, voter, strategic
+
+    @pytest.mark.parametrize("case", ["table-0", "table-2", "table-9", "table-15", "table-22", "plurality-4"])
+    def test_scans_return_first_replaying_candidate(self, case):
+        kind, arg = case.split("-")
+        rule, n = (plurality(o("ABC")), int(arg)) if kind == "plurality" else (random_table_rule(2, 3, int(arg)), 2)
+        for claim, search in (("GS-manipulable", verify_gs), ("SafePivotal", verify_safe_pivotal)):
+            cert = search(rule, n=n)
+            assert (cert.profile, cert.voter, cert.strategic_order) == next(self.replaying_candidates(rule, n, claim))
+            assert cert.sets == {"coalition": frozenset({cert.voter})}
+        cert = verify_safely_manipulable(rule, n=n)
+        assert verify_certificate(rule, cert)
+        # No earlier profile admits any replaying candidate.
+        first_profile, _, _ = next(self.replaying_candidates(rule, n, "SafelyManipulable"))
+        assert first_profile == cert.profile
+
     def test_budget_exhaustion_is_inconclusive(self):
         with pytest.raises(InconclusiveError) as exc:
             verify_gs(dictatorial_rule(), budget=1)
