@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -92,6 +93,11 @@ class Domain:
         return alt.index < len(self.alternatives) and self.alternatives[alt.index] == alt
 
     @cached_property
+    def _orders(self) -> tuple[LinearOrder, ...]:
+        """The m! orders over the domain, built once, lexicographic by labels."""
+        return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
+
+    @cached_property
     def _by_label(self) -> Mapping[str, Alternative]:
         return {a.label: a for a in self.alternatives}
 
@@ -117,9 +123,15 @@ class LinearOrder:
     ranking: tuple[Alternative, ...]
 
     def __post_init__(self) -> None:
-        indices = sorted(a.index for a in self.ranking)
-        if indices != list(range(len(self.ranking))):
+        indices = tuple(a.index for a in self.ranking)
+        if sorted(indices) != list(range(len(indices))):
             raise ValueError(f"ranking {self.ranking} is not a permutation of a full domain")
+        # Integer indices only, so the hash is the same in every process;
+        # equal orders have equal indices, so it agrees with equality.
+        object.__setattr__(self, "_hash", hash(indices))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
@@ -202,13 +214,18 @@ class Profile:
 
     orders: tuple[LinearOrder, ...]
 
+    #: Ballot count per type, in first-appearance order.
+    counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not self.orders:
             raise ValueError("a profile needs at least one voter")
+        counts = dict(Counter(self.orders))
         d = self.orders[0].domain
-        for o in self.orders:
+        for o in counts:
             if o.domain != d:
                 raise DomainMismatchError("all ballots in a profile must share one domain")
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_counts(cls, counts: Sequence[tuple[LinearOrder, int]]) -> "Profile":
@@ -236,16 +253,9 @@ class Profile:
             groups.setdefault(order, set()).add(i)
         return {order: frozenset(members) for order, members in groups.items()}
 
-    @cached_property
-    def counts(self) -> Mapping[LinearOrder, int]:
-        return {order: len(members) for order, members in self.grouped_view.items()}
-
     def types_present(self) -> list[LinearOrder]:
         """Distinct types in first-appearance order (deterministic)."""
-        seen: dict[LinearOrder, None] = {}
-        for order in self.orders:
-            seen.setdefault(order)
-        return list(seen)
+        return list(self.counts)
 
     def __str__(self) -> str:
         return format_profile(self)
@@ -282,11 +292,12 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
 
 
 def all_orders(domain: Domain) -> list[LinearOrder]:
-    """Every strict linear order over the domain, lexicographic by labels."""
-    return [
-        LinearOrder(perm)
-        for perm in itertools.permutations(domain.alternatives)
-    ]
+    """Every strict linear order over the domain, lexicographic by labels.
+
+    The orders are the domain's interned instances; the list is new on
+    every call, so callers may mutate it.
+    """
+    return list(domain._orders)
 
 
 def completely_agreed(order: LinearOrder, n: int) -> Profile:
@@ -319,7 +330,10 @@ def parse_profile(text: str) -> Profile:
     labels = labels_part.split()
     if not labels:
         raise ParseError("no alternative labels listed", no)
-    domain = Domain.from_labels(labels)
+    try:
+        domain = Domain.from_labels(labels)
+    except ValueError as exc:
+        raise ParseError(str(exc), no) from exc
 
     count_entries: list[tuple[LinearOrder, int]] = []
     voter_entries: dict[int, LinearOrder] = {}
@@ -352,6 +366,8 @@ def parse_profile(text: str) -> Profile:
                 count = int(head)
             except ValueError:
                 raise ParseError(f"bad count {head!r}", no) from None
+            if count < 0:
+                raise ParseError(f"negative count {count}", no)
             if order in seen_types:
                 raise ParseError(f"duplicate type line for {order.compact}", no)
             seen_types.add(order)
@@ -364,6 +380,8 @@ def parse_profile(text: str) -> Profile:
         return Profile(tuple(voter_entries[i] for i in sorted(voter_entries)))
     if not count_entries:
         raise ParseError("profile lists no ballots")
+    if not any(count for _, count in count_entries):
+        raise ParseError("count lines total zero voters")
     return Profile.from_counts(count_entries)
 
 

@@ -1,8 +1,11 @@
 """Social choice rules: scoring rules, explicit tables, and derived rules.
 
-Winner determination is exact: positional scores are `Fraction`s and ties
-are broken by a fixed linear order per rule instance (argmax, then first
-in the tie-break order).
+Winner determination is exact. A scoring rule scales its `Fraction`
+weights once to integers over their least common denominator, then scores
+a profile in `int`s: the count of each ballot type times the scaled weight
+of each position. `scores()` divides back, so it reports the same
+`Fraction`s. Ties are broken by a fixed linear order per rule instance
+(argmax, then first in the tie-break order).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from safevote.core import (
+    MAX_ALTERNATIVES,
     Alternative,
     Domain,
     DomainMismatchError,
@@ -86,10 +90,6 @@ def resolve_n(rule: Rule, n: int | None) -> int:
     return n
 
 
-def _tiebreak_first(candidates: set[Alternative], tiebreak: LinearOrder) -> Alternative:
-    return min(candidates, key=tiebreak.rank)
-
-
 @dataclass(frozen=True)
 class ScoringRule(Rule):
     """A positional scoring rule with a fixed tie-break order.
@@ -109,7 +109,10 @@ class ScoringRule(Rule):
             raise ValueError("score vector length must equal the number of alternatives")
         for a, b in zip(self.weights, self.weights[1:]):
             if a < b:
-                raise ValueError(f"score vector {self.weights} must be non-increasing")
+                raise ValueError(f"score vector {' '.join(map(str, self.weights))} must be non-increasing")
+        scale = math.lcm(*(Fraction(w).denominator for w in self.weights))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_points", tuple(int(w * scale) for w in self.weights))
 
     @classmethod
     def from_ints(cls, weights: Sequence[int], tiebreak: LinearOrder) -> "ScoringRule":
@@ -124,18 +127,23 @@ class ScoringRule(Rule):
         """All weights equal: the rule is constant up to tie-break."""
         return len(set(self.weights)) == 1
 
-    def scores(self, profile: Profile) -> dict[Alternative, Fraction]:
+    def _totals(self, profile: Profile) -> list[int]:
+        """Every alternative's score times `_scale`, indexed by alternative index."""
         self._check_profile(profile)
-        totals = {alt: Fraction(0) for alt in self.domain}
+        totals = [0] * len(self._points)
         for order, count in profile.counts.items():
-            for pos, alt in enumerate(order.ranking):
-                totals[alt] += self.weights[pos] * count
+            for alt, points in zip(order.ranking, self._points):
+                totals[alt.index] += count * points
         return totals
 
+    def scores(self, profile: Profile) -> dict[Alternative, Fraction]:
+        totals = self._totals(profile)
+        return {alt: Fraction(totals[alt.index], self._scale) for alt in self.domain}
+
     def evaluate(self, profile: Profile) -> Alternative:
-        totals = self.scores(profile)
-        best = max(totals.values())
-        return _tiebreak_first({a for a, s in totals.items() if s == best}, self.tiebreak)
+        totals = self._totals(profile)
+        best = max(totals)
+        return next(alt for alt in self.tiebreak.ranking if totals[alt.index] == best)
 
     def config_text(self) -> str:
         ws = " ".join(str(w) for w in self.weights)
@@ -470,6 +478,7 @@ def random_table_rule(
 
 def parse_rule(text: str, base_dir: str = ".") -> Rule:
     fields: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -481,30 +490,47 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", no)
         fields[key] = value.strip()
+        line_of[key] = no
 
     kind = fields.get("rule")
     if kind == "scoring":
         if "scores" not in fields or "tiebreak" not in fields:
             raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
-        raw_weights = fields["scores"].split()
         tb_labels = "".join(fields["tiebreak"].replace(">", " ").split())
-        domain = Domain.from_labels(sorted(tb_labels))
-        tiebreak = LinearOrder.from_labels(tb_labels, domain)
         try:
-            weights = tuple(Fraction(w) for w in raw_weights)
+            tiebreak = LinearOrder.from_labels(tb_labels, Domain.from_labels(sorted(tb_labels)))
+        except (ValueError, DomainMismatchError) as exc:
+            raise ParseError(f"bad tiebreak: {exc}", line_of["tiebreak"]) from exc
+        try:
+            weights = tuple(Fraction(w) for w in fields["scores"].split())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad score vector {fields['scores']!r}") from exc
-        return ScoringRule(weights, tiebreak)
+            raise ParseError(f"bad score vector {fields['scores']!r}", line_of["scores"]) from exc
+        try:
+            return ScoringRule(weights, tiebreak)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_of["scores"]) from exc
     if kind == "table":
         for needed in ("n", "m", "entries"):
             if needed not in fields:
                 raise ParseError(f"table rule needs {needed!r}")
-        n, m = int(fields["n"]), int(fields["m"])
+        n, m = (_positive_int(fields, line_of, key) for key in ("n", "m"))
+        if m > MAX_ALTERNATIVES:
+            raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
         path = os.path.join(base_dir, fields["entries"])
         with open(path, encoding="utf-8") as fh:
             entries_text = fh.read()
         return _parse_table_entries(entries_text, n, m)
     raise ParseError(f"unknown rule kind {kind!r}")
+
+
+def _positive_int(fields: Mapping[str, str], line_of: Mapping[str, int], key: str) -> int:
+    try:
+        value = int(fields[key])
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {fields[key]!r}", line_of[key]) from None
+    if value < 1:
+        raise ParseError(f"{key} must be positive, got {value}", line_of[key])
+    return value
 
 
 def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
@@ -524,8 +550,11 @@ def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
             raise ParseError(f"bad index {idx_part!r}", no) from None
         if idx in winners:
             raise ParseError(f"duplicate index {idx}", no)
-        winners[idx] = domain.by_label(label.strip())
-    if sorted(winners) != list(range(total)):
+        try:
+            winners[idx] = domain.by_label(label.strip())
+        except DomainMismatchError as exc:
+            raise ParseError(str(exc), no) from exc
+    if len(winners) != total or sorted(winners) != list(range(total)):
         raise ParseError(f"table indices must be contiguous 0..{total - 1}")
     return TableRule(domain, n, tuple(winners[i] for i in range(total)))
 

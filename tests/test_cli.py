@@ -236,6 +236,37 @@ class TestErrors:
         code = run(["analyze", "--profile", str(bad), "--rule", files["borda"]])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "profile, rule, message",
+        [
+            ("alternatives: A B C\n0: A > B > C\n", RULE_PLURALITY, "total zero voters"),
+            (
+                "alternatives: A B C\n2: A > B > C\n-1: B > A > C\n",
+                RULE_PLURALITY,
+                "line 3: negative count -1",
+            ),
+            (PROFILE_FOUR, "rule: table\nn: x\nm: 3\nentries: w.txt\n", "line 2: n must be an integer"),
+            (PROFILE_FOUR, "rule: table\nn: 4\nm: 3.5\nentries: w.txt\n", "line 3: m must be an integer"),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 0 1 2\ntiebreak: A > B > C\n",
+                "line 2: score vector 0 1 2 must be non-increasing",
+            ),
+            (
+                PROFILE_FOUR,
+                "# two weights for three alternatives\nrule: scoring\nscores: 1 0\ntiebreak: A > B > C\n",
+                "line 3: score vector length must equal the number of alternatives",
+            ),
+        ],
+        ids=["zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length"],
+    )
+    def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
+        (files["tmp"] / "p.txt").write_text(profile)
+        (files["tmp"] / "r.txt").write_text(rule)
+        code = run(["analyze", "--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")])
+        assert code == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, files):
         code = run(["analyze", "--profile", "/nonexistent.txt", "--rule", files["borda"]])
         assert code == cli.EXIT_FAILURE

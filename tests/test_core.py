@@ -1,5 +1,10 @@
 """Unit tests for the ballot-domain vocabulary."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from safevote.core import (
@@ -93,6 +98,39 @@ class TestLinearOrder:
             "ABC", "ACB", "BAC", "BCA", "CAB", "CBA",
         ]
 
+    def test_all_orders_returns_a_new_list_each_call(self):
+        first = all_orders(D3)
+        first.reverse()
+        first.pop()
+        assert [x.compact for x in all_orders(D3)] == [
+            "ABC", "ACB", "BAC", "BCA", "CAB", "CBA",
+        ]
+
+    def test_equal_orders_from_separate_domains_hash_equal(self):
+        other = Domain.from_labels("ABC")
+        assert other is not D3
+        for x, y in zip(all_orders(D3), all_orders(other)):
+            assert x is not y
+            assert x == y
+            assert hash(x) == hash(y)
+        assert len({o("CAB"), o("CAB", other), LinearOrder.from_string("C > A > B", other)}) == 1
+
+    def test_hash_is_the_same_in_every_process(self):
+        code = (
+            "from safevote.core import Domain, LinearOrder;"
+            "print(hash(LinearOrder.from_labels('CAEBD', Domain.of_size(5))))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        hashes = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert hashes == {f"{hash(o('CAEBD', D5))}\n"}
+
 
 class TestGroupPrefers:
     def test_top_beats_bottom(self):
@@ -140,6 +178,17 @@ class TestProfile:
     def test_mixed_domain_rejected(self):
         with pytest.raises(DomainMismatchError):
             Profile((o("ABC"), o("ABCDE", D5)))
+
+    def test_mixed_domain_in_third_ballot_rejected(self):
+        with pytest.raises(DomainMismatchError):
+            Profile((o("ABC"), o("CBA"), o("ABCDE", D5)))
+        with pytest.raises(DomainMismatchError):
+            # Same indices, so the same hash, but labels from another domain.
+            Profile((o("ABC"), o("ABC"), o("ABD", Domain.from_labels("ABD"))))
+
+    def test_counts_merge_equal_orders_in_first_appearance_order(self):
+        p = Profile((o("BCA"), o("ABC"), o("BCA", Domain.from_labels("ABC")), o("ABC")))
+        assert list(p.counts.items()) == [(o("BCA"), 2), (o("ABC"), 2)]
 
     def test_grouped_view_partitions(self):
         view = PROFILE_2.grouped_view

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from safevote.core import (
     Domain,
+    LinearOrder,
     Preference,
     Profile,
     all_orders,
@@ -109,6 +110,58 @@ def test_tiebreak_irrelevant_under_strict_max(data):
     ranked = sorted(totals.values(), reverse=True)
     if ranked[0] > ranked[1]:
         assert len({rule.evaluate(profile) for rule in rules}) == 1
+
+
+def reference_scores(rule: ScoringRule, profile: Profile) -> dict:
+    """Per-voter `Fraction` sums: the scorer the integer kernel replaced."""
+    totals = {alt: Fraction(0) for alt in rule.domain}
+    for order in profile.orders:
+        for pos, alt in enumerate(order.ranking):
+            totals[alt] += rule.weights[pos]
+    return totals
+
+
+def reference_winner(rule: ScoringRule, profile: Profile):
+    totals = reference_scores(rule, profile)
+    best = max(totals.values())
+    return min((a for a, s in totals.items() if s == best), key=rule.tiebreak.rank)
+
+
+@st.composite
+def fractional_scoring_rules(draw):
+    """Non-increasing weights with denominators up to 7, negatives and runs
+    of equal weights, over 2 to 5 alternatives, with any tie-break."""
+    m = draw(st.integers(2, 5))
+    domain = Domain.of_size(m)
+    weights = sorted(
+        draw(st.lists(st.fractions(-3, 3, max_denominator=7), min_size=m, max_size=m)),
+        reverse=True,
+    )
+    for i, repeat in enumerate(draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1)), start=1):
+        if repeat:
+            weights[i] = weights[i - 1]
+    tiebreak = LinearOrder(tuple(draw(st.permutations(domain.alternatives))))
+    return ScoringRule(tuple(weights), tiebreak)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_scores_match_fraction_reference(data):
+    rule = data.draw(fractional_scoring_rules())
+    domain = rule.domain
+    # Interned orders and freshly built equal ones, mixed in one profile.
+    ballots = st.one_of(
+        orders_for(domain),
+        st.permutations(domain.alternatives).map(lambda perm: LinearOrder(tuple(perm))),
+    )
+    profile = Profile(tuple(data.draw(st.lists(ballots, min_size=1, max_size=40))))
+    type_order = data.draw(st.sampled_from(profile.types_present()))
+    members = sorted(voters_of_type(profile, type_order))
+    coalition = frozenset(data.draw(st.sets(st.sampled_from(members), min_size=1)))
+    target = data.draw(st.sampled_from([L for L in all_orders(domain) if L != type_order]))
+    for p in (profile, switch_votes(profile, coalition, target)):
+        assert list(rule.scores(p).items()) == list(reference_scores(rule, p).items())
+        assert rule.evaluate(p) == reference_winner(rule, p)
 
 
 @given(st.integers(0, 6**3 - 1))

@@ -391,6 +391,12 @@ class TestRuleConfig:
         with pytest.raises(ParseError):
             parse_rule("rule: table\nn: 1\nm: 3\nentries: winners.txt\n", base_dir=str(tmp_path))
 
+    def test_winner_outside_domain_reports_line(self, tmp_path):
+        (tmp_path / "winners.txt").write_text("0: A\n1: Z\n2: B\n")
+        with pytest.raises(ParseError) as exc:
+            parse_rule("rule: table\nn: 1\nm: 3\nentries: winners.txt\n", base_dir=str(tmp_path))
+        assert exc.value.line == 2
+
     def test_duplicate_index_rejected(self, tmp_path):
         (tmp_path / "winners.txt").write_text("0: A\n0: B\n")
         with pytest.raises(ParseError):
