@@ -26,7 +26,7 @@ from safevote.strategy import (
     classify_safety,
     find_escapes,
     has_incentive,
-    representatives,
+    incentives,
     threshold_scan,
     verify_certificate,
     verify_gs,
@@ -119,20 +119,14 @@ def _load(args):
 def _incentive_summary(rule, profile):
     """Per-type summary of which strategic orders carry an incentive."""
     summary = []
+    orders = all_orders(profile.domain)
     for type_order in profile.types_present():
-        members = voters_of_type(profile, type_order)
-        voters_to_try = representatives(rule, members)
-        orders_with_incentive = []
-        for strategic in all_orders(profile.domain):
-            if strategic == type_order:
-                continue
-            if any(has_incentive(rule, profile, v, strategic) for v in voters_to_try):
-                orders_with_incentive.append(strategic.compact)
+        found = {w.strategic_order for w in incentives(rule, profile, type_order, orders)}
         summary.append(
             {
                 "type": type_order.compact,
-                "count": len(members),
-                "incentives": orders_with_incentive,
+                "count": len(voters_of_type(profile, type_order)),
+                "incentives": [o.compact for o in orders if o in found],
             }
         )
     return summary

@@ -331,7 +331,7 @@ def parse_profile(text: str) -> Profile:
     if not labels:
         raise ParseError("no alternative labels listed", no)
     try:
-        domain = Domain.from_labels(labels)
+        domain = Domain.from_labels(sorted(labels))
     except ValueError as exc:
         raise ParseError(str(exc), no) from exc
 

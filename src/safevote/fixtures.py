@@ -13,16 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from safevote.core import Domain, LinearOrder, Profile
+from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
 from safevote.rules import Rule, ScoringRule, borda, k_approval, plurality, scores
 from safevote.strategy import (
     SafetyStatus,
     UnsafeKind,
+    _pivotal_moves,
     classify_safety,
-    has_incentive,
+    incentives,
     threshold_scan,
 )
-from safevote.core import all_orders, switch_votes, voters_of_type
 
 EXAMPLE_4_ERRATUM = (
     "third type corrected from EBCAD to E > B > C > D > A: the printed totals "
@@ -103,15 +103,7 @@ def _run_plurality_four(fx: Fixture) -> list[CheckResult]:
     d = profile.domain
     bac, abc = _order("BAC", d), _order("ABC", d)
     both = switch_votes(switch_votes(profile, frozenset({0}), bac), frozenset({1}), abc)
-    pivots = []
-    for voter in range(profile.n):
-        for L in all_orders(d):
-            if L == profile.orders[voter]:
-                continue
-            after = rule.evaluate(switch_votes(profile, frozenset({voter}), L))
-            if profile.orders[voter].prefers(after, rule.evaluate(profile)):
-                pivots.append(voter + 1)
-                break
+    pivots = sorted({move.voter + 1 for move in _pivotal_moves(rule, profile, all_orders(d))})
     return [
         _winner_check("sincere winner is C", rule, profile, "C"),
         _winner_check(
@@ -289,19 +281,14 @@ def _run_two_approval_33(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
     d = profile.domain
     abc = _order("ABC", d)
-    incentives: list[tuple[str, str]] = []
+    votes: list[tuple[str, str]] = []
     unsafe_only = True
     for type_order in profile.types_present():
-        voter = min(voters_of_type(profile, type_order))
-        for L in all_orders(d):
-            if L == type_order:
-                continue
-            if has_incentive(rule, profile, voter, L) is None:
-                continue
-            incentives.append((type_order.compact, L.compact))
-            if classify_safety(rule, profile, voter, L).status != SafetyStatus.UNSAFE:
-                unsafe_only = False
-    types_with_incentive = sorted({t for t, _ in incentives})
+        for witness in incentives(rule, profile, type_order, all_orders(d)):
+            votes.append((type_order.compact, witness.strategic_order.compact))
+            verdict = classify_safety(rule, profile, witness.voter, witness.strategic_order)
+            unsafe_only = unsafe_only and verdict.status == SafetyStatus.UNSAFE
+    types_with_incentive = sorted({t for t, _ in votes})
     return [
         _scores_check("sincere scores A=23 B=25 C=18", rule, profile, {"A": 23, "B": 25, "C": 18}),
         _winner_check("sincere winner is B", rule, profile, "B"),
@@ -320,8 +307,8 @@ def _run_two_approval_33(fx: Fixture) -> list[CheckResult]:
         ),
         _check(
             "every available strategic vote is unsafe",
-            unsafe_only and bool(incentives),
-            f"incentivized votes: {incentives}",
+            unsafe_only and bool(votes),
+            f"incentivized votes: {votes}",
         ),
     ]
 

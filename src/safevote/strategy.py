@@ -1,15 +1,19 @@
 """Strategic-voting machinery: incentives, safety, witnesses, certificates.
 
-Every search here is deterministic and all emitted witnesses are minimal
-under its enumeration order.  Coalitions come from one iterator,
-`_coalitions`: every subset by size then lexicographically, or, for
-anonymous rules, one canonical prefix per size.  `has_incentive` and
-`classify_safety` each run a single body over either order, so the two
-paths pick witnesses and Overshoot/Undershoot pairs by the same rule
-(`force_subsets=True` takes the all-subsets order on any rule, which the
-test suite uses as an oracle).  The three theorem verifiers share one
-profile scan, `_scan`, which walks the canonical mixed-radix order and
-certifies the first move that a per-claim generator yields.
+Every claim is about one move, recorded as an `IncentiveWitness`: a
+coalition of one type, containing the voter, switches to a strategic
+order, taking the outcome from before to after.  `incentives` enumerates a
+type's improving moves, and `_certify` turns any move into the claim's
+`Certificate`, so recorded sets and outcomes always replay the switch.
+Every search is deterministic and its witnesses are minimal under its
+enumeration order.  Coalitions come from one iterator, `_coalitions`:
+every subset by size then lexicographically, or, for anonymous rules, one
+canonical prefix per size.  `has_incentive` and `classify_safety` walk the
+same coalitions (`force_subsets=True` takes the all-subsets order on any
+rule, which the tests use as an oracle), and `classify_safety` settles its
+own precondition, an incentive, from that one walk.  The three theorem
+verifiers share one profile scan, `_scan`, which certifies the first move
+that a per-claim generator yields.
 """
 
 from __future__ import annotations
@@ -49,11 +53,9 @@ class InconclusiveError(SafevoteError):
 
 @dataclass(frozen=True)
 class IncentiveWitness:
-    """Evidence that a voter has an incentive to cast a strategic vote.
-
-    The coalition contains the voter, is of the voter's type, and switching
-    all of it to the strategic order improves the outcome in that type's
-    shared ranking.
+    """One move: the coalition, of the voter's type and containing the voter,
+    switches to the strategic order.  From `has_incentive` and `incentives`
+    the switch improves the outcome in the type's shared ranking.
     """
 
     voter: int
@@ -141,24 +143,17 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
+def _subsets(pool: list[int], sizes: range, by_size: bool) -> Iterator[tuple[int, ...]]:
+    """Subsets of a sorted pool, size by size: one canonical prefix per size
+    when `by_size`, otherwise every subset, lexicographically."""
+    for size in sizes:
+        yield from [tuple(pool[:size])] if by_size else itertools.combinations(pool, size)
+
+
 def _coalitions(voter: int, members: VoterSet, by_size: bool) -> Iterator[VoterSet]:
-    """Coalitions of members containing the voter, smallest first.
-
-    `by_size` yields one canonical prefix per size; otherwise every subset
-    comes, by size then lexicographically.
-    """
-    others = sorted(members - {voter})
-    for size in range(len(members)):
-        combos = [others[:size]] if by_size else itertools.combinations(others, size)
-        for combo in combos:
-            yield frozenset((voter, *combo))
-
-
-def representatives(rule: Rule, members: VoterSet) -> list[int]:
-    """The voters of one type worth trying: for an anonymous rule the first
-    stands for all, otherwise every member in index order."""
-    ordered = sorted(members)
-    return ordered[:1] if rule.anonymous else ordered
+    """Coalitions of members containing the voter, smallest first."""
+    for combo in _subsets(sorted(members - {voter}), range(len(members)), by_size):
+        yield frozenset((voter, *combo))
 
 
 def _use_sizes(rule: Rule, force_subsets: bool) -> bool:
@@ -191,6 +186,23 @@ def has_incentive(
     return None
 
 
+def incentives(
+    rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
+) -> Iterator[IncentiveWitness]:
+    """Every incentive witness of one type, voter first, then strategic order.
+
+    For an anonymous rule the type's first voter stands for all of them;
+    otherwise every member is tried in index order.
+    """
+    members = sorted(voters_of_type(profile, type_order))
+    for voter in members[:1] if rule.anonymous else members:
+        for strategic_order in orders:
+            if strategic_order != type_order:
+                witness = has_incentive(rule, profile, voter, strategic_order)
+                if witness is not None:
+                    yield witness
+
+
 # ---------------------------------------------------------------------------
 # Safety classification
 # ---------------------------------------------------------------------------
@@ -206,31 +218,39 @@ def classify_safety(
     """Classify a strategic vote the voter has an incentive to cast.
 
     Raises NoIncentiveError when the precondition (an incentive exists)
-    fails: safety is only defined for actual strategic opportunities.
+    fails: safety is only defined for actual strategic opportunities.  The
+    walk below covers `has_incentive`'s coalitions, so it settles that too.
     """
-    if has_incentive(rule, profile, voter, strategic_order, force_subsets) is None:
-        raise NoIncentiveError(
-            f"voter {voter + 1} has no incentive to vote {strategic_order.compact}"
-        )
     type_order = profile.orders[voter]
+    if strategic_order == type_order:
+        raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
     sincere = rule.evaluate(profile)
     by_size = _use_sizes(rule, force_subsets)
-    # The incentive clause of the unsafe definition is per member; under an
-    # anonymous rule every member shares the voter's incentive.
-    incentivized = members if by_size else frozenset(
-        v
-        for v in members
-        if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
-    )
     improving: list[VoterSet] = []
     worsening: list[VoterSet] = []
     for coalition in _coalitions(voter, members, by_size):
         outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
         if type_order.prefers(outcome, sincere):
             improving.append(coalition)
-        elif type_order.prefers(sincere, outcome) and coalition <= incentivized:
+        elif type_order.prefers(sincere, outcome):
             worsening.append(coalition)
+    if not improving:
+        raise NoIncentiveError(
+            f"voter {voter + 1} has no incentive to vote {strategic_order.compact}"
+        )
+    if worsening and not by_size:
+        # The incentive clause of the unsafe definition is per member; under
+        # an anonymous rule every member shares the voter's incentive.  Every
+        # member of an improving coalition has one already, so only the other
+        # members of worsening coalitions are asked.
+        incentivized = frozenset().union(*improving)
+        incentivized |= {
+            v
+            for v in frozenset().union(*worsening) - incentivized
+            if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
+        }
+        worsening = [c for c in worsening if c <= incentivized]
     if not worsening:
         return SafetyVerdict(SafetyStatus.SAFE)
     # Prefer Overshoot (good strictly inside bad) when both nested-pair kinds exist.
@@ -283,31 +303,10 @@ def find_escapes(rule: Rule, profile: Profile) -> list[Certificate]:
     certificates: list[Certificate] = []
     orders = all_orders(profile.domain)
     for type_order in profile.types_present():
-        if type_order.bottom != winner:
-            continue
-        witness = None
-        for voter in representatives(rule, voters_of_type(profile, type_order)):
-            for strategic_order in orders:
-                if strategic_order == type_order:
-                    continue
-                witness = has_incentive(rule, profile, voter, strategic_order)
-                if witness is not None:
-                    break
+        if type_order.bottom == winner:
+            witness = next(incentives(rule, profile, type_order, orders), None)
             if witness is not None:
-                break
-        if witness is not None:
-            certificates.append(
-                Certificate(
-                    claim="Escape",
-                    profile=profile,
-                    voter=witness.voter,
-                    strategic_order=witness.strategic_order,
-                    sets={"coalition": witness.coalition},
-                    outcomes={"before": witness.outcome_before, "after": witness.outcome_after},
-                    verified=True,
-                    rule_fingerprint=rule.fingerprint(),
-                )
-            )
+                certificates.append(_certify(rule, "Escape", profile, witness))
     return certificates
 
 
@@ -330,21 +329,12 @@ def find_L_inferior(
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
     full_outcome = rule.evaluate(switch_votes(profile, members, strategic_order))
-    ordered = sorted(members)
-    inferior: list[VoterSet] = []
-    if _use_sizes(rule, force_subsets):
-        candidates: Iterator[VoterSet] = (frozenset(ordered[:k]) for k in range(len(members)))
-    else:
-        candidates = (
-            frozenset(combo)
-            for k in range(len(members))
-            for combo in itertools.combinations(ordered, k)
-        )
-    for subset in candidates:
-        partial = rule.evaluate(switch_votes(profile, subset, strategic_order))
-        if type_order.prefers(full_outcome, partial):
-            inferior.append(subset)
-    return inferior
+    subsets = _subsets(sorted(members), range(len(members)), _use_sizes(rule, force_subsets))
+    return [
+        subset
+        for subset in map(frozenset, subsets)
+        if type_order.prefers(full_outcome, rule.evaluate(switch_votes(profile, subset, strategic_order)))
+    ]
 
 
 def construct_safe_from_inferior(
@@ -370,19 +360,9 @@ def construct_safe_from_inferior(
     voter = min(remaining)
     witness = has_incentive(rule, shifted, voter, strategic_order)
     verified = witness is not None and _is_safe(rule, shifted, voter, strategic_order)
-    return Certificate(
-        claim="SafelyManipulable",
-        profile=shifted,
-        voter=voter,
-        strategic_order=strategic_order,
-        sets={"coalition": remaining, "inferior": chosen},
-        outcomes={
-            "before": rule.evaluate(shifted),
-            "after": rule.evaluate(switch_votes(shifted, remaining, strategic_order)),
-        },
-        verified=verified,
-        rule_fingerprint=rule.fingerprint(),
-    )
+    after = rule.evaluate(switch_votes(shifted, remaining, strategic_order))
+    move = IncentiveWitness(voter, strategic_order, remaining, rule.evaluate(shifted), after)
+    return _certify(rule, "SafelyManipulable", shifted, move, verified, inferior=chosen)
 
 
 def construct_safe_from_endup(
@@ -405,21 +385,11 @@ def construct_safe_from_endup(
         )
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
-    sincere = rule.evaluate(profile)
     full_outcome = rule.evaluate(switch_votes(profile, members, strategic_order))
-    if type_order.prefers(sincere, full_outcome):
+    if type_order.prefers(witness.outcome_before, full_outcome):
         return None
     if _is_safe(rule, profile, voter, strategic_order):
-        return Certificate(
-            claim="SafelyManipulable",
-            profile=profile,
-            voter=voter,
-            strategic_order=strategic_order,
-            sets={"coalition": witness.coalition},
-            outcomes={"before": sincere, "after": witness.outcome_after},
-            verified=True,
-            rule_fingerprint=rule.fingerprint(),
-        )
+        return _certify(rule, "SafelyManipulable", profile, witness)
     # The bad coalition strictly worsens the outcome, so it is inferior to
     # the full switch and the maximal-inferior construction must succeed.
     certificate = construct_safe_from_inferior(rule, profile, type_order, strategic_order)
@@ -441,9 +411,25 @@ def _scan_profiles(rule: Rule, n: int, budget: int | None) -> Iterator[Profile]:
         yield profile
 
 
-#: A claim's moves at one profile: (voter, strategic order, coalition,
-#: outcome before, outcome after), in the claim's canonical order.
-_Moves = Iterator[tuple[int, LinearOrder, VoterSet, Alternative, Alternative]]
+def _certify(
+    rule: Rule,
+    claim: str,
+    profile: Profile,
+    move: IncentiveWitness,
+    verified: bool = True,
+    **extra_sets: VoterSet,
+) -> Certificate:
+    """The certificate recording one move at a profile."""
+    return Certificate(
+        claim=claim,
+        profile=profile,
+        voter=move.voter,
+        strategic_order=move.strategic_order,
+        sets={"coalition": move.coalition, **extra_sets},
+        outcomes={"before": move.outcome_before, "after": move.outcome_after},
+        verified=verified,
+        rule_fingerprint=rule.fingerprint(),
+    )
 
 
 def _scan(
@@ -451,28 +437,20 @@ def _scan(
     n: int | None,
     budget: int | None,
     claim: str,
-    moves: Callable[[Rule, Profile, list[LinearOrder]], _Moves],
+    moves: Callable[[Rule, Profile, list[LinearOrder]], Iterator[IncentiveWitness]],
 ) -> Certificate | None:
     """Certificate for the first move at the first profile that has one."""
     orders = all_orders(rule.domain)
     for profile in _scan_profiles(rule, resolve_n(rule, n), budget):
         move = next(moves(rule, profile, orders), None)
         if move is not None:
-            voter, strategic_order, coalition, before, after = move
-            return Certificate(
-                claim=claim,
-                profile=profile,
-                voter=voter,
-                strategic_order=strategic_order,
-                sets={"coalition": coalition},
-                outcomes={"before": before, "after": after},
-                verified=True,
-                rule_fingerprint=rule.fingerprint(),
-            )
+            return _certify(rule, claim, profile, move)
     return None
 
 
-def _pivotal_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
+def _pivotal_moves(
+    rule: Rule, profile: Profile, orders: list[LinearOrder]
+) -> Iterator[IncentiveWitness]:
     """Single-voter switches that improve the outcome for that voter."""
     sincere = rule.evaluate(profile)
     for voter in range(profile.n):
@@ -483,25 +461,25 @@ def _pivotal_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _
                 continue
             outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
             if voter_order.prefers(outcome, sincere):
-                yield voter, strategic_order, solo, sincere, outcome
+                yield IncentiveWitness(voter, strategic_order, solo, sincere, outcome)
 
 
-def _safe_incentive_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
+def _safe_incentive_moves(
+    rule: Rule, profile: Profile, orders: list[LinearOrder]
+) -> Iterator[IncentiveWitness]:
     """Incentivized strategic votes that are safe, one type at a time."""
     for type_order in profile.types_present():
-        for voter in representatives(rule, voters_of_type(profile, type_order)):
-            for strategic_order in orders:
-                if strategic_order == type_order:
-                    continue
-                witness = has_incentive(rule, profile, voter, strategic_order)
-                if witness is not None and _is_safe(rule, profile, voter, strategic_order):
-                    yield voter, strategic_order, witness.coalition, witness.outcome_before, witness.outcome_after
+        for witness in incentives(rule, profile, type_order, orders):
+            if _is_safe(rule, profile, witness.voter, witness.strategic_order):
+                yield witness
 
 
-def _safe_pivotal_moves(rule: Rule, profile: Profile, orders: list[LinearOrder]) -> _Moves:
-    for voter, strategic_order, *rest in _pivotal_moves(rule, profile, orders):
-        if _is_safe(rule, profile, voter, strategic_order):
-            yield voter, strategic_order, *rest
+def _safe_pivotal_moves(
+    rule: Rule, profile: Profile, orders: list[LinearOrder]
+) -> Iterator[IncentiveWitness]:
+    for move in _pivotal_moves(rule, profile, orders):
+        if _is_safe(rule, profile, move.voter, move.strategic_order):
+            yield move
 
 
 def verify_gs(rule: Rule, n: int | None = None, budget: int | None = None) -> Certificate | None:
@@ -543,47 +521,38 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     profile = safe_certificate.profile
     j = safe_certificate.voter
     strategic_order = safe_certificate.strategic_order
-    type_order = profile.orders[j]
-    sincere = rule.evaluate(profile)
 
-    def pivotal_certificate(at_profile: Profile, voter: int) -> Certificate:
+    def pivotal_move(at_profile: Profile, voter: int) -> IncentiveWitness:
+        solo = frozenset({voter})
         before = rule.evaluate(at_profile)
-        after = rule.evaluate(switch_votes(at_profile, frozenset({voter}), strategic_order))
-        verified = at_profile.orders[voter].prefers(after, before) and _is_safe(
-            rule, at_profile, voter, strategic_order
-        )
-        return Certificate(
-            claim="SafePivotal",
-            profile=at_profile,
-            voter=voter,
-            strategic_order=strategic_order,
-            sets={"coalition": frozenset({voter})},
-            outcomes={"before": before, "after": after},
-            verified=verified,
-            rule_fingerprint=rule.fingerprint(),
-        )
+        after = rule.evaluate(switch_votes(at_profile, solo, strategic_order))
+        return IncentiveWitness(voter, strategic_order, solo, before, after)
 
-    solo = rule.evaluate(switch_votes(profile, frozenset({j}), strategic_order))
-    if type_order.prefers(solo, sincere):
-        return pivotal_certificate(profile, j)
-
-    members = voters_of_type(profile, type_order)
-    incentivized = frozenset(
-        v for v in members if has_incentive(rule, profile, v, strategic_order) is not None
+    move = pivotal_move(profile, j)
+    sincere = move.outcome_before
+    if not profile.orders[j].prefers(move.outcome_after, sincere):
+        members = voters_of_type(profile, profile.orders[j])
+        incentivized = frozenset(
+            v for v in members if has_incentive(rule, profile, v, strategic_order) is not None
+        )
+        # Size-minimal moving coalition within the incentivized voters; size
+        # minimality implies inclusion minimality, so every proper subset
+        # containing j leaves the outcome at the sincere winner.
+        moving: VoterSet | None = None
+        for coalition in _coalitions(j, incentivized, by_size=False):
+            if rule.evaluate(switch_votes(profile, coalition, strategic_order)) != sincere:
+                moving = coalition
+                break
+        if moving is None or len(moving) < 2:
+            raise SafevoteError("certificate does not lift: no moving coalition found")
+        peeled = max(moving - {j})
+        profile = switch_votes(profile, moving - {peeled}, strategic_order)
+        move = pivotal_move(profile, peeled)
+    voter = move.voter
+    verified = profile.orders[voter].prefers(move.outcome_after, move.outcome_before) and _is_safe(
+        rule, profile, voter, strategic_order
     )
-    # Size-minimal moving coalition within the incentivized voters; size
-    # minimality implies inclusion minimality, so every proper subset
-    # containing j leaves the outcome at the sincere winner.
-    moving: VoterSet | None = None
-    for coalition in _coalitions(j, incentivized, by_size=False):
-        if rule.evaluate(switch_votes(profile, coalition, strategic_order)) != sincere:
-            moving = coalition
-            break
-    if moving is None or len(moving) < 2:
-        raise SafevoteError("certificate does not lift: no moving coalition found")
-    peeled = max(moving - {j})
-    shifted = switch_votes(profile, moving - {peeled}, strategic_order)
-    return pivotal_certificate(shifted, peeled)
+    return _certify(rule, "SafePivotal", profile, move, verified)
 
 
 def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
@@ -601,8 +570,6 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
             outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
             return type_order.prefers(outcome, rule.evaluate(profile))
         if certificate.claim == "SafelyManipulable":
-            if has_incentive(rule, profile, voter, strategic_order) is None:
-                return False
             return _is_safe(rule, profile, voter, strategic_order)
         if certificate.claim == "SafePivotal":
             outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))

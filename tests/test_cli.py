@@ -5,6 +5,9 @@ import json
 import pytest
 
 from safevote import cli
+from safevote.core import Domain, all_orders, format_profile, voters_of_type
+from safevote.rules import all_profiles, format_table_entries, random_table_rule
+from safevote.strategy import has_incentive
 
 PROFILE_94 = """\
 alternatives: A B C
@@ -76,6 +79,41 @@ class TestAnalyze:
         assert with_incentive == ["ABC", "BAC"]
         # Both losing types rank the winner last and can improve: two escapes.
         assert len(report["escapes"]) == 2
+
+    @pytest.mark.parametrize("header", ["B A C", "C B A"])
+    def test_header_order_does_not_matter(self, files, capsys, header):
+        reordered = files["tmp"] / "reordered.txt"
+        reordered.write_text(PROFILE_94.replace("alternatives: A B C", f"alternatives: {header}"))
+        reports = []
+        for profile in (files["profile94"], str(reordered)):
+            assert run(["analyze", "--profile", profile, "--rule", files["borda"], "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_rule_incentives(self, tmp_path, capsys, seed):
+        # A table rule is not anonymous: a type has an incentive to vote an
+        # order when any of its members has one.
+        rule = random_table_rule(2, 3, seed)
+        (tmp_path / "winners.txt").write_text(format_table_entries(rule))
+        (tmp_path / "rule.txt").write_text("rule: table\nn: 2\nm: 3\nentries: winners.txt\n")
+        orders = all_orders(Domain.of_size(3))
+        for profile in all_profiles(Domain.of_size(3), 2):
+            (tmp_path / "p.txt").write_text(format_profile(profile, anonymous=False))
+            argv = ["analyze", "--profile", str(tmp_path / "p.txt"), "--rule", str(tmp_path / "rule.txt")]
+            assert run([*argv, "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            expected = []
+            for type_order in profile.types_present():
+                members = voters_of_type(profile, type_order)
+                incentives = [
+                    strategic.compact
+                    for strategic in orders
+                    if strategic != type_order
+                    and any(has_incentive(rule, profile, v, strategic) for v in members)
+                ]
+                expected.append({"type": type_order.compact, "count": len(members), "incentives": incentives})
+            assert report["types"] == expected
 
     def test_out_file(self, files):
         out = files["tmp"] / "report.json"

@@ -1,6 +1,7 @@
 """Unit tests for incentives, safety classification, and certificate search."""
 
 import json
+import operator
 
 import pytest
 
@@ -25,6 +26,8 @@ from safevote.rules import (
 )
 from safevote.strategy import (
     Certificate,
+    SafetyVerdict,
+    _coalitions,
     InconclusiveError,
     NoIncentiveError,
     SafetyStatus,
@@ -68,6 +71,51 @@ APPROVAL_33 = k_approval(2, o("ABC"))
 
 def dictatorial_rule(n: int = 2) -> TableRule:
     return TableRule.from_function(D3, n, lambda p: p.orders[0].top)
+
+
+def two_pass_classify_safety(rule, profile, voter, strategic_order):
+    """Reference classifier: an incentive check first, then a second walk
+    over the same coalitions, filtering worsening ones by every member's
+    incentive.  Returns the verdict and whether that filter dropped a
+    worsening coalition."""
+    if has_incentive(rule, profile, voter, strategic_order) is None:
+        raise NoIncentiveError("no incentive")
+    type_order = profile.orders[voter]
+    members = voters_of_type(profile, type_order)
+    sincere = rule.evaluate(profile)
+    by_size = rule.anonymous
+    incentivized = members if by_size else frozenset(
+        v for v in members if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
+    )
+    improving, worsening, dropped = [], [], False
+    for coalition in _coalitions(voter, members, by_size):
+        outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
+        if type_order.prefers(outcome, sincere):
+            improving.append(coalition)
+        elif type_order.prefers(sincere, outcome):
+            if coalition <= incentivized:
+                worsening.append(coalition)
+            else:
+                dropped = True
+    if not worsening:
+        return SafetyVerdict(SafetyStatus.SAFE), dropped
+    for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
+        for bad in worsening:
+            for good in improving:
+                if nested(good, bad):
+                    verdict = SafetyVerdict(SafetyStatus.UNSAFE, worsening[0], kind, good, bad)
+                    return verdict, dropped
+    return SafetyVerdict(SafetyStatus.UNSAFE, worsening[0], UnsafeKind.OTHER), dropped
+
+
+def assert_replays_own_record(rule, cert):
+    """The certificate's fingerprint, coalition and outcomes describe the
+    switch it records."""
+    profile, coalition = cert.profile, cert.sets["coalition"]
+    assert cert.rule_fingerprint == rule.fingerprint()
+    assert cert.voter in coalition
+    assert cert.outcomes["before"] == rule.evaluate(profile)
+    assert cert.outcomes["after"] == rule.evaluate(switch_votes(profile, coalition, cert.strategic_order))
 
 
 class TestHasIncentive:
@@ -170,6 +218,35 @@ class TestClassifySafety:
         # Voter 4's top already wins; no strategic vote can help.
         with pytest.raises(NoIncentiveError):
             classify_safety(plurality(o("ABC")), PROFILE_1, 3, o("CAB"))
+
+    def test_same_order_rejected(self):
+        with pytest.raises(ValueError):
+            classify_safety(BORDA_94, PROFILE_94, 0, o("ABC"))
+
+    def test_single_walk_matches_two_pass_reference(self):
+        # Every (profile, voter, strategic order) of twelve sampled table
+        # rules: the verdicts agree, or both sides find no incentive.
+        outcomes = set()
+        dropped_votes = 0
+        for n, seed in [(2, s) for s in range(10)] + [(3, 0), (3, 1)]:
+            rule = random_table_rule(n, 3, seed)
+            for profile in all_profiles(D3, n):
+                for voter in range(n):
+                    for strategic in all_orders(D3):
+                        if strategic == profile.orders[voter]:
+                            continue
+                        try:
+                            expected, dropped = two_pass_classify_safety(rule, profile, voter, strategic)
+                        except NoIncentiveError:
+                            with pytest.raises(NoIncentiveError):
+                                classify_safety(rule, profile, voter, strategic)
+                            outcomes.add("no incentive")
+                            continue
+                        assert classify_safety(rule, profile, voter, strategic) == expected
+                        outcomes.add(expected.kind or expected.status)
+                        dropped_votes += dropped
+        assert outcomes >= {"no incentive", SafetyStatus.SAFE, UnsafeKind.OVERSHOOT, UnsafeKind.UNDERSHOOT}
+        assert dropped_votes > 0
 
 
 class TestThresholdScan:
@@ -420,6 +497,48 @@ class TestVerifiers:
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
             verify_gs(borda(o("ABC")))
+
+
+class TestCertificateRecords:
+    """Each producer's certificate replays the move it records."""
+
+    def test_escapes(self):
+        rule = borda(o("ABC"))
+        certificates = [c for profile in all_profiles(D3, 3) for c in find_escapes(rule, profile)]
+        assert len(certificates) == 21
+        for cert in certificates:
+            assert_replays_own_record(rule, cert)
+
+    def test_constructions_94(self):
+        voter = min(voters_of_type(PROFILE_94, o("ACB")))
+        from_endup = construct_safe_from_endup(BORDA_94, PROFILE_94, voter, o("CAB"))
+        from_inferior = construct_safe_from_inferior(BORDA_94, PROFILE_94, o("ACB"), o("CAB"))
+        for cert in (from_endup, from_inferior):
+            assert_replays_own_record(BORDA_94, cert)
+        assert from_inferior.profile == switch_votes(PROFILE_94, from_inferior.sets["inferior"], o("CAB"))
+
+    def test_from_endup_at_shifted_profile(self):
+        rule = random_table_rule(3, 3, 0)
+        cert = construct_safe_from_endup(rule, completely_agreed(o("ABC"), 3), 0, o("ACB"))
+        assert "inferior" in cert.sets
+        assert_replays_own_record(rule, cert)
+
+    def test_verifiers_and_lift(self):
+        peeled = 0
+        for seed in range(40):
+            rule = random_table_rule(2, 3, 100 + seed)
+            certificates = [search(rule) for search in (verify_gs, verify_safely_manipulable, verify_safe_pivotal)]
+            lifted = lift_safe_pivotal(rule, certificates[1])
+            peeled += lifted.profile != certificates[1].profile
+            for cert in (*certificates, lifted):
+                assert_replays_own_record(rule, cert)
+        # Both lift constructions ran: already pivotal, and peeled.
+        assert 0 < peeled < 40
+
+    def test_verifiers_on_a_scoring_rule(self):
+        rule = plurality(o("ABC"))
+        for search in (verify_gs, verify_safely_manipulable, verify_safe_pivotal):
+            assert_replays_own_record(rule, search(rule, n=4))
 
 
 class TestCertificates:
