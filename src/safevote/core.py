@@ -327,7 +327,8 @@ def parse_profile(text: str) -> Profile:
     if not header.lower().startswith("alternatives"):
         raise ParseError("expected 'alternatives:' header", no)
     _, _, labels_part = header.partition(":")
-    labels = labels_part.split()
+    # Labels are case-insensitive; `Domain.by_label` upper-cases too.
+    labels = labels_part.upper().split()
     if not labels:
         raise ParseError("no alternative labels listed", no)
     try:

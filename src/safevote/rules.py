@@ -6,6 +6,14 @@ a profile in `int`s: the count of each ballot type times the scaled weight
 of each position. `scores()` divides back, so it reports the same
 `Fraction`s. Ties are broken by a fixed linear order per rule instance
 (argmax, then first in the tie-break order).
+
+`Rule.switched` is the switch kernel the strategy searches evaluate
+through: the winner once a coalition of one type votes another order,
+found as a delta from the sincere profile with no `Profile` built.  A
+scoring rule adds k times the per-alternative points change to the sincere
+totals; a table rule adds each switcher's digit change to the sincere
+profile's table index.  The default kernel replays the switch through
+`switch_votes` and `evaluate`, which stay the object path and the oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +25,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from safevote.core import (
     MAX_ALTERNATIVES,
     Alternative,
     Domain,
     DomainMismatchError,
+    EditError,
     LinearOrder,
     ParseError,
     Profile,
@@ -31,6 +40,8 @@ from safevote.core import (
     VoterSet,
     all_orders,
     completely_agreed,
+    switch_votes,
+    voters_of_type,
 )
 
 #: Largest profile-space size `(m!)^n` that exhaustive predicate checks and
@@ -66,6 +77,25 @@ class Rule:
     def evaluate(self, profile: Profile) -> Alternative:
         raise NotImplementedError
 
+    def switched(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        """The winner once a coalition of `type_order` voters all vote `order`.
+
+        Set-up raises what `switch_votes` would for the switch.  The returned
+        function takes any subset of the type's voters (the empty one gives
+        the sincere winner) and raises EditError for anything else.  This
+        default replays every coalition through `switch_votes` and
+        `evaluate`; rules with a delta kernel override it.
+        """
+        check = _switch_check(profile, type_order, order)
+
+        def winner(coalition: VoterSet) -> Alternative:
+            check(coalition)
+            return self.evaluate(switch_votes(profile, coalition, order))
+
+        return winner
+
     def config_text(self) -> str:
         """Canonical description used for fingerprints and rule files."""
         raise NotImplementedError
@@ -80,6 +110,24 @@ class Rule:
             )
         if self.n is not None and profile.n != self.n:
             raise DomainMismatchError(f"rule expects {self.n} voters, profile has {profile.n}")
+
+
+def _switch_check(
+    profile: Profile, type_order: LinearOrder, order: LinearOrder
+) -> Callable[[VoterSet], None]:
+    """Set-up checks of a switch kernel, and its per-coalition check: a
+    subset of the type's voters, so in range and of one type."""
+    if order.domain != profile.domain:
+        raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
+    if order == type_order:
+        raise EditError(f"coalition already votes {order.compact}")
+    members = voters_of_type(profile, type_order)
+
+    def check(coalition: VoterSet) -> None:
+        if not coalition <= members:
+            raise EditError(f"coalition {sorted(coalition)} is not within the {type_order.compact} voters")
+
+    return check
 
 
 def resolve_n(rule: Rule, n: int | None) -> int:
@@ -144,6 +192,28 @@ class ScoringRule(Rule):
         totals = self._totals(profile)
         best = max(totals)
         return next(alt for alt in self.tiebreak.ranking if totals[alt.index] == best)
+
+    def switched(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        check = _switch_check(profile, type_order, order)
+        totals = self._totals(profile)
+        change = [0] * len(totals)
+        for points, new, old in zip(self._points, order.ranking, type_order.ranking):
+            change[new.index] += points
+            change[old.index] -= points
+        # Both in tie-break order, so the first maximum is the winner.
+        ranking = self.tiebreak.ranking
+        base = [totals[alt.index] for alt in ranking]
+        step = [change[alt.index] for alt in ranking]
+
+        def winner(coalition: VoterSet) -> Alternative:
+            check(coalition)
+            k = len(coalition)
+            scores = [b + k * d for b, d in zip(base, step)]
+            return ranking[scores.index(max(scores))]
+
+        return winner
 
     def config_text(self) -> str:
         ws = " ".join(str(w) for w in self.weights)
@@ -236,6 +306,24 @@ class TableRule(Rule):
     def evaluate(self, profile: Profile) -> Alternative:
         self._check_profile(profile)
         return self.winners[encode_profile(profile, self._order_index)]
+
+    def switched(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        check = _switch_check(profile, type_order, order)
+        self._check_profile(profile)
+        index = self._order_index
+        base = encode_profile(profile, index)
+        step = index[order] - index[type_order]
+        radix, last = len(index), self.n - 1
+        winners = self.winners
+
+        def winner(coalition: VoterSet) -> Alternative:
+            check(coalition)
+            # Voter v is the digit of place value radix^(n-1-v).
+            return winners[base + step * sum(radix ** (last - v) for v in coalition)]
+
+        return winner
 
     def config_text(self) -> str:
         body = "".join(w.label for w in self.winners)
@@ -496,7 +584,7 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
     if kind == "scoring":
         if "scores" not in fields or "tiebreak" not in fields:
             raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
-        tb_labels = "".join(fields["tiebreak"].replace(">", " ").split())
+        tb_labels = "".join(fields["tiebreak"].replace(">", " ").split()).upper()
         try:
             tiebreak = LinearOrder.from_labels(tb_labels, Domain.from_labels(sorted(tb_labels)))
         except (ValueError, DomainMismatchError) as exc:

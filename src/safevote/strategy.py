@@ -14,6 +14,11 @@ rule, which the tests use as an oracle), and `classify_safety` settles its
 own precondition, an incentive, from that one walk.  The three theorem
 verifiers share one profile scan, `_scan`, which certifies the first move
 that a per-claim generator yields.
+
+Searches find each coalition's winner through the rule's switch kernel,
+`Rule.switched`, set up once per (profile, type, strategic order), which
+builds no `Profile`.  `verify_certificate` is the independent check: it
+replays every certificate through `switch_votes` and `Rule.evaluate` only.
 """
 
 from __future__ import annotations
@@ -178,9 +183,10 @@ def has_incentive(
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
-    sincere = rule.evaluate(profile)
+    winner = rule.switched(profile, type_order, strategic_order)
+    sincere = winner(frozenset())
     for coalition in _coalitions(voter, members, _use_sizes(rule, force_subsets)):
-        outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
+        outcome = winner(coalition)
         if type_order.prefers(outcome, sincere):
             return IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
     return None
@@ -225,15 +231,17 @@ def classify_safety(
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
-    sincere = rule.evaluate(profile)
+    winner = rule.switched(profile, type_order, strategic_order)
+    sincere = type_order.rank(winner(frozenset()))
     by_size = _use_sizes(rule, force_subsets)
     improving: list[VoterSet] = []
     worsening: list[VoterSet] = []
     for coalition in _coalitions(voter, members, by_size):
-        outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
-        if type_order.prefers(outcome, sincere):
+        # Rank 0 is the type's favourite: a lower rank improves the outcome.
+        rank = type_order.rank(winner(coalition))
+        if rank < sincere:
             improving.append(coalition)
-        elif type_order.prefers(sincere, outcome):
+        elif rank > sincere:
             worsening.append(coalition)
     if not improving:
         raise NoIncentiveError(
@@ -284,11 +292,8 @@ def threshold_scan(
     members = sorted(voters_of_type(profile, type_order))
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    result: dict[int, Alternative] = {}
-    for k in range(len(members) + 1):
-        switched = switch_votes(profile, frozenset(members[:k]), strategic_order)
-        result[k] = rule.evaluate(switched)
-    return result
+    winner = rule.switched(profile, type_order, strategic_order)
+    return {k: winner(frozenset(members[:k])) for k in range(len(members) + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +333,10 @@ def find_L_inferior(
     members = voters_of_type(profile, type_order)
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    full_outcome = rule.evaluate(switch_votes(profile, members, strategic_order))
+    winner = rule.switched(profile, type_order, strategic_order)
+    full_outcome = winner(members)
     subsets = _subsets(sorted(members), range(len(members)), _use_sizes(rule, force_subsets))
-    return [
-        subset
-        for subset in map(frozenset, subsets)
-        if type_order.prefers(full_outcome, rule.evaluate(switch_votes(profile, subset, strategic_order)))
-    ]
+    return [subset for subset in map(frozenset, subsets) if type_order.prefers(full_outcome, winner(subset))]
 
 
 def construct_safe_from_inferior(
@@ -385,7 +387,7 @@ def construct_safe_from_endup(
         )
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
-    full_outcome = rule.evaluate(switch_votes(profile, members, strategic_order))
+    full_outcome = rule.switched(profile, type_order, strategic_order)(members)
     if type_order.prefers(witness.outcome_before, full_outcome):
         return None
     if _is_safe(rule, profile, voter, strategic_order):
@@ -459,7 +461,7 @@ def _pivotal_moves(
         for strategic_order in orders:
             if strategic_order == voter_order:
                 continue
-            outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
+            outcome = rule.switched(profile, voter_order, strategic_order)(solo)
             if voter_order.prefers(outcome, sincere):
                 yield IncentiveWitness(voter, strategic_order, solo, sincere, outcome)
 
@@ -538,9 +540,10 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
         # Size-minimal moving coalition within the incentivized voters; size
         # minimality implies inclusion minimality, so every proper subset
         # containing j leaves the outcome at the sincere winner.
+        winner = rule.switched(profile, profile.orders[j], strategic_order)
         moving: VoterSet | None = None
         for coalition in _coalitions(j, incentivized, by_size=False):
-            if rule.evaluate(switch_votes(profile, coalition, strategic_order)) != sincere:
+            if winner(coalition) != sincere:
                 moving = coalition
                 break
         if moving is None or len(moving) < 2:
@@ -555,8 +558,39 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     return _certify(rule, "SafePivotal", profile, move, verified)
 
 
+class _ObjectPath(Rule):
+    """A rule seen only through its `evaluate`: the default `Rule.switched`
+    replays every switch through `switch_votes`, never the rule's kernel."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.domain, self.anonymous, self.n = rule.domain, rule.anonymous, rule.n
+
+    def evaluate(self, profile: Profile) -> Alternative:
+        return self.rule.evaluate(profile)
+
+
+def _replays_record(rule: Rule, certificate: Certificate, sincere: Alternative) -> bool:
+    """What the certificate records replays: a rule fingerprint must be the
+    rule's, and a recorded move must be a coalition of the voter's type,
+    containing the voter, whose switch takes the outcome from `before` to
+    `after`.  A bare certificate records neither."""
+    if certificate.rule_fingerprint not in ("", rule.fingerprint()):
+        return False
+    coalition = certificate.sets.get("coalition")
+    if coalition is None:
+        return not certificate.outcomes
+    profile, voter = certificate.profile, certificate.voter
+    if voter not in coalition or not coalition <= voters_of_type(profile, profile.orders[voter]):
+        return False
+    after = rule.evaluate(switch_votes(profile, coalition, certificate.strategic_order))
+    return certificate.outcomes == {"before": sincere, "after": after}
+
+
 def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
-    """Independently replay a certificate's defining inequalities."""
+    """Independently replay a certificate: its record, then its claim's
+    defining inequalities from the profile alone.  Every switch goes
+    through `switch_votes` and `Rule.evaluate`, never a switch kernel."""
     profile = certificate.profile
     voter = certificate.voter
     strategic_order = certificate.strategic_order
@@ -565,21 +599,22 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
     type_order = profile.orders[voter]
     if strategic_order == type_order:
         return False
+    oracle = _ObjectPath(rule)
     try:
-        if certificate.claim == "GS-manipulable":
+        sincere = rule.evaluate(profile)
+        if not _replays_record(rule, certificate, sincere):
+            return False
+        if certificate.claim in ("GS-manipulable", "SafePivotal"):
             outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
-            return type_order.prefers(outcome, rule.evaluate(profile))
+            if not type_order.prefers(outcome, sincere):
+                return False
+            return certificate.claim == "GS-manipulable" or _is_safe(oracle, profile, voter, strategic_order)
         if certificate.claim == "SafelyManipulable":
-            return _is_safe(rule, profile, voter, strategic_order)
-        if certificate.claim == "SafePivotal":
-            outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
-            if not type_order.prefers(outcome, rule.evaluate(profile)):
-                return False
-            return _is_safe(rule, profile, voter, strategic_order)
+            return _is_safe(oracle, profile, voter, strategic_order)
         if certificate.claim == "Escape":
-            if type_order.bottom != rule.evaluate(profile):
+            if type_order.bottom != sincere:
                 return False
-            return has_incentive(rule, profile, voter, strategic_order) is not None
+            return has_incentive(oracle, profile, voter, strategic_order) is not None
         if certificate.claim == "LInferior":
             inferior = certificate.sets.get("inferior")
             if inferior is None:

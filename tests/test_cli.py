@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -87,6 +88,18 @@ class TestAnalyze:
         reports = []
         for profile in (files["profile94"], str(reordered)):
             assert run(["analyze", "--profile", profile, "--rule", files["borda"], "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_lowercase_labels(self, files, capsys):
+        # Labels are case-insensitive: in the header, the ballots and the tie-break.
+        lower_profile = files["tmp"] / "lower_profile.txt"
+        lower_profile.write_text(PROFILE_94.lower())
+        lower_rule = files["tmp"] / "lower_rule.txt"
+        lower_rule.write_text(RULE_BORDA_94.replace("B > A > C", "b > A > c"))
+        reports = []
+        for profile, rule in ((files["profile94"], files["borda"]), (lower_profile, lower_rule)):
+            assert run(["analyze", "--profile", str(profile), "--rule", str(rule), "--format", "json"]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
@@ -295,8 +308,13 @@ class TestErrors:
                 "# two weights for three alternatives\nrule: scoring\nscores: 1 0\ntiebreak: A > B > C\n",
                 "line 3: score vector length must equal the number of alternatives",
             ),
+            ("alternatives: a A\n1: a > A\n", RULE_PLURALITY, "line 1: duplicate labels"),
+            (PROFILE_FOUR, "rule: scoring\nscores: 1 0 0\ntiebreak: a > A > c\n", "line 3: bad tiebreak"),
         ],
-        ids=["zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length"],
+        ids=[
+            "zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length",
+            "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case",
+        ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
         (files["tmp"] / "p.txt").write_text(profile)
@@ -308,3 +326,23 @@ class TestErrors:
     def test_missing_file_exit_code(self, files):
         code = run(["analyze", "--profile", "/nonexistent.txt", "--rule", files["borda"]])
         assert code == cli.EXIT_FAILURE
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGoldenOutputs:
+    """JSON reports are byte-identical to the committed ones: the CLI's
+    determinism contract for a fixed config and seed."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["verify", "--samples", "200", "--seed", "7", "--format", "json"], "verify_samples200_seed7.json"),
+            (["examples", "--format", "json"], "examples.json"),
+        ],
+        ids=["verify-200-seed-7", "examples"],
+    )
+    def test_json_matches_golden(self, capsys, argv, golden):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -1,11 +1,15 @@
 """Property-based tests for the library's structural invariants."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from safevote.core import (
     Domain,
+    DomainMismatchError,
+    EditError,
     LinearOrder,
     Preference,
     Profile,
@@ -20,7 +24,9 @@ from safevote.rules import (
     check_predicates,
     decode_profile,
     encode_profile,
+    plurality,
     random_table_rule,
+    subrule_minus,
 )
 from safevote.strategy import (
     SafetyStatus,
@@ -162,6 +168,88 @@ def test_integer_scores_match_fraction_reference(data):
     for p in (profile, switch_votes(profile, coalition, target)):
         assert list(rule.scores(p).items()) == list(reference_scores(rule, p).items())
         assert rule.evaluate(p) == reference_winner(rule, p)
+
+
+def assert_kernel_matches_oracle(rule, profile, type_order, target, coalitions):
+    """The switch kernel's winner is the object path's on every coalition."""
+    winner = rule.switched(profile, type_order, target)
+    for coalition in coalitions:
+        assert winner(coalition) == rule.evaluate(switch_votes(profile, coalition, target))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scoring_kernel_matches_object_path(data):
+    rule = data.draw(fractional_scoring_rules())
+    orders = all_orders(rule.domain)
+    profile = Profile(tuple(data.draw(st.lists(st.sampled_from(orders), min_size=1, max_size=30))))
+    # The type may be absent, leaving only the empty coalition.
+    type_order = data.draw(st.sampled_from(profile.types_present() + orders))
+    target = data.draw(st.sampled_from([L for L in orders if L != type_order]))
+    # One coalition of every size: the prefixes of a random member order.
+    members = data.draw(st.permutations(sorted(voters_of_type(profile, type_order))))
+    prefixes = [frozenset(members[:k]) for k in range(len(members) + 1)]
+    assert_kernel_matches_oracle(rule, profile, type_order, target, prefixes)
+
+
+def every_subset(members):
+    members = sorted(members)
+    return [frozenset(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)]
+
+
+@given(n=st.sampled_from((2, 3)), seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_table_kernel_matches_object_path(n, seed, data):
+    rule = random_table_rule(n, 3, seed)
+    profile = decode_profile(data.draw(st.integers(0, 6**n - 1)), n, ORDERS_3)
+    type_order = data.draw(st.sampled_from(profile.types_present()))
+    target = data.draw(st.sampled_from([L for L in ORDERS_3 if L != type_order]))
+    members = voters_of_type(profile, type_order)
+    assert_kernel_matches_oracle(rule, profile, type_order, target, every_subset(members))
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_default_kernel_matches_object_path(data):
+    # A subrule has no kernel of its own and takes the replaying default.
+    parent = data.draw(st.sampled_from([borda, plurality]))(data.draw(orders_for(D4)))
+    rule = subrule_minus(parent, D4.by_label("D"))
+    profile = data.draw(profiles_for(rule.domain, max_n=5))
+    type_order = data.draw(st.sampled_from(profile.types_present()))
+    target = data.draw(orders_for(rule.domain).filter(lambda L: L != type_order))
+    members = voters_of_type(profile, type_order)
+    assert_kernel_matches_oracle(rule, profile, type_order, target, every_subset(members))
+
+
+KERNEL_RULES = {
+    "scoring": borda(ORDERS_3[0]),
+    "table": random_table_rule(3, 3, 0),
+    "default": subrule_minus(borda(ORDERS_4[0]), D4.by_label("D")),
+}
+
+
+@pytest.mark.parametrize("kind", KERNEL_RULES)
+def test_kernel_errors_match_switch_votes(kind):
+    rule = KERNEL_RULES[kind]
+    abc, acb, bac = ORDERS_3[0], ORDERS_3[1], ORDERS_3[2]
+    profile = Profile((abc, abc, bac))
+
+    def both_raise(error, type_order, coalition, target):
+        with pytest.raises(error):
+            switch_votes(profile, coalition, target)
+        with pytest.raises(error):
+            rule.switched(profile, type_order, target)(coalition)
+
+    both_raise(EditError, abc, frozenset({0, 3}), acb)  # out-of-range voter
+    both_raise(EditError, abc, frozenset({0, 2}), acb)  # mixed-type coalition
+    both_raise(EditError, abc, frozenset({0}), abc)  # L == T
+    foreign = LinearOrder.from_labels("XYZ", Domain.from_labels("XYZ"))
+    both_raise(DomainMismatchError, abc, frozenset({0}), foreign)
+    # Both L == T and a foreign order fail at set-up, before any coalition.
+    with pytest.raises(EditError):
+        rule.switched(profile, abc, abc)
+    with pytest.raises(DomainMismatchError):
+        rule.switched(profile, abc, foreign)
 
 
 @given(st.integers(0, 6**3 - 1))

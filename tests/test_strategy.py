@@ -1,5 +1,6 @@
 """Unit tests for incentives, safety classification, and certificate search."""
 
+import dataclasses
 import json
 import operator
 
@@ -156,6 +157,28 @@ class TestHasIncentive:
             fast = has_incentive(BORDA_94, PROFILE_94, 0, o(strategic))
             slow = has_incentive(BORDA_94, PROFILE_94, 0, o(strategic), force_subsets=True)
             assert fast == slow
+
+    def test_subset_path_evaluates_every_coalition(self, monkeypatch):
+        # The oracle path asks the kernel about each coalition in turn.
+        asked = []
+        kernel = ScoringRule.switched
+
+        def recording(rule, profile, type_order, order):
+            winner = kernel(rule, profile, type_order, order)
+
+            def ask(coalition):
+                asked.append(coalition)
+                return winner(coalition)
+
+            return ask
+
+        monkeypatch.setattr(ScoringRule, "switched", recording)
+        members = voters_of_type(PROFILE_33, o("BAC"))
+        voter = min(members)
+        assert has_incentive(APPROVAL_33, PROFILE_33, voter, o("ABC"), force_subsets=True) is None
+        # The sincere profile, then every coalition containing the voter, once each.
+        assert asked == [frozenset(), *_coalitions(voter, members, by_size=False)]
+        assert len(set(asked)) == len(asked) == 1 + 2 ** (len(members) - 1)
 
 
 class TestClassifySafety:
@@ -578,3 +601,65 @@ class TestCertificates:
             claim="GS-manipulable", profile=PROFILE_1, voter=9, strategic_order=o("BAC")
         )
         assert not verify_certificate(plurality(o("ABC")), cert)
+
+
+def one_certificate_per_claim():
+    """(rule, certificate) for each claim whose move `verify_certificate` replays."""
+    table = random_table_rule(2, 3, 5)
+    yield table, verify_gs(table)
+    yield table, verify_safely_manipulable(table)
+    yield table, verify_safe_pivotal(table)
+    yield BORDA_94, find_escapes(BORDA_94, PROFILE_94)[0]
+    yield BORDA_94, construct_safe_from_inferior(BORDA_94, PROFILE_94, o("ACB"), o("CAB"))
+
+
+class TestCertificateReplay:
+    """`verify_certificate` replays whatever a certificate records: its rule
+    fingerprint, its coalition and both outcomes."""
+
+    def test_untampered_certificates_verify(self):
+        for rule, cert in one_certificate_per_claim():
+            assert verify_certificate(rule, cert), cert.claim
+
+    def test_replay_never_uses_a_switch_kernel(self, monkeypatch):
+        certificates = list(one_certificate_per_claim())
+
+        def kernel(*args):
+            raise AssertionError("verify_certificate called a switch kernel")
+
+        for cls in (ScoringRule, TableRule):
+            monkeypatch.setattr(cls, "switched", kernel)
+        for rule, cert in certificates:
+            assert verify_certificate(rule, cert), cert.claim
+
+    def test_gs_with_swapped_outcomes_and_bogus_fingerprint_fails(self):
+        rule = random_table_rule(2, 3, 5)
+        cert = verify_gs(rule)
+        swapped = {"before": cert.outcomes["after"], "after": cert.outcomes["before"]}
+        assert not verify_certificate(rule, dataclasses.replace(cert, outcomes=swapped, rule_fingerprint="bogus"))
+
+    def test_swapped_outcomes_fail(self):
+        for rule, cert in one_certificate_per_claim():
+            swapped = {"before": cert.outcomes["after"], "after": cert.outcomes["before"]}
+            assert not verify_certificate(rule, dataclasses.replace(cert, outcomes=swapped)), cert.claim
+
+    def test_foreign_fingerprint_fails(self):
+        foreign = random_table_rule(2, 3, 6).fingerprint()
+        for rule, cert in one_certificate_per_claim():
+            assert foreign != rule.fingerprint()
+            assert not verify_certificate(rule, dataclasses.replace(cert, rule_fingerprint=foreign)), cert.claim
+
+    def test_emptied_coalition_fails(self):
+        for rule, cert in one_certificate_per_claim():
+            assert not verify_certificate(rule, dataclasses.replace(cert, sets={"coalition": frozenset()})), cert.claim
+
+    def test_coalition_of_another_type_fails(self):
+        cert = find_escapes(BORDA_94, PROFILE_94)[0]
+        type_order = PROFILE_94.orders[cert.voter]
+        stranger = next(v for v in range(PROFILE_94.n) if PROFILE_94.orders[v] != type_order)
+        mixed = {"coalition": cert.sets["coalition"] | {stranger}}
+        assert not verify_certificate(BORDA_94, dataclasses.replace(cert, sets=mixed))
+
+    def test_outcomes_without_a_coalition_fail(self):
+        for rule, cert in one_certificate_per_claim():
+            assert not verify_certificate(rule, dataclasses.replace(cert, sets={})), cert.claim
