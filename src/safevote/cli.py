@@ -4,7 +4,9 @@ Subcommands: analyze, safety, verify, figure, examples.  Reports are
 human-first text by default; `--format json` switches to the machine
 contract, which is byte-reproducible for a fixed config and seed (wall
 times therefore go to stderr, never into JSON).  Exit codes: 0 success,
-1 assertion/claim failure, 2 parse or usage error, 3 inconclusive scans.
+1 assertion/claim failure, 2 parse or usage error (a malformed file, or an
+argument out of range or naming no order of the domain), 3 inconclusive
+scans.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import random
 import sys
 import time
 
-from safevote.core import LinearOrder, ParseError, SafevoteError, all_orders, parse_profile, voters_of_type
+from safevote.core import Domain, LinearOrder, ParseError, SafevoteError, all_orders, parse_profile, voters_of_type
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
 from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, parse_rule, random_table_rule, scores
-from safevote.strategy import (
+from safevote.strategy import (  # noqa: F401 - bench/test_bench.py reads cli.has_incentive
     InconclusiveError,
+    NoIncentiveError,
     SafetyStatus,
     classify_safety,
     find_escapes,
@@ -38,6 +41,17 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
+
+
+class UsageError(SafevoteError):
+    """A command-line argument is malformed, out of range, or names no order of the domain."""
+
+
+def _order(text: str, domain: Domain, flag: str) -> LinearOrder:
+    try:
+        return LinearOrder.from_string(text, domain)
+    except (SafevoteError, ValueError) as exc:
+        raise UsageError(f"{flag} {text!r}: {exc}") from None
 
 
 def _default_budget() -> int:
@@ -57,12 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safevote", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, profile=False, rule=False) -> None:
+    def common(p: argparse.ArgumentParser, *, profile=False, rule=False, report=True) -> None:
         if profile:
             p.add_argument("--profile", required=True, help="profile text file")
         if rule:
             p.add_argument("--rule", required=True, help="rule config file")
-        p.add_argument("--format", choices=("json", "text", "svg"), default="text")
+        if report:
+            p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("analyze", help="winner, scores, incentives, escapes")
@@ -82,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="profile-scan cap per search")
 
     p = sub.add_parser("figure", help="render the barycentric score figure as SVG")
-    common(p, profile=True, rule=True)
+    common(p, profile=True, rule=True, report=False)
     p.add_argument(
         "--trajectory",
         action="append",
@@ -161,22 +176,23 @@ def cmd_analyze(args) -> int:
 
 def cmd_safety(args) -> int:
     profile, rule = _load(args)
-    type_order = LinearOrder.from_string(args.type_order, profile.domain)
-    strategic = LinearOrder.from_string(args.strategic, profile.domain)
+    type_order = _order(args.type_order, profile.domain, "--type")
+    strategic = _order(args.strategic, profile.domain, "--strategic")
+    if strategic == type_order:
+        raise UsageError("--strategic must differ from --type")
     members = voters_of_type(profile, type_order)
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    voter = min(members)
-    witness = has_incentive(rule, profile, voter, strategic)
     report: dict = {
         "type": type_order.compact,
         "strategic_order": str(strategic),
         "rule_fingerprint": rule.fingerprint(),
     }
-    if witness is None:
+    try:
+        verdict = classify_safety(rule, profile, min(members), strategic)
+    except NoIncentiveError:
         report["status"] = "no incentive"
     else:
-        verdict = classify_safety(rule, profile, voter, strategic)
         report["status"] = verdict.status.value
         if verdict.status == SafetyStatus.UNSAFE:
             report["kind"] = verdict.kind.value if verdict.kind else None
@@ -184,7 +200,7 @@ def cmd_safety(args) -> int:
             if verdict.good is not None and verdict.bad is not None:
                 report["good"] = sorted(v + 1 for v in verdict.good)
                 report["bad"] = sorted(v + 1 for v in verdict.bad)
-        report["witness_coalition"] = sorted(v + 1 for v in witness.coalition)
+        report["witness_coalition"] = sorted(v + 1 for v in verdict.incentive.coalition)
     if rule.anonymous:
         table = threshold_scan(rule, profile, type_order, strategic)
         report["thresholds"] = {str(k): alt.label for k, alt in table.items()}
@@ -205,6 +221,12 @@ def cmd_safety(args) -> int:
 
 def cmd_verify(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
+    # The theorems need m >= 3; a campaign outside their hypothesis would
+    # report failures of claims that need not hold.
+    minimums = (("--n", args.n, 1), ("--m", args.m, 3), ("--samples", args.samples, 0), ("--budget", budget, 1))
+    for flag, value, least in minimums:
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     master = random.Random(args.seed)
     rule_seeds = [master.getrandbits(63) for _ in range(args.samples)]
     results = []
@@ -266,10 +288,11 @@ def cmd_figure(args) -> int:
     moves = []
     for raw in args.trajectory:
         parts = raw.split(":")
-        if len(parts) != 3:
-            raise SafevoteError(f"bad trajectory spec {raw!r}; expected TYPE:STRATEGIC:KMAX")
-        type_order = LinearOrder.from_string(parts[0], profile.domain)
-        strategic = LinearOrder.from_string(parts[1], profile.domain)
+        if len(parts) != 3 or not parts[2].isdecimal():
+            raise UsageError(f"bad trajectory spec {raw!r}; expected TYPE:STRATEGIC:KMAX, KMAX >= 0")
+        type_order, strategic = (_order(part, profile.domain, "--trajectory") for part in parts[:2])
+        if strategic == type_order:
+            raise UsageError(f"bad trajectory spec {raw!r}; STRATEGIC must differ from TYPE")
         moves.append((type_order, strategic, int(parts[2])))
     svg = render_svg(figure_spec(rule, profile, moves))
     _emit(svg, args.out)
@@ -321,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (SafevoteError, OSError, ValueError) as exc:

@@ -20,7 +20,7 @@ from safevote.strategy import (
     UnsafeKind,
     _pivotal_moves,
     classify_safety,
-    incentives,
+    safety_verdicts,
     threshold_scan,
 )
 
@@ -280,13 +280,11 @@ FIXTURE_4 = Fixture(
 def _run_two_approval_33(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
     d = profile.domain
-    abc = _order("ABC", d)
     votes: list[tuple[str, str]] = []
     unsafe_only = True
     for type_order in profile.types_present():
-        for witness in incentives(rule, profile, type_order, all_orders(d)):
-            votes.append((type_order.compact, witness.strategic_order.compact))
-            verdict = classify_safety(rule, profile, witness.voter, witness.strategic_order)
+        for verdict in safety_verdicts(rule, profile, type_order, all_orders(d)):
+            votes.append((type_order.compact, verdict.incentive.strategic_order.compact))
             unsafe_only = unsafe_only and verdict.status == SafetyStatus.UNSAFE
     types_with_incentive = sorted({t for t, _ in votes})
     return [
@@ -325,10 +323,3 @@ FIXTURE_5 = Fixture(
 
 
 FIXTURES: tuple[Fixture, ...] = (FIXTURE_1, FIXTURE_2, FIXTURE_3, FIXTURE_4, FIXTURE_5)
-
-
-def fixture_by_name(name: str) -> Fixture:
-    for fx in FIXTURES:
-        if fx.name == name:
-            return fx
-    raise KeyError(f"unknown fixture {name!r}; known: {[f.name for f in FIXTURES]}")

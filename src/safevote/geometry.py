@@ -76,22 +76,21 @@ def trajectory(
 ) -> list[BarycentricPoint]:
     """Score points as 0..k_max voters of one type switch to one order.
 
-    The points are collinear; when the switch leaves some alternative's
-    score unchanged the line is parallel to the simplex edge opposite that
-    alternative's vertex.
+    Every ballot's points sum to the same total, so each switcher moves the
+    point by one exact step; a switch that keeps one alternative's score
+    moves it parallel to the simplex edge opposite that alternative's vertex.
     """
     if len(rule.domain) != 3:
         raise SafevoteError("trajectories are defined for three alternatives")
     members = sorted(voters_of_type(profile, type_order))
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    if k_max > len(members):
-        raise SafevoteError(f"k_max={k_max} exceeds the type count {len(members)}")
-    points = []
-    for k in range(k_max + 1):
-        switched = switch_votes(profile, frozenset(members[:k]), strategic_order)
-        points.append(embed(scores(rule, switched)))
-    return points
+    if not 0 <= k_max <= len(members):
+        raise SafevoteError(f"k_max={k_max} is outside 0..{len(members)}, the type count")
+    start = embed(scores(rule, profile)).coords
+    first = embed(scores(rule, switch_votes(profile, frozenset(members[:1]), strategic_order))).coords
+    step = [b - a for a, b in zip(start, first)]
+    return [BarycentricPoint(*(a + k * d for a, d in zip(start, step))) for k in range(k_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ enumeration order.  Coalitions come from one iterator, `_coalitions`:
 every subset by size then lexicographically, or, for anonymous rules, one
 canonical prefix per size.  `has_incentive` and `classify_safety` walk the
 same coalitions (`force_subsets=True` takes the all-subsets order on any
-rule, which the tests use as an oracle), and `classify_safety` settles its
-own precondition, an incentive, from that one walk.  The three theorem
+rule, which the tests use as an oracle); a `SafetyVerdict` carries its
+incentive witness, so one walk settles both questions.  The three theorem
 verifiers share one profile scan, `_scan`, which certifies the first move
 that a per-claim generator yields.
 
@@ -59,8 +59,8 @@ class InconclusiveError(SafevoteError):
 @dataclass(frozen=True)
 class IncentiveWitness:
     """One move: the coalition, of the voter's type and containing the voter,
-    switches to the strategic order.  From `has_incentive` and `incentives`
-    the switch improves the outcome in the type's shared ranking.
+    switches to the strategic order.  As an incentive (from `has_incentive`
+    or a `SafetyVerdict`) the switch improves the type's shared ranking.
     """
 
     voter: int
@@ -85,23 +85,24 @@ class UnsafeKind(enum.Enum):
 class SafetyVerdict:
     """Safe, or Unsafe with a witness coalition and a mis-coordination kind.
 
-    For an Unsafe verdict `witness_bad` is a minimal coalition containing
-    the voter whose members all individually have the incentive yet whose
-    collective switch strictly worsens the outcome.  When a nested
-    improving/worsening pair exists the kind is Overshoot (improving set
-    strictly inside the worsening one: too many acted) or Undershoot (the
-    reverse); Other covers unsafe votes with no nested pair, which only
-    non-anonymous rules can produce.
+    `incentive` is the vote's `has_incentive` witness.  For an Unsafe verdict
+    `witness_bad` is a minimal coalition containing the voter whose members
+    all individually have the incentive yet whose collective switch strictly
+    worsens the outcome.  When a nested improving/worsening pair exists the
+    kind is Overshoot (improving set strictly inside the worsening one: too
+    many acted) or Undershoot (the reverse); Other covers unsafe votes with
+    no nested pair, which only non-anonymous rules can produce.
     """
 
     status: SafetyStatus
+    incentive: IncentiveWitness
     witness_bad: VoterSet | None = None
     kind: UnsafeKind | None = None
     good: VoterSet | None = None
     bad: VoterSet | None = None
 
 
-CLAIMS = ("GS-manipulable", "SafelyManipulable", "SafePivotal", "Escape", "LInferior")
+CLAIMS = ("GS-manipulable", "SafelyManipulable", "SafePivotal", "Escape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,21 +193,24 @@ def has_incentive(
     return None
 
 
+def _votes(
+    rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
+) -> Iterator[tuple[int, LinearOrder]]:
+    """A type's strategic votes, voter first, then order: for an anonymous
+    rule the type's first voter stands for all of them, else each member in turn."""
+    members = sorted(voters_of_type(profile, type_order))
+    voters = members[:1] if rule.anonymous else members
+    return ((voter, order) for voter in voters for order in orders if order != type_order)
+
+
 def incentives(
     rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
 ) -> Iterator[IncentiveWitness]:
-    """Every incentive witness of one type, voter first, then strategic order.
-
-    For an anonymous rule the type's first voter stands for all of them;
-    otherwise every member is tried in index order.
-    """
-    members = sorted(voters_of_type(profile, type_order))
-    for voter in members[:1] if rule.anonymous else members:
-        for strategic_order in orders:
-            if strategic_order != type_order:
-                witness = has_incentive(rule, profile, voter, strategic_order)
-                if witness is not None:
-                    yield witness
+    """Every incentive witness of one type, in `_votes` order."""
+    for voter, strategic_order in _votes(rule, profile, type_order, orders):
+        witness = has_incentive(rule, profile, voter, strategic_order)
+        if witness is not None:
+            yield witness
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +229,30 @@ def classify_safety(
 
     Raises NoIncentiveError when the precondition (an incentive exists)
     fails: safety is only defined for actual strategic opportunities.  The
-    walk below covers `has_incentive`'s coalitions, so it settles that too.
+    walk below is `has_incentive`'s, so it finds the same witness too.
     """
     type_order = profile.orders[voter]
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
     winner = rule.switched(profile, type_order, strategic_order)
-    sincere = type_order.rank(winner(frozenset()))
+    sincere = winner(frozenset())
+    sincere_rank = type_order.rank(sincere)
     by_size = _use_sizes(rule, force_subsets)
     improving: list[VoterSet] = []
     worsening: list[VoterSet] = []
     for coalition in _coalitions(voter, members, by_size):
+        outcome = winner(coalition)
         # Rank 0 is the type's favourite: a lower rank improves the outcome.
-        rank = type_order.rank(winner(coalition))
-        if rank < sincere:
+        rank = type_order.rank(outcome)
+        if rank < sincere_rank:
+            if not improving:
+                incentive = IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
             improving.append(coalition)
-        elif rank > sincere:
+        elif rank > sincere_rank:
             worsening.append(coalition)
     if not improving:
-        raise NoIncentiveError(
-            f"voter {voter + 1} has no incentive to vote {strategic_order.compact}"
-        )
+        raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
     if worsening and not by_size:
         # The incentive clause of the unsafe definition is per member; under
         # an anonymous rule every member shares the voter's incentive.  Every
@@ -260,20 +266,36 @@ def classify_safety(
         }
         worsening = [c for c in worsening if c <= incentivized]
     if not worsening:
-        return SafetyVerdict(SafetyStatus.SAFE)
+        return SafetyVerdict(SafetyStatus.SAFE, incentive)
     # Prefer Overshoot (good strictly inside bad) when both nested-pair kinds exist.
     for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
         for bad in worsening:
             for good in improving:
                 if nested(good, bad):
                     return SafetyVerdict(
-                        SafetyStatus.UNSAFE, witness_bad=worsening[0], kind=kind, good=good, bad=bad
+                        SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=kind, good=good, bad=bad
                     )
-    return SafetyVerdict(SafetyStatus.UNSAFE, witness_bad=worsening[0], kind=UnsafeKind.OTHER)
+    return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=UnsafeKind.OTHER)
+
+
+def safety_verdicts(
+    rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
+) -> Iterator[SafetyVerdict]:
+    """The verdict of every incentivized vote of one type, in `incentives` order."""
+    for voter, strategic_order in _votes(rule, profile, type_order, orders):
+        try:
+            verdict = classify_safety(rule, profile, voter, strategic_order)
+        except NoIncentiveError:
+            continue
+        yield verdict
 
 
 def _is_safe(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> bool:
-    return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
+    """Whether the vote is a safe manipulation: incentivized, and safe."""
+    try:
+        return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
+    except NoIncentiveError:
+        return False
 
 
 def threshold_scan(
@@ -360,8 +382,7 @@ def construct_safe_from_inferior(
     shifted = switch_votes(profile, chosen, strategic_order)
     remaining = members - chosen
     voter = min(remaining)
-    witness = has_incentive(rule, shifted, voter, strategic_order)
-    verified = witness is not None and _is_safe(rule, shifted, voter, strategic_order)
+    verified = _is_safe(rule, shifted, voter, strategic_order)
     after = rule.evaluate(switch_votes(shifted, remaining, strategic_order))
     move = IncentiveWitness(voter, strategic_order, remaining, rule.evaluate(shifted), after)
     return _certify(rule, "SafelyManipulable", shifted, move, verified, inferior=chosen)
@@ -380,18 +401,14 @@ def construct_safe_from_endup(
     certificate is at the profile itself when the vote is already safe,
     or at a shifted profile via the maximal-inferior-subset construction.
     """
-    witness = has_incentive(rule, profile, voter, strategic_order)
-    if witness is None:
-        raise NoIncentiveError(
-            f"voter {voter + 1} has no incentive to vote {strategic_order.compact}"
-        )
+    verdict = classify_safety(rule, profile, voter, strategic_order)
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
     full_outcome = rule.switched(profile, type_order, strategic_order)(members)
-    if type_order.prefers(witness.outcome_before, full_outcome):
+    if type_order.prefers(verdict.incentive.outcome_before, full_outcome):
         return None
-    if _is_safe(rule, profile, voter, strategic_order):
-        return _certify(rule, "SafelyManipulable", profile, witness)
+    if verdict.status == SafetyStatus.SAFE:
+        return _certify(rule, "SafelyManipulable", profile, verdict.incentive)
     # The bad coalition strictly worsens the outcome, so it is inferior to
     # the full switch and the maximal-inferior construction must succeed.
     certificate = construct_safe_from_inferior(rule, profile, type_order, strategic_order)
@@ -471,9 +488,9 @@ def _safe_incentive_moves(
 ) -> Iterator[IncentiveWitness]:
     """Incentivized strategic votes that are safe, one type at a time."""
     for type_order in profile.types_present():
-        for witness in incentives(rule, profile, type_order, orders):
-            if _is_safe(rule, profile, witness.voter, witness.strategic_order):
-                yield witness
+        for verdict in safety_verdicts(rule, profile, type_order, orders):
+            if verdict.status == SafetyStatus.SAFE:
+                yield verdict.incentive
 
 
 def _safe_pivotal_moves(
@@ -615,14 +632,6 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
             if type_order.bottom != sincere:
                 return False
             return has_incentive(oracle, profile, voter, strategic_order) is not None
-        if certificate.claim == "LInferior":
-            inferior = certificate.sets.get("inferior")
-            if inferior is None:
-                return False
-            members = voters_of_type(profile, type_order)
-            full = rule.evaluate(switch_votes(profile, members, strategic_order))
-            partial = rule.evaluate(switch_votes(profile, inferior, strategic_order))
-            return type_order.prefers(full, partial)
     except SafevoteError:
         return False
     return False

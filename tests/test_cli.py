@@ -5,10 +5,10 @@ import pathlib
 
 import pytest
 
-from safevote import cli
-from safevote.core import Domain, all_orders, format_profile, voters_of_type
-from safevote.rules import all_profiles, format_table_entries, random_table_rule
-from safevote.strategy import has_incentive
+from safevote import cli, strategy
+from safevote.core import Domain, LinearOrder, all_orders, format_profile, parse_profile, voters_of_type
+from safevote.rules import all_profiles, borda, format_table_entries, random_table_rule
+from safevote.strategy import NoIncentiveError, construct_safe_from_endup, has_incentive, verify_safely_manipulable
 
 PROFILE_94 = """\
 alternatives: A B C
@@ -194,7 +194,7 @@ class TestSafety:
                 "--type", "ABC", "--strategic", "ABC",
             ]
         )
-        assert code == cli.EXIT_FAILURE
+        assert code == cli.EXIT_PARSE
 
 
 class TestVerify:
@@ -261,7 +261,7 @@ class TestFigure:
                 "--trajectory", "ABC-ACB-17",
             ]
         )
-        assert code == cli.EXIT_FAILURE
+        assert code == cli.EXIT_PARSE
 
 
 class TestExamples:
@@ -326,6 +326,84 @@ class TestErrors:
     def test_missing_file_exit_code(self, files):
         code = run(["analyze", "--profile", "/nonexistent.txt", "--rule", files["borda"]])
         assert code == cli.EXIT_FAILURE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["safety", "--type", "ABD", "--strategic", "ACB"],
+            ["figure", "--trajectory", "ABC:ACB:x"],
+            ["figure", "--trajectory", "ABC:ACB:-1"],
+            ["figure", "--trajectory", "ABC:ABC:3"],
+            ["verify", "--n", "0", "--samples", "3", "--seed", "1"],
+            ["verify", "--samples", "-3", "--seed", "1"],
+            ["verify", "--m", "2", "--samples", "3", "--seed", "1"],
+            ["verify", "--budget", "0", "--samples", "3", "--seed", "1"],
+        ],
+        ids=[
+            "type-label-outside-domain", "trajectory-kmax-not-integer",
+            "trajectory-kmax-negative", "trajectory-strategic-equal-to-type", "verify-n-0",
+            "verify-negative-samples", "verify-m-2", "verify-budget-0",
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, files, capsys, argv):
+        inputs = [] if argv[0] == "verify" else ["--profile", files["profile94"], "--rule", files["borda"]]
+        code = run([argv[0], *inputs, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["analyze", "--format", "svg"], "invalid choice: 'svg'"), (["figure", "--format", "json"], "--format")],
+        ids=["analyze-svg", "figure-format"],
+    )
+    def test_format_setting_rejected(self, files, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--profile", files["profile94"], "--rule", files["borda"]])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+
+class TestSingleWalk:
+    def test_no_incentive_check_before_classifying(self, files, capsys, monkeypatch):
+        # Only the per-member filter of the subset path may ask
+        # `has_incentive`; every other question about one vote is a single
+        # `classify_safety` walk, so forbidding the rest changes no result.
+        domain = Domain.of_size(3)
+        rule = borda(LinearOrder.from_string("BAC", domain))
+        profile = parse_profile(PROFILE_94)
+        pairs = [(t, s) for t in all_orders(domain) for s in all_orders(domain) if s != t]
+
+        def results():
+            outputs = []
+            for type_order, strategic in pairs:
+                argv = ["safety", "--profile", files["profile94"], "--rule", files["borda"], "--format", "json"]
+                assert run([*argv, "--type", type_order.compact, "--strategic", strategic.compact]) == 0
+                outputs.append(capsys.readouterr().out)
+                voter = min(voters_of_type(profile, type_order))
+                try:
+                    certificate = construct_safe_from_endup(rule, profile, voter, strategic)
+                except NoIncentiveError as exc:
+                    outputs.append(str(exc))
+                else:
+                    outputs.append(certificate and certificate.to_json())
+            outputs.append(verify_safely_manipulable(borda(LinearOrder.from_string("ABC", domain)), n=3).to_json())
+            return outputs
+
+        expected = results()
+        has_incentive = strategy.has_incentive
+
+        def subset_path_only(*args, force_subsets=False):
+            if not force_subsets:
+                raise AssertionError("has_incentive asked about a vote that classify_safety walks")
+            return has_incentive(*args, force_subsets=True)
+
+        for module in (strategy, cli):
+            monkeypatch.setattr(module, "has_incentive", subset_path_only)
+        assert results() == expected
+        assert {"no incentive", "Safe", "Unsafe"} <= {json.loads(out)["status"] for out in expected[:-1:2]}
+        assert any(out and out.startswith("{") for out in expected[1:-1:2])
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

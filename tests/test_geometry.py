@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from safevote.core import Domain, LinearOrder, Profile, all_orders
+from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
 from safevote.geometry import (
     BarycentricPoint,
     embed,
@@ -93,6 +94,12 @@ class TestRegionOf:
         assert region_of(point, BORDA_94.tiebreak).label == "C"
 
 
+def per_k_trajectory(rule, profile, type_order, strategic, k_max):
+    """The oracle: the profile rebuilt and re-scored for every k."""
+    members = sorted(voters_of_type(profile, type_order))
+    return [embed(scores(rule, switch_votes(profile, frozenset(members[:k]), strategic))) for k in range(k_max + 1)]
+
+
 class TestTrajectory:
     def test_untouched_score_stays_constant(self):
         points = trajectory(BORDA_94, PROFILE_94, o("ABC"), o("ACB"), 17)
@@ -124,6 +131,32 @@ class TestTrajectory:
     def test_k_max_bounded_by_count(self):
         with pytest.raises(SafevoteError):
             trajectory(BORDA_94, PROFILE_94, o("ABC"), o("ACB"), 18)
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(SafevoteError):
+            trajectory(BORDA_94, PROFILE_94, o("ABC"), o("ACB"), -1)
+
+    def test_matches_per_k_rebuild_94(self):
+        for type_order in PROFILE_94.types_present():
+            count = len(voters_of_type(PROFILE_94, type_order))
+            for strategic in all_orders(D3):
+                if strategic != type_order:
+                    for k_max in (0, 1, count):
+                        expected = per_k_trajectory(BORDA_94, PROFILE_94, type_order, strategic, k_max)
+                        assert trajectory(BORDA_94, PROFILE_94, type_order, strategic, k_max) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_k_rebuild(self, data):
+        weights = sorted(data.draw(st.lists(st.fractions(0, 3, max_denominator=7), min_size=3, max_size=3)))
+        assume(sum(weights) > 0)
+        rule = ScoringRule(tuple(reversed(weights)), LinearOrder(tuple(data.draw(st.permutations(D3.alternatives)))))
+        profile = Profile(tuple(data.draw(st.lists(st.sampled_from(all_orders(D3)), min_size=1, max_size=25))))
+        type_order = data.draw(st.sampled_from(profile.types_present()))
+        strategic = data.draw(st.sampled_from([L for L in all_orders(D3) if L != type_order]))
+        k_max = data.draw(st.integers(0, len(voters_of_type(profile, type_order))))
+        expected = per_k_trajectory(rule, profile, type_order, strategic, k_max)
+        assert trajectory(rule, profile, type_order, strategic, k_max) == expected
 
 
 class TestRealizableRegion:

@@ -343,4 +343,5 @@ def test_sampled_rule_searches_agree_across_paths(seed):
                 continue
             v_fast = classify_safety(rule, profile, voter, strategic)
             v_slow = classify_safety(rule, profile, voter, strategic, force_subsets=True)
+            assert v_fast.incentive == fast and v_slow.incentive == slow
             assert v_fast == v_slow

@@ -39,7 +39,9 @@ from safevote.strategy import (
     find_L_inferior,
     find_escapes,
     has_incentive,
+    incentives,
     lift_safe_pivotal,
+    safety_verdicts,
     threshold_scan,
     verify_certificate,
     verify_gs,
@@ -75,11 +77,12 @@ def dictatorial_rule(n: int = 2) -> TableRule:
 
 
 def two_pass_classify_safety(rule, profile, voter, strategic_order):
-    """Reference classifier: an incentive check first, then a second walk
-    over the same coalitions, filtering worsening ones by every member's
-    incentive.  Returns the verdict and whether that filter dropped a
-    worsening coalition."""
-    if has_incentive(rule, profile, voter, strategic_order) is None:
+    """Reference classifier: an incentive check first, whose witness the
+    verdict carries, then a second walk over the same coalitions, filtering
+    worsening ones by every member's incentive.  Returns the verdict and
+    whether that filter dropped a worsening coalition."""
+    incentive = has_incentive(rule, profile, voter, strategic_order)
+    if incentive is None:
         raise NoIncentiveError("no incentive")
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
@@ -99,14 +102,14 @@ def two_pass_classify_safety(rule, profile, voter, strategic_order):
             else:
                 dropped = True
     if not worsening:
-        return SafetyVerdict(SafetyStatus.SAFE), dropped
+        return SafetyVerdict(SafetyStatus.SAFE, incentive), dropped
     for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
         for bad in worsening:
             for good in improving:
                 if nested(good, bad):
-                    verdict = SafetyVerdict(SafetyStatus.UNSAFE, worsening[0], kind, good, bad)
+                    verdict = SafetyVerdict(SafetyStatus.UNSAFE, incentive, worsening[0], kind, good, bad)
                     return verdict, dropped
-    return SafetyVerdict(SafetyStatus.UNSAFE, worsening[0], UnsafeKind.OTHER), dropped
+    return SafetyVerdict(SafetyStatus.UNSAFE, incentive, worsening[0], UnsafeKind.OTHER), dropped
 
 
 def assert_replays_own_record(rule, cert):
@@ -245,6 +248,18 @@ class TestClassifySafety:
     def test_same_order_rejected(self):
         with pytest.raises(ValueError):
             classify_safety(BORDA_94, PROFILE_94, 0, o("ABC"))
+
+    def test_safety_verdicts_follow_incentives(self):
+        # The verdicts of a type's votes come in `incentives` order, each
+        # carrying the witness `incentives` yields for that vote.
+        cases = [(BORDA_94, PROFILE_94), (APPROVAL_33, PROFILE_33)]
+        cases += [(random_table_rule(2, 3, seed), p) for seed in range(3) for p in all_profiles(D3, 2)]
+        for rule, profile in cases:
+            for type_order in profile.types_present():
+                verdicts = list(safety_verdicts(rule, profile, type_order, all_orders(D3)))
+                assert [v.incentive for v in verdicts] == list(incentives(rule, profile, type_order, all_orders(D3)))
+                for v in verdicts:
+                    assert v == classify_safety(rule, profile, v.incentive.voter, v.incentive.strategic_order)
 
     def test_single_walk_matches_two_pass_reference(self):
         # Every (profile, voter, strategic order) of twelve sampled table
@@ -584,8 +599,10 @@ class TestCertificates:
         assert cert.to_json() == verify_gs(rule, n=4).to_json()
 
     def test_unknown_claim_rejected(self):
-        with pytest.raises(ValueError):
-            Certificate(claim="Bogus", profile=PROFILE_1, voter=0, strategic_order=o("BAC"))
+        # No search emits an L-inferior certificate, so it is no claim.
+        for claim in ("Bogus", "LInferior"):
+            with pytest.raises(ValueError):
+                Certificate(claim=claim, profile=PROFILE_1, voter=0, strategic_order=o("BAC"))
 
     def test_tampered_certificate_fails_verification(self):
         # Voter 3's top already wins, so no strategic vote can satisfy
