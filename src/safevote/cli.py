@@ -4,9 +4,10 @@ Subcommands: analyze, safety, verify, figure, examples.  Reports are
 human-first text by default; `--format json` switches to the machine
 contract, which is byte-reproducible for a fixed config and seed (wall
 times therefore go to stderr, never into JSON).  Exit codes: 0 success,
-1 assertion/claim failure, 2 parse or usage error (a malformed file, or an
-argument out of range or naming no order of the domain), 3 inconclusive
-scans.
+1 assertion/claim failure, 2 parse or usage error (a malformed file, a
+profile and a rule over different alternatives, or an argument or
+SAFEVOTE_BUDGET out of range or naming no order of the domain), 3
+inconclusive scans.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def _default_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SafevoteError(f"SAFEVOTE_BUDGET must be an integer, got {raw!r}") from None
+        raise UsageError(f"SAFEVOTE_BUDGET must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise SafevoteError("SAFEVOTE_BUDGET must be positive")
+        raise UsageError(f"SAFEVOTE_BUDGET must be positive, got {value}")
     return value
 
 
@@ -128,6 +129,8 @@ def _load(args):
         profile = parse_profile(fh.read())
     with open(args.rule, encoding="utf-8") as fh:
         rule = parse_rule(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.rule)))
+    if profile.domain != rule.domain:
+        raise UsageError(f"profile over {profile.domain.labels} does not match rule over {rule.domain.labels}")
     return profile, rule
 
 

@@ -15,6 +15,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ALTERNATIVES = 26
+#: Most voters a profile file may list; count lines are checked against it
+#: before any ballot is expanded.
+MAX_VOTERS = 1_000_000
 
 _LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -339,6 +342,7 @@ def parse_profile(text: str) -> Profile:
     count_entries: list[tuple[LinearOrder, int]] = []
     voter_entries: dict[int, LinearOrder] = {}
     seen_types: set[LinearOrder] = set()
+    total = 0
     for no, line in lines[1:]:
         head, sep, order_part = line.partition(":")
         if not sep:
@@ -369,6 +373,9 @@ def parse_profile(text: str) -> Profile:
                 raise ParseError(f"bad count {head!r}", no) from None
             if count < 0:
                 raise ParseError(f"negative count {count}", no)
+            total += count
+            if total > MAX_VOTERS:
+                raise ParseError(f"profile lists more than {MAX_VOTERS} voters", no)
             if order in seen_types:
                 raise ParseError(f"duplicate type line for {order.compact}", no)
             seen_types.add(order)
@@ -381,21 +388,16 @@ def parse_profile(text: str) -> Profile:
         return Profile(tuple(voter_entries[i] for i in sorted(voter_entries)))
     if not count_entries:
         raise ParseError("profile lists no ballots")
-    if not any(count for _, count in count_entries):
+    if not total:
         raise ParseError("count lines total zero voters")
     return Profile.from_counts(count_entries)
 
 
-def format_profile(profile: Profile, anonymous: bool | None = None) -> str:
-    """Render a profile in the text format.
-
-    By default uses the anonymous count style whenever some type repeats,
-    and the per-voter style otherwise; pass `anonymous` to force a style.
-    """
+def format_profile(profile: Profile) -> str:
+    """Render a profile in the text format: the anonymous count style
+    whenever some type repeats, and the per-voter style otherwise."""
     lines = ["alternatives: " + " ".join(a.label for a in profile.domain)]
-    if anonymous is None:
-        anonymous = any(c > 1 for c in profile.counts.values())
-    if anonymous:
+    if any(c > 1 for c in profile.counts.values()):
         for order in profile.types_present():
             lines.append(f"{profile.counts[order]}: {order}")
     else:

@@ -100,16 +100,12 @@ class FigureSpec:
     rule: ScoringRule
     base_point: BarycentricPoint
     trajectories: tuple[tuple[BarycentricPoint, ...], ...] = ()
-    width: float = 480.0
-    height: float = 440.0
 
 
 def figure_spec(
     rule: ScoringRule,
     profile: Profile,
     moves: Sequence[tuple[LinearOrder, LinearOrder, int]] = (),
-    width: float = 480.0,
-    height: float = 440.0,
 ) -> FigureSpec:
     """Build a FigureSpec from a profile and (type, strategic, k_max) moves."""
     base = embed(scores(rule, profile))
@@ -117,7 +113,7 @@ def figure_spec(
         tuple(trajectory(rule, profile, type_order, strategic_order, k_max))
         for type_order, strategic_order, k_max in moves
     )
-    return FigureSpec(rule, base, arrows, width, height)
+    return FigureSpec(rule, base, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +200,18 @@ def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
 # SVG emission
 # ---------------------------------------------------------------------------
 
+#: Size of every rendered figure, in SVG user units.
+WIDTH = 480.0
+HEIGHT = 440.0
 _MARGIN = 40.0
 
 
-def _to_xy(point: Bary, width: float, height: float) -> tuple[float, float]:
+def _to_xy(point: Bary) -> tuple[float, float]:
     """Figure convention: first vertex bottom-left, second bottom-right,
     third at the top."""
-    side = width - 2 * _MARGIN
+    side = WIDTH - 2 * _MARGIN
     tri_height = side * math.sqrt(3) / 2
-    base_y = (height + tri_height) / 2
+    base_y = (HEIGHT + tri_height) / 2
     ax, ay = _MARGIN, base_y
     bx, by = _MARGIN + side, base_y
     cx, cy = _MARGIN + side / 2, base_y - tri_height
@@ -238,15 +237,13 @@ def render_svg(spec: FigureSpec) -> str:
     equal-score boundary polylines, the base score point, and one arrow
     per trajectory.  Identical specs produce byte-identical documents.
     """
-    w, h = spec.width, spec.height
-    to_xy = lambda p: _to_xy(p, w, h)  # noqa: E731
     one = Fraction(1)
     zero = Fraction(0)
     corners: list[Bary] = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
     lines: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
+        f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
         "<defs>",
         '<marker id="arrowhead" markerWidth="10" markerHeight="8" refX="9" refY="4" orient="auto">',
         '<path d="M 0 0 L 10 4 L 0 8 Z" fill="black"/>',
@@ -256,32 +253,32 @@ def render_svg(spec: FigureSpec) -> str:
     region = realizable_region(spec.rule)
     if region:
         lines.append(
-            f'<path class="realizable-region" d="{_path([to_xy(p) for p in region], close=True)}" '
+            f'<path class="realizable-region" d="{_path([_to_xy(p) for p in region], close=True)}" '
             'fill="#d9d9d9" stroke="none"/>'
         )
     lines.append(
-        f'<path class="simplex" d="{_path([to_xy(p) for p in corners], close=True)}" '
+        f'<path class="simplex" d="{_path([_to_xy(p) for p in corners], close=True)}" '
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
     for a, b in region_boundaries(spec.rule):
         lines.append(
-            f'<path class="region-boundary" d="{_path([to_xy(a), to_xy(b)])}" '
+            f'<path class="region-boundary" d="{_path([_to_xy(a), _to_xy(b)])}" '
             'fill="none" stroke="black" stroke-width="0.8"/>'
         )
     for arrow in spec.trajectories:
         if len(arrow) < 2:
             continue
-        start, end = to_xy(arrow[0].coords), to_xy(arrow[-1].coords)
+        start, end = _to_xy(arrow[0].coords), _to_xy(arrow[-1].coords)
         lines.append(
             f'<path class="trajectory" d="{_path([start, end])}" '
             'fill="none" stroke="black" stroke-width="1.2" marker-end="url(#arrowhead)"/>'
         )
-    bx, by = to_xy(spec.base_point.coords)
+    bx, by = _to_xy(spec.base_point.coords)
     lines.append(f'<circle class="base-point" cx="{_fmt(bx)}" cy="{_fmt(by)}" r="3.5" fill="black"/>')
     labels = [a.label for a in spec.rule.domain]
     offsets = [(-14.0, 14.0), (8.0, 14.0), (-4.0, -10.0)]
     for corner, label, (dx, dy) in zip(corners, labels, offsets):
-        x, y = to_xy(corner)
+        x, y = _to_xy(corner)
         lines.append(
             f'<text class="vertex-label" x="{_fmt(x + dx)}" y="{_fmt(y + dy)}" '
             f'font-family="serif" font-size="16">{label}</text>'

@@ -44,9 +44,13 @@ from safevote.core import (
     voters_of_type,
 )
 
-#: Largest profile-space size `(m!)^n` that exhaustive predicate checks and
-#: table constructions will walk by default.
+#: The one profile-space limit: the largest `(m!)^n` that table
+#: constructions, rule sampling, exhaustive predicate checks and table rule
+#: files may walk.  `_enumerable_size` reads it at call time.
 DEFAULT_ENUMERATION_BOUND = 2_000_000
+
+#: Tables `random_table_rule` draws before it gives up.
+_SAMPLING_ATTEMPTS = 1000
 
 
 class BudgetExceededError(SafevoteError):
@@ -256,6 +260,20 @@ def profile_space_size(m: int, n: int) -> int:
     return math.factorial(m) ** n
 
 
+def _enumerable_size(m: int, n: int) -> int:
+    """`profile_space_size(m, n)`, or BudgetExceededError when it passes
+    DEFAULT_ENUMERATION_BOUND.
+
+    Every radix above 1 passes the bound within `bound.bit_length()`
+    voters, so the power is never taken past that many.
+    """
+    bound = DEFAULT_ENUMERATION_BOUND
+    size = profile_space_size(m, min(n, bound.bit_length()))
+    if size > bound:
+        raise BudgetExceededError(f"profile space ({m}!)^{n} exceeds the enumeration bound {bound}")
+    return size
+
+
 def encode_profile(profile: Profile, order_index: Mapping[LinearOrder, int]) -> int:
     idx = 0
     radix = len(order_index)
@@ -330,17 +348,9 @@ class TableRule(Rule):
         return f"rule: table\nn: {self.n}\nm: {len(self.domain)}\nwinners: {body}\n"
 
     @classmethod
-    def from_function(
-        cls,
-        domain: Domain,
-        n: int,
-        fn,
-        bound: int = DEFAULT_ENUMERATION_BOUND,
-    ) -> "TableRule":
+    def from_function(cls, domain: Domain, n: int, fn) -> "TableRule":
         """Tabulate `fn(profile) -> Alternative` over the whole profile space."""
-        total = profile_space_size(len(domain), n)
-        if total > bound:
-            raise BudgetExceededError(f"profile space {total} exceeds bound {bound}")
+        _enumerable_size(len(domain), n)
         return cls(domain, n, tuple(fn(p) for p in all_profiles(domain, n)))
 
 
@@ -395,13 +405,7 @@ def subrule_minus(rule: Rule, x: Alternative) -> SubRule:
     return SubRule(rule, x, Domain.from_labels(labels))
 
 
-def two_voter_reduction(
-    rule: Rule,
-    part1: VoterSet,
-    part2: VoterSet,
-    n: int | None = None,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> TableRule:
+def two_voter_reduction(rule: Rule, part1: VoterSet, part2: VoterSet, n: int | None = None) -> TableRule:
     """Collapse a rule to two block voters along a partition of the voters.
 
     The reduced rule's value at (P, Q) is the parent's value when every
@@ -419,7 +423,7 @@ def two_voter_reduction(
             orders[v] = order1
         return Profile(tuple(orders))
 
-    return TableRule.from_function(rule.domain, 2, lambda p: rule.evaluate(blow_up(p)), bound)
+    return TableRule.from_function(rule.domain, 2, lambda p: rule.evaluate(blow_up(p)))
 
 
 @dataclass(frozen=True)
@@ -447,26 +451,21 @@ def _agreed_report(rule: Rule, n: int) -> tuple[frozenset[Alternative], bool]:
     return frozenset(image), weakly_unanimous
 
 
-def check_predicates(
-    rule: Rule,
-    n: int | None = None,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> RulePredicateReport:
+def check_predicates(rule: Rule, n: int | None = None) -> RulePredicateReport:
     """Onto / dictatorship / anonymity / unanimity / antagonism report.
 
-    Exhaustive whenever the profile space fits in `bound`; otherwise falls
-    back to analytic shortcuts, which exist only for scoring rules.
+    Exhaustive whenever the profile space fits in DEFAULT_ENUMERATION_BOUND;
+    otherwise falls back to analytic shortcuts, which exist only for
+    scoring rules.
     """
     n = resolve_n(rule, n)
-    m = len(rule.domain)
-    total = profile_space_size(m, n)
-    if total <= bound:
-        return _check_predicates_exhaustive(rule, n)
-    if isinstance(rule, ScoringRule):
-        return _check_predicates_scoring(rule, n)
-    raise BudgetExceededError(
-        f"profile space {total} exceeds bound {bound} and rule has no analytic shortcut"
-    )
+    try:
+        _enumerable_size(len(rule.domain), n)
+    except BudgetExceededError:
+        if isinstance(rule, ScoringRule):
+            return _check_predicates_scoring(rule, n)
+        raise
+    return _check_predicates_exhaustive(rule, n)
 
 
 def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
@@ -517,36 +516,23 @@ def _check_predicates_scoring(rule: ScoringRule, n: int) -> RulePredicateReport:
     )
 
 
-def random_table_rule(
-    n: int,
-    m: int,
-    seed: int,
-    require_onto: bool = True,
-    require_nondictatorial: bool = True,
-    max_attempts: int = 1000,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> TableRule:
-    """A uniformly sampled table rule, rejection-sampled to the constraints.
+def random_table_rule(n: int, m: int, seed: int) -> TableRule:
+    """A uniformly sampled onto, non-dictatorial table rule, by rejection.
 
     Deterministic given the seed; raises SamplingError with the attempt
     count when the rejection budget runs out.
     """
-    total = profile_space_size(m, n)
-    if total > bound:
-        raise BudgetExceededError(f"profile space {total} exceeds bound {bound}")
+    total = _enumerable_size(m, n)
     domain = Domain.of_size(m)
     rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(_SAMPLING_ATTEMPTS):
         winners = tuple(domain.alternatives[rng.randrange(m)] for _ in range(total))
         rule = TableRule(domain, n, winners)
         report = _check_predicates_exhaustive(rule, n)
-        if require_onto and not report.onto:
-            continue
-        if require_nondictatorial and report.dictatorial is not None:
-            continue
-        return rule
+        if report.onto and report.dictatorial is None:
+            return rule
     raise SamplingError(
-        f"no table rule satisfying constraints after {max_attempts} attempts (n={n}, m={m}, seed={seed})"
+        f"no table rule satisfying constraints after {_SAMPLING_ATTEMPTS} attempts (n={n}, m={m}, seed={seed})"
     )
 
 
@@ -585,6 +571,8 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         if "scores" not in fields or "tiebreak" not in fields:
             raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
         tb_labels = "".join(fields["tiebreak"].replace(">", " ").split()).upper()
+        if not tb_labels:
+            raise ParseError("tiebreak lists no alternatives", line_of["tiebreak"])
         try:
             tiebreak = LinearOrder.from_labels(tb_labels, Domain.from_labels(sorted(tb_labels)))
         except (ValueError, DomainMismatchError) as exc:
@@ -604,6 +592,10 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         n, m = (_positive_int(fields, line_of, key) for key in ("n", "m"))
         if m > MAX_ALTERNATIVES:
             raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
+        try:
+            _enumerable_size(m, n)
+        except BudgetExceededError as exc:
+            raise ParseError(str(exc), line_of["n"]) from None
         path = os.path.join(base_dir, fields["entries"])
         with open(path, encoding="utf-8") as fh:
             entries_text = fh.read()

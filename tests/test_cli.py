@@ -2,11 +2,12 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
 from safevote import cli, strategy
-from safevote.core import Domain, LinearOrder, all_orders, format_profile, parse_profile, voters_of_type
+from safevote.core import MAX_VOTERS, Domain, LinearOrder, all_orders, parse_profile, voters_of_type
 from safevote.rules import all_profiles, borda, format_table_entries, random_table_rule
 from safevote.strategy import NoIncentiveError, construct_safe_from_endup, has_incentive, verify_safely_manipulable
 
@@ -112,7 +113,8 @@ class TestAnalyze:
         (tmp_path / "rule.txt").write_text("rule: table\nn: 2\nm: 3\nentries: winners.txt\n")
         orders = all_orders(Domain.of_size(3))
         for profile in all_profiles(Domain.of_size(3), 2):
-            (tmp_path / "p.txt").write_text(format_profile(profile, anonymous=False))
+            voter_lines = "".join(f"voter {i}: {order}\n" for i, order in enumerate(profile.orders, start=1))
+            (tmp_path / "p.txt").write_text("alternatives: A B C\n" + voter_lines)
             argv = ["analyze", "--profile", str(tmp_path / "p.txt"), "--rule", str(tmp_path / "rule.txt")]
             assert run([*argv, "--format", "json"]) == 0
             report = json.loads(capsys.readouterr().out)
@@ -236,7 +238,13 @@ class TestVerify:
     def test_bad_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SAFEVOTE_BUDGET", "lots")
         code = run(["verify", "--samples", "1", "--seed", "1"])
-        assert code == cli.EXIT_FAILURE
+        assert code == cli.EXIT_PARSE
+
+    def test_zero_budget_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("SAFEVOTE_BUDGET", "0")
+        code = run(["verify", "--samples", "1", "--seed", "1"])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "error: SAFEVOTE_BUDGET must be positive, got 0\n"
 
 
 class TestFigure:
@@ -310,10 +318,22 @@ class TestErrors:
             ),
             ("alternatives: a A\n1: a > A\n", RULE_PLURALITY, "line 1: duplicate labels"),
             (PROFILE_FOUR, "rule: scoring\nscores: 1 0 0\ntiebreak: a > A > c\n", "line 3: bad tiebreak"),
+            (
+                "alternatives: A B C\n99999999999999999: A > B > C\n",
+                RULE_PLURALITY,
+                f"line 2: profile lists more than {MAX_VOTERS} voters",
+            ),
+            (
+                f"alternatives: A B C\n{MAX_VOTERS // 2}: A > B > C\n{MAX_VOTERS // 2 + 1}: B > A > C\n",
+                RULE_PLURALITY,
+                f"line 3: profile lists more than {MAX_VOTERS} voters",
+            ),
+            (PROFILE_FOUR, "rule: scoring\nscores:\ntiebreak:\n", "line 3: tiebreak lists no alternatives"),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length",
-            "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case",
+            "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
+            "voters-over-the-limit", "empty-tiebreak",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
@@ -322,6 +342,31 @@ class TestErrors:
         code = run(["analyze", "--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")])
         assert code == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [6000, 10_000_000])
+    def test_oversized_table_spec_is_a_parse_error(self, files, capsys, n):
+        # The entries file does not exist: the spec is rejected before it is opened.
+        (files["tmp"] / "r.txt").write_text(f"rule: table\nn: {n}\nm: 3\nentries: w.txt\n")
+        start = time.monotonic()
+        code = run(["analyze", "--profile", files["profile4"], "--rule", str(files["tmp"] / "r.txt")])
+        assert time.monotonic() - start < 0.5
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: line 2: profile space") and err.count("\n") == 1
+        assert "exceeds the enumeration bound" in err
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("analyze", []), ("safety", ["--type", "ABCD", "--strategic", "ABDC"]), ("figure", [])],
+        ids=["analyze", "safety", "figure"],
+    )
+    def test_domain_mismatch_is_a_usage_error(self, files, capsys, command, extra):
+        (files["tmp"] / "p4.txt").write_text("alternatives: A B C D\n2: A > B > C > D\n1: D > C > B > A\n")
+        code = run([command, "--profile", str(files["tmp"] / "p4.txt"), "--rule", files["borda"], *extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "error: profile over ABCD does not match rule over ABC\n"
 
     def test_missing_file_exit_code(self, files):
         code = run(["analyze", "--profile", "/nonexistent.txt", "--rule", files["borda"]])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from safevote.core import (
+    MAX_VOTERS,
     Alternative,
     Domain,
     DomainMismatchError,
@@ -260,6 +261,10 @@ class TestProfileText:
         p = parse_profile(self.COUNTS_TEXT)
         assert p.n == 32
         assert p.counts[LinearOrder.from_labels("ABC", p.domain)] == 17
+
+    def test_parse_counts_up_to_the_voter_limit(self):
+        p = parse_profile(f"alternatives: A B\n{MAX_VOTERS - 1}: A > B\n1: B > A\n")
+        assert p.n == MAX_VOTERS
 
     def test_parse_voter_style(self):
         p = parse_profile(self.VOTER_TEXT)

@@ -1,29 +1,37 @@
 """Property-based tests for the library's structural invariants."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from safevote.core import (
+    MAX_VOTERS,
     Domain,
     DomainMismatchError,
     EditError,
     LinearOrder,
+    ParseError,
     Preference,
     Profile,
     all_orders,
     group_prefers,
+    parse_profile,
     switch_votes,
     voters_of_type,
 )
 from safevote.rules import (
+    Rule,
     ScoringRule,
+    TableRule,
     borda,
     check_predicates,
     decode_profile,
     encode_profile,
+    parse_rule,
     plurality,
     random_table_rule,
     subrule_minus,
@@ -262,7 +270,9 @@ def test_profile_encoding_round_trips(index):
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_weak_unanimity_implies_onto(seed):
-    rule = random_table_rule(2, 3, seed, require_onto=False, require_nondictatorial=False)
+    # A uniform table, as `random_table_rule` draws it before its checks.
+    rng = random.Random(seed)
+    rule = TableRule(D3, 2, tuple(D3.alternatives[rng.randrange(3)] for _ in range(36)))
     report = check_predicates(rule)
     if report.weakly_unanimous:
         assert report.onto
@@ -326,9 +336,7 @@ def test_unsafe_kinds_replay_their_inequalities(data):
 def test_sampled_rule_searches_agree_across_paths(seed):
     # For anonymous rules represented as tables, the general subset path
     # must reproduce the scoring rule's own verdicts.
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     rule = borda(rng.choice(ORDERS_3))
     profile = decode_profile(rng.randrange(6**4), 4, ORDERS_3)
     for type_order in profile.types_present():
@@ -345,3 +353,105 @@ def test_sampled_rule_searches_agree_across_paths(seed):
             v_slow = classify_safety(rule, profile, voter, strategic, force_subsets=True)
             assert v_fast.incentive == fast and v_slow.incentive == slow
             assert v_fast == v_slow
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: texts drawn from the file grammars, with malformed parts
+# mixed in.  Every text gives a valid object or a ParseError, never any
+# other exception.
+# ---------------------------------------------------------------------------
+
+LABEL_SOUP = st.lists(st.sampled_from(["A", "B", "C", "D", "a", "b", "Z", "AB", "1", "é", "ß", ">", ""]), max_size=5)
+LABEL_SETS = st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True)
+SEPARATORS = st.sampled_from([" > ", ">", "", " "])
+HUGE_NUMBERS = [MAX_VOTERS // 2 + 1, MAX_VOTERS + 1, 10**9, 99999999999999999, -(10**17)]
+COUNTS = st.one_of(st.integers(-2, 4), st.integers(1, 9), st.sampled_from(HUGE_NUMBERS))
+BAD_HEADS = st.sampled_from(["voter 0", "voter -1", "voter 1", "voter", "voterx", "voter 1 2", "x", "1.5", ""])
+BAD_LINES = st.sampled_from(["", "# comment", "A > B > C", "alternatives: A B"])
+ONE_IN = {k: st.integers(1, k) for k in (3, 6, 10)}
+
+
+def order_text(draw, labels) -> str:
+    """Mostly an order over `labels`, in one of the accepted spellings;
+    otherwise label soup."""
+    if draw(ONE_IN[10]) > 1:
+        tokens = [label for label in draw(st.permutations("ABCD")) if label in labels]
+    else:
+        tokens = draw(LABEL_SOUP)
+    return draw(SEPARATORS).join(tokens)
+
+
+@st.composite
+def profile_texts(draw):
+    labels = draw(LABEL_SETS)
+    header = "alternatives: " + " ".join(labels if draw(ONE_IN[6]) > 1 else draw(LABEL_SOUP))
+    if draw(st.booleans()):
+        body = [f"{draw(COUNTS)}: {order_text(draw, labels)}" for _ in range(draw(st.integers(0, 5)))]
+    else:
+        body = [f"voter {i}: {order_text(draw, labels)}" for i in range(1, draw(st.integers(0, 5)) + 1)]
+    if draw(ONE_IN[3]) == 1:
+        # One malformed or out-of-style line.
+        bad = draw(BAD_LINES) if draw(st.booleans()) else f"{draw(st.one_of(BAD_HEADS, COUNTS))}: {order_text(draw, labels)}"
+        body.insert(draw(st.integers(0, len(body))), bad)
+    return "\n".join([header, *body]) + "\n"
+
+
+WEIGHTS = st.sampled_from(["2", "1", "0", "-1", "1/2", "3/4", "1/0", "x", "2.5", "1e3", "nan", "inf"])
+BAD_RULE_LINES = st.one_of(
+    st.lists(WEIGHTS, max_size=5).map(lambda ws: "scores: " + " ".join(ws)),
+    st.sampled_from(["tiebreak:", "scores:", "rule: scoring", "rule: borda", "tiebreak A B", ""]),
+)
+
+
+@st.composite
+def scoring_rule_lines(draw):
+    labels = draw(LABEL_SETS)
+    weights = sorted((draw(st.integers(-2, 3)) for _ in labels), reverse=True)
+    lines = ["rule: scoring", "scores: " + " ".join(map(str, weights)), "tiebreak: " + order_text(draw, labels)]
+    if draw(ONE_IN[3]) == 1:
+        lines[draw(st.integers(0, 2))] = draw(BAD_RULE_LINES)
+    return lines
+
+
+TABLE_RULE_LINES = st.builds(
+    lambda n, m, extra: ["rule: table", f"n: {n}", f"m: {m}", "entries: w.txt", *extra],
+    st.one_of(st.integers(1, 3), st.sampled_from([-1, 0, 21, 6000, 10**7, 10**30, "x", "2.5"])),
+    st.one_of(st.integers(1, 3), st.sampled_from([-1, 0, 24, 26, 27, 6000, "x"])),
+    st.lists(st.sampled_from(["m: 3", "# note", "bogus", "rule: scoring"]), max_size=1),
+)
+RULE_LINES = st.one_of(TABLE_RULE_LINES, scoring_rule_lines()).flatmap(st.permutations)
+ENTRY_LINES = st.one_of(
+    st.builds("{}: {}".format, st.one_of(st.integers(-1, 40), st.sampled_from(HUGE_NUMBERS)), st.sampled_from("ABCDa1")),
+    st.sampled_from(["", "# c", "0 A", "x: A", "0:"]),
+)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return None
+
+
+@given(profile_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_profile_gives_a_profile_or_a_parse_error(text):
+    profile = _parsed(parse_profile, text)
+    if profile is not None:
+        assert isinstance(profile, Profile)
+        assert 1 <= profile.n <= MAX_VOTERS
+
+
+@given(lines=RULE_LINES, entries=st.lists(ENTRY_LINES, max_size=8), full_table=st.booleans())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_rule_gives_a_rule_or_a_parse_error(tmp_path, lines, entries, full_table):
+    fields = dict(line.split(": ", 1) for line in lines if ": " in line)
+    n, m = fields.get("n"), fields.get("m")
+    if full_table and n in ("1", "2", "3") and m in ("1", "2", "3"):
+        # A complete table, so that valid table rules come up too.
+        entries = [f"{i}: {'ABC'[i % int(m)]}" for i in range(math.factorial(int(m)) ** int(n))]
+    (tmp_path / "w.txt").write_text("\n".join(entries))
+    rule = _parsed(lambda text: parse_rule(text, base_dir=str(tmp_path)), "\n".join(lines) + "\n")
+    if rule is not None:
+        assert isinstance(rule, Rule)
+        assert len(rule.domain) >= 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from safevote import rules
 from safevote.core import Domain, LinearOrder, Profile, all_orders, completely_agreed
 from safevote.rules import (
     AntagonismError,
@@ -57,6 +58,13 @@ def projection_rule(n: int, voter: int = 0) -> TableRule:
 def constant_rule(n: int, label: str = "A") -> TableRule:
     alt = D3.by_label(label)
     return TableRule(D3, n, (alt,) * profile_space_size(3, n))
+
+
+def uniform_table(n: int, seed: int) -> TableRule:
+    """The first table `random_table_rule(n, 3, seed)` draws, before its
+    onto and non-dictatorial checks."""
+    rng = random.Random(seed)
+    return TableRule(D3, n, tuple(D3.alternatives[rng.randrange(3)] for _ in range(profile_space_size(3, n))))
 
 
 class TestScoringEvaluate:
@@ -185,7 +193,7 @@ class TestTableRule:
 
     def test_from_function_budget(self):
         with pytest.raises(BudgetExceededError):
-            TableRule.from_function(D3, 2, lambda p: p.orders[0].top, bound=10)
+            TableRule.from_function(D3, 9, lambda p: p.orders[0].top)
 
     def test_fingerprint_distinguishes_rules(self):
         assert constant_rule(2).fingerprint() != projection_rule(2).fingerprint()
@@ -219,31 +227,45 @@ class TestCheckPredicates:
         assert report.agreed_image == set(D3)
         assert report.exhaustive
 
-    def test_analytic_shortcut_agrees_with_exhaustive(self):
-        for rule in (borda(o("ABC")), plurality(o("CBA")), k_approval(2, o("BAC"))):
-            for n in (2, 3):
-                exhaustive = check_predicates(rule, n=n)
-                analytic = check_predicates(rule, n=n, bound=1)
-                assert analytic.onto == exhaustive.onto
-                assert analytic.dictatorial == exhaustive.dictatorial
-                assert analytic.anonymous == exhaustive.anonymous
-                assert analytic.weakly_unanimous == exhaustive.weakly_unanimous
-                assert (analytic.antagonistic is None) == (exhaustive.antagonistic is None)
-                assert analytic.agreed_image == exhaustive.agreed_image
-                assert not analytic.exhaustive
+    def test_analytic_shortcut_agrees_with_exhaustive(self, monkeypatch):
+        cases = [
+            (rule, n, check_predicates(rule, n=n))
+            for rule in (borda(o("ABC")), plurality(o("CBA")), k_approval(2, o("BAC")))
+            for n in (2, 3)
+        ]
+        monkeypatch.setattr(rules, "DEFAULT_ENUMERATION_BOUND", 1)
+        for rule, n, exhaustive in cases:
+            assert exhaustive.exhaustive
+            analytic = check_predicates(rule, n=n)
+            assert analytic.onto == exhaustive.onto
+            assert analytic.dictatorial == exhaustive.dictatorial
+            assert analytic.anonymous == exhaustive.anonymous
+            assert analytic.weakly_unanimous == exhaustive.weakly_unanimous
+            assert (analytic.antagonistic is None) == (exhaustive.antagonistic is None)
+            assert analytic.agreed_image == exhaustive.agreed_image
+            assert not analytic.exhaustive
 
-    def test_no_shortcut_for_constant_vector(self):
+    def test_space_past_the_bound_takes_the_analytic_path(self):
+        # (3!)^9 is about 10 million profiles, past DEFAULT_ENUMERATION_BOUND.
+        report = check_predicates(borda(o("ABC")), n=9)
+        assert not report.exhaustive
+        assert report.onto and report.dictatorial is None
+
+    def test_no_shortcut_for_constant_vector(self, monkeypatch):
         rule = ScoringRule.from_ints([1, 1, 1], o("ABC"))
+        monkeypatch.setattr(rules, "DEFAULT_ENUMERATION_BOUND", 1)
         with pytest.raises(BudgetExceededError):
-            check_predicates(rule, n=2, bound=1)
+            check_predicates(rule, n=2)
 
-    def test_no_shortcut_for_table_rules(self):
+    def test_no_shortcut_for_table_rules(self, monkeypatch):
+        rule = constant_rule(2)
+        monkeypatch.setattr(rules, "DEFAULT_ENUMERATION_BOUND", 10)
         with pytest.raises(BudgetExceededError):
-            check_predicates(constant_rule(2), bound=10)
+            check_predicates(rule)
 
     def test_weakly_unanimous_implies_onto(self):
         for seed in range(30):
-            rule = random_table_rule(2, 3, seed, require_onto=False, require_nondictatorial=False)
+            rule = uniform_table(2, seed)
             report = check_predicates(rule)
             if report.weakly_unanimous:
                 assert report.onto
@@ -338,12 +360,13 @@ class TestRandomTableRule:
 
     def test_rejection_budget_reports_attempts(self):
         with pytest.raises(SamplingError) as exc:
-            random_table_rule(2, 3, 0, max_attempts=0)
-        assert "0 attempts" in str(exc.value)
+            # Every one-alternative table elects voter 1's top choice.
+            random_table_rule(2, 1, 0)
+        assert "after 1000 attempts" in str(exc.value)
 
     def test_space_bound_enforced(self):
         with pytest.raises(BudgetExceededError):
-            random_table_rule(2, 3, 0, bound=10)
+            random_table_rule(9, 3, 0)
 
 
 class TestRuleConfig:
