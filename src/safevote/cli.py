@@ -5,9 +5,9 @@ human-first text by default; `--format json` switches to the machine
 contract, which is byte-reproducible for a fixed config and seed (wall
 times therefore go to stderr, never into JSON).  Exit codes: 0 success,
 1 assertion/claim failure, 2 parse or usage error (a malformed file, a
-profile and a rule over different alternatives, or an argument or
-SAFEVOTE_BUDGET out of range or naming no order of the domain), 3
-inconclusive scans.
+profile and a rule over different alternatives or, for a table rule, a
+different voter count, or an argument or SAFEVOTE_BUDGET out of range or
+naming no order of the domain), 3 inconclusive scans.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ def _load(args):
         rule = parse_rule(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.rule)))
     if profile.domain != rule.domain:
         raise UsageError(f"profile over {profile.domain.labels} does not match rule over {rule.domain.labels}")
+    if rule.n is not None and profile.n != rule.n:
+        raise UsageError(f"rule expects {rule.n} voters, profile has {profile.n}")
     return profile, rule
 
 

@@ -81,8 +81,12 @@ class Domain:
 
     @classmethod
     def of_size(cls, m: int) -> "Domain":
-        """The standard domain A, B, C, ... of m alternatives."""
-        return cls.from_labels(_LABELS[:m])
+        """The standard domain A, B, C, ... of m alternatives: one shared
+        instance per m, so its orders and id tables are built once."""
+        domain = _STANDARD_DOMAINS.get(m)
+        if domain is None:
+            domain = _STANDARD_DOMAINS[m] = cls.from_labels(_LABELS[:m])
+        return domain
 
     def __len__(self) -> int:
         return len(self.alternatives)
@@ -100,6 +104,22 @@ class Domain:
         """The m! orders over the domain, built once, lexicographic by labels."""
         return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
 
+    # Order ids: an order's position in `_orders`, the digit a table rule's
+    # profile encoding gives it.  `_tops` and `_bottoms` are indexed by id
+    # and hold alternative indices.
+
+    @cached_property
+    def _order_ids(self) -> Mapping[LinearOrder, int]:
+        return {order: i for i, order in enumerate(self._orders)}
+
+    @cached_property
+    def _tops(self) -> tuple[int, ...]:
+        return tuple(order.top.index for order in self._orders)
+
+    @cached_property
+    def _bottoms(self) -> tuple[int, ...]:
+        return tuple(order.bottom.index for order in self._orders)
+
     @cached_property
     def _by_label(self) -> Mapping[str, Alternative]:
         return {a.label: a for a in self.alternatives}
@@ -113,6 +133,9 @@ class Domain:
     @property
     def labels(self) -> str:
         return "".join(a.label for a in self.alternatives)
+
+
+_STANDARD_DOMAINS: dict[int, Domain] = {}
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,27 @@ scoring rule adds k times the per-alternative points change to the sincere
 totals; a table rule adds each switcher's digit change to the sincere
 profile's table index.  The default kernel replays the switch through
 `switch_votes` and `evaluate`, which stay the object path and the oracle.
+`Rule.solo_switches` is the pivot kernel beside it: every single voter's
+switch to every other order, asked once per profile.
+
+Table rules work on order ids: an order's position in the domain's
+`_orders`, read from id tables interned on the standard `Domain` (order to
+id, and each id's top and bottom alternative).  The pivot kernel encodes
+the profile once and reads `winners[base + (id - digit) * R^(n-1-v)]`; the
+predicate report walks digit tuples beside the winner ids and decodes a
+`Profile` only for the antagonism witness it reports.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from safevote.core import (
@@ -48,6 +58,12 @@ from safevote.core import (
 #: constructions, rule sampling, exhaustive predicate checks and table rule
 #: files may walk.  `_enumerable_size` reads it at call time.
 DEFAULT_ENUMERATION_BOUND = 2_000_000
+
+#: Most digits a score weight's numerator or denominator may have: the
+#: default int-to-str limit, so `config_text` can always print the weight.
+MAX_WEIGHT_DIGITS = 4300
+_WEIGHT_BOUND = 10**MAX_WEIGHT_DIGITS
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)$", re.IGNORECASE)
 
 #: Tables `random_table_rule` draws before it gives up.
 _SAMPLING_ATTEMPTS = 1000
@@ -99,6 +115,22 @@ class Rule:
             return self.evaluate(switch_votes(profile, coalition, order))
 
         return winner
+
+    def solo_switches(
+        self, profile: Profile, orders: Sequence[LinearOrder]
+    ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
+        """(voter, order, winner) for each single voter switching alone to
+        each of `orders` other than their own, voter first, then `orders`.
+
+        The pivot kernel: one call per profile.  This default asks
+        `switched` once per (voter, order); rules with an id kernel
+        override it.
+        """
+        for voter, voter_order in enumerate(profile.orders):
+            solo = frozenset({voter})
+            for order in orders:
+                if order != voter_order:
+                    yield voter, order, self.switched(profile, voter_order, order)(solo)
 
     def config_text(self) -> str:
         """Canonical description used for fingerprints and rule files."""
@@ -313,27 +345,26 @@ class TableRule(Rule):
         expected = profile_space_size(len(self.domain), self.n)
         if len(self.winners) != expected:
             raise ValueError(f"table has {len(self.winners)} entries, expected {expected}")
-        for w in self.winners:
-            if w not in self.domain:
-                raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
+        outside = set(self.winners).difference(self.domain.alternatives)
+        if outside:
+            w = next(w for w in self.winners if w in outside)
+            raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
 
-    @cached_property
-    def _order_index(self) -> Mapping[LinearOrder, int]:
-        return {o: i for i, o in enumerate(all_orders(self.domain))}
+    def _encode(self, profile: Profile) -> int:
+        self._check_profile(profile)
+        return encode_profile(profile, self.domain._order_ids)
 
     def evaluate(self, profile: Profile) -> Alternative:
-        self._check_profile(profile)
-        return self.winners[encode_profile(profile, self._order_index)]
+        return self.winners[self._encode(profile)]
 
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
         check = _switch_check(profile, type_order, order)
-        self._check_profile(profile)
-        index = self._order_index
-        base = encode_profile(profile, index)
-        step = index[order] - index[type_order]
-        radix, last = len(index), self.n - 1
+        base = self._encode(profile)
+        ids = self.domain._order_ids
+        step = ids[order] - ids[type_order]
+        radix, last = len(ids), self.n - 1
         winners = self.winners
 
         def winner(coalition: VoterSet) -> Alternative:
@@ -342,6 +373,25 @@ class TableRule(Rule):
             return winners[base + step * sum(radix ** (last - v) for v in coalition)]
 
         return winner
+
+    def solo_switches(
+        self, profile: Profile, orders: Sequence[LinearOrder]
+    ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
+        base = self._encode(profile)
+        ids = self.domain._order_ids
+        try:
+            targets = [(order, ids[order]) for order in orders]
+        except KeyError as exc:
+            foreign = exc.args[0].compact
+            raise DomainMismatchError(f"order {foreign} is not over domain {self.domain.labels}") from None
+        radix, winners = len(ids), self.winners
+        place = radix**self.n
+        for voter, voter_order in enumerate(profile.orders):
+            place //= radix
+            digit = ids[voter_order]
+            for order, target in targets:
+                if target != digit:
+                    yield voter, order, winners[base + (target - digit) * place]
 
     def config_text(self) -> str:
         body = "".join(w.label for w in self.winners)
@@ -469,30 +519,43 @@ def check_predicates(rule: Rule, n: int | None = None) -> RulePredicateReport:
 
 
 def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
-    image: set[Alternative] = set()
+    """The report from one walk over every profile's order ids.
+
+    The walk visits digit tuples in encoding order, beside each profile's
+    winner id: a table rule's own entries, or any other rule's `evaluate`
+    over `all_profiles`.  Only an antagonism witness is decoded to a
+    `Profile`.
+    """
+    domain = rule.domain
+    orders = domain._orders
+    if isinstance(rule, TableRule):
+        winners = [w.index for w in rule.winners]
+    else:
+        # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
+        winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))
+    tops, bottoms = domain._tops, domain._bottoms
     dictator_candidates = set(range(n))
-    antagonistic_witness: Profile | None = None
+    antagonistic_witness: int | None = None
     anonymous = True
-    winners_by_multiset: dict[frozenset, Alternative] = {}
-    for profile in all_profiles(rule.domain, n):
-        winner = rule.evaluate(profile)
-        image.add(winner)
-        dictator_candidates = {i for i in dictator_candidates if profile.orders[i].top == winner}
-        if antagonistic_witness is None and all(o.bottom == winner for o in profile.orders):
-            antagonistic_witness = profile
-        if anonymous:
-            key = frozenset(profile.counts.items())
-            prev = winners_by_multiset.setdefault(key, winner)
-            if prev != winner:
-                anonymous = False
-    agreed_image, weakly_unanimous = _agreed_report(rule, n)
+    winners_by_multiset: dict[tuple[int, ...], int] = {}
+    profiles = itertools.product(range(len(orders)), repeat=n)
+    for index, (digits, winner) in enumerate(zip(profiles, winners)):
+        if dictator_candidates:
+            dictator_candidates = {i for i in dictator_candidates if tops[digits[i]] == winner}
+        if antagonistic_witness is None and all(bottoms[d] == winner for d in digits):
+            antagonistic_witness = index
+        if anonymous and winners_by_multiset.setdefault(tuple(sorted(digits)), winner) != winner:
+            anonymous = False
+    # Everyone votes order i at index i * (1 + R + ... + R^(n-1)).
+    agreed_step = sum(len(orders) ** k for k in range(n))
+    agreed = [winners[i * agreed_step] for i in range(len(orders))]
     return RulePredicateReport(
-        onto=image == set(rule.domain),
+        onto=set(winners) == set(range(len(domain))),
         dictatorial=min(dictator_candidates) if dictator_candidates else None,
         anonymous=anonymous,
-        weakly_unanimous=weakly_unanimous,
-        antagonistic=antagonistic_witness,
-        agreed_image=agreed_image,
+        weakly_unanimous=list(tops) == agreed,
+        antagonistic=None if antagonistic_witness is None else decode_profile(antagonistic_witness, n, orders),
+        agreed_image=frozenset(domain.alternatives[w] for w in agreed),
     )
 
 
@@ -578,9 +641,9 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         except (ValueError, DomainMismatchError) as exc:
             raise ParseError(f"bad tiebreak: {exc}", line_of["tiebreak"]) from exc
         try:
-            weights = tuple(Fraction(w) for w in fields["scores"].split())
+            weights = tuple(_weight(w) for w in fields["scores"].split())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad score vector {fields['scores']!r}", line_of["scores"]) from exc
+            raise ParseError(f"bad score vector {fields['scores']!r}: {exc}", line_of["scores"]) from exc
         try:
             return ScoringRule(weights, tiebreak)
         except ValueError as exc:
@@ -596,11 +659,31 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
             _enumerable_size(m, n)
         except BudgetExceededError as exc:
             raise ParseError(str(exc), line_of["n"]) from None
+        if not fields["entries"]:
+            raise ParseError("entries names no file", line_of["entries"])
         path = os.path.join(base_dir, fields["entries"])
         with open(path, encoding="utf-8") as fh:
             entries_text = fh.read()
         return _parse_table_entries(entries_text, n, m)
     raise ParseError(f"unknown rule kind {kind!r}")
+
+
+def _weight(token: str) -> Fraction:
+    """One score weight, or ValueError when its numerator or denominator
+    has more than MAX_WEIGHT_DIGITS digits.
+
+    An exponent past 3 * MAX_WEIGHT_DIGITS is rejected before `Fraction`
+    expands it.  `Fraction` reads at most MAX_WEIGHT_DIGITS digits on each
+    side of the point, so no nonzero weight with such an exponent fits; a
+    zero mantissa is rejected with it.
+    """
+    exponent = _EXPONENT.search(token)
+    if exponent and abs(int(exponent.group(1))) > 3 * MAX_WEIGHT_DIGITS:
+        raise ValueError(f"exponent of {token!r} too large")
+    weight = Fraction(token)
+    if max(abs(weight.numerator), weight.denominator) >= _WEIGHT_BOUND:
+        raise ValueError(f"{token!r} has more than {MAX_WEIGHT_DIGITS} digits")
+    return weight
 
 
 def _positive_int(fields: Mapping[str, str], line_of: Mapping[str, int], key: str) -> int:

@@ -17,8 +17,10 @@ that a per-claim generator yields.
 
 Searches find each coalition's winner through the rule's switch kernel,
 `Rule.switched`, set up once per (profile, type, strategic order), which
-builds no `Profile`.  `verify_certificate` is the independent check: it
-replays every certificate through `switch_votes` and `Rule.evaluate` only.
+builds no `Profile`; the pivotal scan reads every single-voter switch of a
+profile from one call to `Rule.solo_switches`.  `verify_certificate` is the
+independent check: it replays every certificate through `switch_votes` and
+`Rule.evaluate` only.
 """
 
 from __future__ import annotations
@@ -472,15 +474,9 @@ def _pivotal_moves(
 ) -> Iterator[IncentiveWitness]:
     """Single-voter switches that improve the outcome for that voter."""
     sincere = rule.evaluate(profile)
-    for voter in range(profile.n):
-        voter_order = profile.orders[voter]
-        solo = frozenset({voter})
-        for strategic_order in orders:
-            if strategic_order == voter_order:
-                continue
-            outcome = rule.switched(profile, voter_order, strategic_order)(solo)
-            if voter_order.prefers(outcome, sincere):
-                yield IncentiveWitness(voter, strategic_order, solo, sincere, outcome)
+    for voter, strategic_order, outcome in rule.solo_switches(profile, orders):
+        if profile.orders[voter].prefers(outcome, sincere):
+            yield IncentiveWitness(voter, strategic_order, frozenset({voter}), sincere, outcome)
 
 
 def _safe_incentive_moves(

@@ -329,11 +329,22 @@ class TestErrors:
                 f"line 3: profile lists more than {MAX_VOTERS} voters",
             ),
             (PROFILE_FOUR, "rule: scoring\nscores:\ntiebreak:\n", "line 3: tiebreak lists no alternatives"),
+            (PROFILE_FOUR, "rule: table\nn: 4\nm: 3\nentries:\n", "line 4: entries names no file"),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 1e1000000 0 0\ntiebreak: A > B > C\n",
+                "line 2: bad score vector '1e1000000 0 0': exponent of '1e1000000' too large",
+            ),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 1 0 1e-5000\ntiebreak: A > B > C\n",
+                "line 2: bad score vector '1 0 1e-5000': '1e-5000' has more than 4300 digits",
+            ),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length",
             "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
-            "voters-over-the-limit", "empty-tiebreak",
+            "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
@@ -367,6 +378,29 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert captured.out == ""
         assert captured.err == "error: profile over ABCD does not match rule over ABC\n"
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("analyze", []), ("safety", ["--type", "ABC", "--strategic", "ACB"])],
+        ids=["analyze", "safety"],
+    )
+    def test_table_voter_count_mismatch_is_a_usage_error(self, files, capsys, command, extra):
+        (files["tmp"] / "w.txt").write_text(format_table_entries(random_table_rule(2, 3, 0)))
+        (files["tmp"] / "table.txt").write_text("rule: table\nn: 2\nm: 3\nentries: w.txt\n")
+        (files["tmp"] / "p3.txt").write_text("alternatives: A B C\n2: A > B > C\n1: C > B > A\n")
+        code = run([command, "--profile", str(files["tmp"] / "p3.txt"), "--rule", str(files["tmp"] / "table.txt"), *extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "error: rule expects 2 voters, profile has 3\n"
+
+    def test_huge_score_exponent_is_rejected_quickly(self, files, capsys):
+        (files["tmp"] / "r.txt").write_text("rule: scoring\nscores: 1e3000000 0 0\ntiebreak: A > B > C\n")
+        start = time.monotonic()
+        code = run(["analyze", "--profile", files["profile4"], "--rule", str(files["tmp"] / "r.txt")])
+        assert time.monotonic() - start < 0.1
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: line 2: bad score vector")
 
     def test_missing_file_exit_code(self, files):
         code = run(["analyze", "--profile", "/nonexistent.txt", "--rule", files["borda"]])

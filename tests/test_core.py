@@ -45,6 +45,13 @@ class TestDomain:
         d = Domain.of_size(4)
         assert d.labels == "ABCD"
         assert len(d) == 4
+        assert Domain.of_size(4) is d
+
+    def test_order_id_tables(self):
+        orders = all_orders(D3)
+        assert D3._order_ids == {order: i for i, order in enumerate(orders)}
+        assert D3._tops == tuple(order.top.index for order in orders)
+        assert D3._bottoms == tuple(order.bottom.index for order in orders)
 
     def test_by_label_case_insensitive(self):
         assert D3.by_label("b") == Alternative(1, "B")

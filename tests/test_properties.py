@@ -396,7 +396,12 @@ def profile_texts(draw):
     return "\n".join([header, *body]) + "\n"
 
 
-WEIGHTS = st.sampled_from(["2", "1", "0", "-1", "1/2", "3/4", "1/0", "x", "2.5", "1e3", "nan", "inf"])
+WEIGHTS = st.sampled_from(
+    [
+        "2", "1", "0", "-1", "1/2", "3/4", "1/0", "x", "2.5", "1e3", "nan", "inf",
+        "1e2", "2.5E-3", "1e4299", "1e4300", "1e-5000", "1e1000000", "-3e+12901", "0e99999", "1e", "1e_5",
+    ]
+)
 BAD_RULE_LINES = st.one_of(
     st.lists(WEIGHTS, max_size=5).map(lambda ws: "scores: " + " ".join(ws)),
     st.sampled_from(["tiebreak:", "scores:", "rule: scoring", "rule: borda", "tiebreak A B", ""]),
@@ -406,8 +411,13 @@ BAD_RULE_LINES = st.one_of(
 @st.composite
 def scoring_rule_lines(draw):
     labels = draw(LABEL_SETS)
-    weights = sorted((draw(st.integers(-2, 3)) for _ in labels), reverse=True)
-    lines = ["rule: scoring", "scores: " + " ".join(map(str, weights)), "tiebreak: " + order_text(draw, labels)]
+    weights = [str(w) for w in sorted((draw(st.integers(-2, 3)) for _ in labels), reverse=True)]
+    if draw(ONE_IN[3]) == 1:
+        # Exponent spellings, from plain to past the digit limit, at the
+        # ends where they keep the vector non-increasing.
+        weights[0] = draw(st.sampled_from(["1e2", "1E4299", "1e4300", "1e12901", "1e1000000"]))
+        weights[-1] = draw(st.sampled_from([weights[-1], "-1e-4299", "-1e-5000", "-1e3000000", "-0e99999"]))
+    lines = ["rule: scoring", "scores: " + " ".join(weights), "tiebreak: " + order_text(draw, labels)]
     if draw(ONE_IN[3]) == 1:
         lines[draw(st.integers(0, 2))] = draw(BAD_RULE_LINES)
     return lines
@@ -455,3 +465,4 @@ def test_parse_rule_gives_a_rule_or_a_parse_error(tmp_path, lines, entries, full
     if rule is not None:
         assert isinstance(rule, Rule)
         assert len(rule.domain) >= 1
+        rule.fingerprint()

@@ -9,6 +9,9 @@ from safevote import rules
 from safevote.core import Domain, LinearOrder, Profile, all_orders, completely_agreed
 from safevote.rules import (
     AntagonismError,
+    Rule,
+    RulePredicateReport,
+    SubRule,
     BudgetExceededError,
     DomainMismatchError,
     ParseError,
@@ -273,6 +276,136 @@ class TestCheckPredicates:
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
             check_predicates(borda(o("ABC")))
+
+
+def reference_predicates(rule: Rule, n: int) -> RulePredicateReport:
+    """The predicate report walked over decoded `Profile` objects: every
+    profile evaluated, every predicate read off the objects."""
+    image = set()
+    dictator_candidates = set(range(n))
+    antagonistic = None
+    anonymous = True
+    winners_by_multiset = {}
+    for profile in all_profiles(rule.domain, n):
+        winner = rule.evaluate(profile)
+        image.add(winner)
+        dictator_candidates = {i for i in dictator_candidates if profile.orders[i].top == winner}
+        if antagonistic is None and all(x.bottom == winner for x in profile.orders):
+            antagonistic = profile
+        if anonymous and winners_by_multiset.setdefault(frozenset(profile.counts.items()), winner) != winner:
+            anonymous = False
+    agreed = {order: rule.evaluate(completely_agreed(order, n)) for order in all_orders(rule.domain)}
+    return RulePredicateReport(
+        onto=image == set(rule.domain),
+        dictatorial=min(dictator_candidates) if dictator_candidates else None,
+        anonymous=anonymous,
+        weakly_unanimous=all(winner == order.top for order, winner in agreed.items()),
+        antagonistic=antagonistic,
+        agreed_image=frozenset(agreed.values()),
+    )
+
+
+def labels_table(n: int, k: int, seed: int, domain: Domain = D3) -> TableRule:
+    """A uniformly drawn table over the first k labels of the domain."""
+    rng = random.Random(seed)
+    size = profile_space_size(len(domain), n)
+    return TableRule(domain, n, tuple(domain.alternatives[rng.randrange(k)] for _ in range(size)))
+
+
+class RecordingRule(Rule):
+    """A rule that records every profile it is asked about."""
+
+    def __init__(self, rule: Rule):
+        self.rule, self.seen = rule, []
+        self.domain, self.anonymous, self.n = rule.domain, rule.anonymous, rule.n
+
+    def evaluate(self, profile: Profile):
+        self.seen.append(profile)
+        return self.rule.evaluate(profile)
+
+
+class TestPredicateReportMatchesObjectPath:
+    """The id-based report equals the per-`Profile` reference on the
+    branches the sampling campaign never reaches, and on what it samples."""
+
+    CASES = {
+        **{f"labels-{k}-n{n}-s{seed}": (lambda n=n, k=k, seed=seed: labels_table(n, k, seed), n)
+           for n in (2, 3) for k in (1, 2, 3) for seed in range(4)},
+        "dictator-1": (lambda: projection_rule(2, 0), 2),
+        "dictator-2": (lambda: projection_rule(2, 1), 2),
+        "dictator-2-of-3": (lambda: projection_rule(3, 1), 3),
+        "borda-table-n2": (lambda: TableRule.from_function(D3, 2, borda(o("ABC")).evaluate), 2),
+        "borda-table-n3": (lambda: TableRule.from_function(D3, 3, borda(o("CAB")).evaluate), 3),
+        **{f"random-n{n}-m3-s{seed}": (lambda n=n, seed=seed: random_table_rule(n, 3, seed), n)
+           for n in (2, 3) for seed in range(5)},
+        **{f"random-n2-m4-s{seed}": (lambda seed=seed: random_table_rule(2, 4, seed), 2) for seed in range(3)},
+        "subrule-borda-n2": (lambda: subrule_minus(borda(o("ABC")), D3.by_label("C")), 2),
+        "subrule-borda-n3": (lambda: subrule_minus(borda(o("BCA")), D3.by_label("A")), 3),
+        "subrule-dictator": (lambda: subrule_minus(projection_rule(2, 1), D3.by_label("B")), 2),
+        "borda-n2": (lambda: borda(o("ABC")), 2),
+        "plurality-n3": (lambda: plurality(o("CBA")), 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_matches_reference(self, case):
+        make, n = self.CASES[case]
+        rule = make()
+        report = check_predicates(rule, n=n)
+        assert report == reference_predicates(rule, n)
+        assert report.exhaustive
+
+    def test_reports_cover_every_branch(self):
+        reports = [check_predicates(labels_table(2, k, 0)) for k in (1, 2, 3)]
+        assert [r.onto for r in reports] == [False, False, True]
+        assert all(r.antagonistic is not None for r in reports[:2])
+        assert check_predicates(projection_rule(2, 1)).dictatorial == 1
+        assert check_predicates(TableRule.from_function(D3, 2, borda(o("ABC")).evaluate)).anonymous
+
+    def test_antagonistic_subrule_raises_at_the_same_profile(self):
+        # The parent elects the removed A only at the subrule's third profile.
+        parent_table = TableRule.from_function(
+            D3, 2, lambda p: D3.by_label("A" if p.orders == (o("CBA"), o("BCA")) else "B")
+        )
+        runs = []
+        for check in (check_predicates, reference_predicates):
+            parent = RecordingRule(parent_table)
+            sub = SubRule(parent, D3.by_label("A"), Domain.from_labels("BC"))
+            with pytest.raises(AntagonismError):
+                check(sub, 2)
+            runs.append(parent.seen)
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 3
+
+    def test_winner_outside_the_domain_names_the_first_in_table_order(self):
+        winners = [D3.by_label("A")] * 36
+        winners[7], winners[20] = D5.by_label("E"), D5.by_label("D")
+        with pytest.raises(DomainMismatchError, match="table winner E outside domain ABC"):
+            TableRule(D3, 2, tuple(winners))
+
+
+class TestPivotKernel:
+    """`TableRule.solo_switches` yields what the default built on
+    `switched` yields, in the same order."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    def test_random_table_rules(self, n, seed):
+        rule = random_table_rule(n, 3, seed)
+        orders = all_orders(D3)
+        for profile in all_profiles(rule.domain, n):
+            assert list(rule.solo_switches(profile, orders)) == list(Rule.solo_switches(rule, profile, orders))
+
+    def test_tabulated_plurality_four_voters(self):
+        rule = TableRule.from_function(D3, 4, plurality(o("BCA")).evaluate)
+        orders = all_orders(D3)
+        for profile in all_profiles(D3, 4):
+            assert list(rule.solo_switches(profile, orders)) == list(Rule.solo_switches(rule, profile, orders))
+
+    def test_foreign_order_and_voter_count_rejected(self):
+        rule = random_table_rule(2, 3, 0)
+        with pytest.raises(DomainMismatchError):
+            list(rule.solo_switches(Profile((o("ABC"), o("BCA"))), all_orders(D5)))
+        with pytest.raises(DomainMismatchError):
+            list(rule.solo_switches(Profile((o("ABC"),) * 3), all_orders(D3)))
 
 
 class TestTwoVoterReduction:
