@@ -6,8 +6,8 @@ contract, which is byte-reproducible for a fixed config and seed (wall
 times therefore go to stderr, never into JSON).  Exit codes: 0 success,
 1 assertion/claim failure, 2 parse or usage error (a malformed file, a
 profile and a rule over different alternatives or, for a table rule, a
-different voter count, or an argument or SAFEVOTE_BUDGET out of range or
-naming no order of the domain), 3 inconclusive scans.
+different voter count, or an argument out of range or naming no order of
+the domain), 3 inconclusive scans.
 """
 
 from __future__ import annotations
@@ -55,19 +55,6 @@ def _order(text: str, domain: Domain, flag: str) -> LinearOrder:
         raise UsageError(f"{flag} {text!r}: {exc}") from None
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("SAFEVOTE_BUDGET")
-    if raw is None:
-        return DEFAULT_ENUMERATION_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"SAFEVOTE_BUDGET must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise UsageError(f"SAFEVOTE_BUDGET must be positive, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safevote", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3, help="alternatives per sampled table rule")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="profile-scan cap per search")
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BOUND, help="profile-scan cap per search")
 
     p = sub.add_parser("figure", help="render the barycentric score figure as SVG")
     common(p, profile=True, rule=True, report=False)
@@ -225,10 +212,11 @@ def cmd_safety(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
     # The theorems need m >= 3; a campaign outside their hypothesis would
     # report failures of claims that need not hold.
-    minimums = (("--n", args.n, 1), ("--m", args.m, 3), ("--samples", args.samples, 0), ("--budget", budget, 1))
+    minimums = (
+        ("--n", args.n, 1), ("--m", args.m, 3), ("--samples", args.samples, 0), ("--budget", args.budget, 1)
+    )
     for flag, value, least in minimums:
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
@@ -247,7 +235,7 @@ def cmd_verify(args) -> int:
             ("safe_pivotal", verify_safe_pivotal),
         ):
             try:
-                certificate = search(rule, budget=budget)
+                certificate = search(rule, budget=args.budget)
             except InconclusiveError:
                 entry[claim] = "inconclusive"
                 inconclusive += 1
@@ -264,7 +252,7 @@ def cmd_verify(args) -> int:
         "m": args.m,
         "samples": args.samples,
         "seed": args.seed,
-        "budget": budget,
+        "budget": args.budget,
         "failures": failures,
         "inconclusive": inconclusive,
         "rules": results,
@@ -298,7 +286,11 @@ def cmd_figure(args) -> int:
         type_order, strategic = (_order(part, profile.domain, "--trajectory") for part in parts[:2])
         if strategic == type_order:
             raise UsageError(f"bad trajectory spec {raw!r}; STRATEGIC must differ from TYPE")
-        moves.append((type_order, strategic, int(parts[2])))
+        k_max, count = int(parts[2]), len(voters_of_type(profile, type_order))
+        # A type with no voters has no trajectory at all: `trajectory` fails it.
+        if count and k_max > count:
+            raise UsageError(f"bad trajectory spec {raw!r}; KMAX {k_max} is outside 0..{count}, the TYPE count")
+        moves.append((type_order, strategic, k_max))
     svg = render_svg(figure_spec(rule, profile, moves))
     _emit(svg, args.out)
     return EXIT_OK

@@ -86,8 +86,9 @@ def _threshold_check(
     mismatches = []
     for ks, label in expected.items():
         for k in ks:
-            if k in table and table[k].label != label:
-                mismatches.append(f"k={k}: expected {label}, got {table[k].label}")
+            got = table[k].label if k in table else f"none: the type has {len(table) - 1} voters"
+            if got != label:
+                mismatches.append(f"k={k}: expected {label}, got {got}")
     return _check(name, not mismatches, "; ".join(mismatches))
 
 

@@ -173,24 +173,16 @@ def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
     """Equal-score boundary segments between adjacent winner regions.
 
     For each pair (i, j), the locus x_i = x_j >= x_k clipped to the
-    realizable region; degenerate (point or empty) loci are dropped.
+    realizable region: clipping by x_i <= x_j and then x_j <= x_i leaves
+    the points on the line.  Degenerate (point or empty) loci are dropped.
     """
     segments: list[tuple[Bary, Bary]] = []
     region = realizable_region(rule)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         k = 3 - i - j
         poly = _clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
-        crossings: list[Bary] = []
-        g = lambda x, i=i, j=j: x[i] - x[j]  # noqa: E731
-        for idx, p in enumerate(poly):
-            q = poly[(idx + 1) % len(poly)]
-            gp, gq = g(p), g(q)
-            if gp == 0:
-                crossings.append(p)
-            if (gp < 0 < gq) or (gq < 0 < gp):
-                t = gp / (gp - gq)
-                crossings.append(tuple(p[c] + t * (q[c] - p[c]) for c in range(3)))  # type: ignore[arg-type]
-        unique = sorted(set(crossings))
+        on_line = _clip(_clip(poly, lambda x, i=i, j=j: x[i] - x[j]), lambda x, i=i, j=j: x[j] - x[i])
+        unique = sorted(set(on_line))
         if len(unique) >= 2:
             segments.append((unique[0], unique[-1]))
     return segments

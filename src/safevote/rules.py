@@ -189,18 +189,21 @@ class ScoringRule(Rule):
     n = None
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.tiebreak.ranking):
+        # Kept exact whatever the caller passed, so geometry stays rational.
+        weights = tuple(Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        if len(weights) != len(self.tiebreak.ranking):
             raise ValueError("score vector length must equal the number of alternatives")
-        for a, b in zip(self.weights, self.weights[1:]):
+        for a, b in zip(weights, weights[1:]):
             if a < b:
-                raise ValueError(f"score vector {' '.join(map(str, self.weights))} must be non-increasing")
-        scale = math.lcm(*(Fraction(w).denominator for w in self.weights))
+                raise ValueError(f"score vector {' '.join(map(str, weights))} must be non-increasing")
+        scale = math.lcm(*(w.denominator for w in weights))
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_points", tuple(int(w * scale) for w in self.weights))
+        object.__setattr__(self, "_points", tuple(int(w * scale) for w in weights))
 
     @classmethod
     def from_ints(cls, weights: Sequence[int], tiebreak: LinearOrder) -> "ScoringRule":
-        return cls(tuple(Fraction(w) for w in weights), tiebreak)
+        return cls(tuple(weights), tiebreak)
 
     @property
     def domain(self) -> Domain:  # type: ignore[override]
@@ -324,11 +327,11 @@ def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile
 
 
 def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
-    """All (m!)^n profiles in canonical (mixed-radix ascending) order."""
-    orders = all_orders(domain)
-    total = len(orders) ** n
-    for idx in range(total):
-        yield decode_profile(idx, n, orders)
+    """All (m!)^n profiles in canonical (mixed-radix ascending) order: the
+    digit tuples of the table encoding, voter 1 most significant."""
+    orders = domain._orders
+    for digits in itertools.product(range(len(orders)), repeat=n):
+        yield Profile(tuple(orders[d] for d in digits))
 
 
 @dataclass(frozen=True)

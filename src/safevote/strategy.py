@@ -43,7 +43,7 @@ from safevote.core import (
     switch_votes,
     voters_of_type,
 )
-from safevote.rules import Rule, all_profiles, profile_space_size, resolve_n
+from safevote.rules import DEFAULT_ENUMERATION_BOUND, Rule, all_profiles, resolve_n
 
 
 class NoIncentiveError(SafevoteError):
@@ -423,15 +423,6 @@ def construct_safe_from_endup(
 # ---------------------------------------------------------------------------
 
 
-def _scan_profiles(rule: Rule, n: int, budget: int | None) -> Iterator[Profile]:
-    total = profile_space_size(len(rule.domain), n)
-    limit = total if budget is None else min(budget, total)
-    for i, profile in enumerate(all_profiles(rule.domain, n)):
-        if i >= limit:
-            raise InconclusiveError(limit)
-        yield profile
-
-
 def _certify(
     rule: Rule,
     claim: str,
@@ -456,13 +447,20 @@ def _certify(
 def _scan(
     rule: Rule,
     n: int | None,
-    budget: int | None,
+    budget: int,
     claim: str,
     moves: Callable[[Rule, Profile, list[LinearOrder]], Iterator[IncentiveWitness]],
 ) -> Certificate | None:
-    """Certificate for the first move at the first profile that has one."""
+    """Certificate for the first move at the first profile that has one.
+
+    Raises InconclusiveError, before trying a profile's moves, once `budget`
+    profiles have been scanned without one; a budget of zero or less stops
+    at the first profile.
+    """
     orders = all_orders(rule.domain)
-    for profile in _scan_profiles(rule, resolve_n(rule, n), budget):
+    for scanned, profile in enumerate(all_profiles(rule.domain, resolve_n(rule, n))):
+        if scanned >= budget:
+            raise InconclusiveError(budget)
         move = next(moves(rule, profile, orders), None)
         if move is not None:
             return _certify(rule, claim, profile, move)
@@ -497,7 +495,7 @@ def _safe_pivotal_moves(
             yield move
 
 
-def verify_gs(rule: Rule, n: int | None = None, budget: int | None = None) -> Certificate | None:
+def verify_gs(rule: Rule, n: int | None = None, budget: int = DEFAULT_ENUMERATION_BOUND) -> Certificate | None:
     """First single-voter (pivotal) manipulation in canonical scan order.
 
     None means the exhaustive scan found nothing, which for a total rule
@@ -508,14 +506,14 @@ def verify_gs(rule: Rule, n: int | None = None, budget: int | None = None) -> Ce
 
 
 def verify_safely_manipulable(
-    rule: Rule, n: int | None = None, budget: int | None = None
+    rule: Rule, n: int | None = None, budget: int = DEFAULT_ENUMERATION_BOUND
 ) -> Certificate | None:
     """First profile/voter/order whose strategic vote is incentivized and safe."""
     return _scan(rule, n, budget, "SafelyManipulable", _safe_incentive_moves)
 
 
 def verify_safe_pivotal(
-    rule: Rule, n: int | None = None, budget: int | None = None
+    rule: Rule, n: int | None = None, budget: int = DEFAULT_ENUMERATION_BOUND
 ) -> Certificate | None:
     """First voter who is singly pivotal via a strategic vote that is safe."""
     return _scan(rule, n, budget, "SafePivotal", _safe_pivotal_moves)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from safevote import cli, strategy
+from safevote import cli, fixtures, strategy
 from safevote.core import MAX_VOTERS, Domain, LinearOrder, all_orders, parse_profile, voters_of_type
 from safevote.rules import all_profiles, borda, format_table_entries, random_table_rule
 from safevote.strategy import NoIncentiveError, construct_safe_from_endup, has_incentive, verify_safely_manipulable
@@ -230,22 +230,6 @@ class TestVerify:
         assert "wall-time" in captured.err
         assert "wall-time" not in captured.out
 
-    def test_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SAFEVOTE_BUDGET", "1")
-        code = run(["verify", "--samples", "3", "--seed", "1", "--format", "json"])
-        assert code == cli.EXIT_INCONCLUSIVE
-
-    def test_bad_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SAFEVOTE_BUDGET", "lots")
-        code = run(["verify", "--samples", "1", "--seed", "1"])
-        assert code == cli.EXIT_PARSE
-
-    def test_zero_budget_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SAFEVOTE_BUDGET", "0")
-        code = run(["verify", "--samples", "1", "--seed", "1"])
-        assert code == cli.EXIT_PARSE
-        assert capsys.readouterr().err == "error: SAFEVOTE_BUDGET must be positive, got 0\n"
-
 
 class TestFigure:
     def test_svg_written(self, files):
@@ -271,6 +255,19 @@ class TestFigure:
         )
         assert code == cli.EXIT_PARSE
 
+    def test_kmax_past_the_type_count_is_a_usage_error(self, files, capsys):
+        argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"], "--trajectory"]
+        assert run([*argv, "ABC:ACB:99"]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad trajectory spec 'ABC:ACB:99'; KMAX 99 is outside 0..17, the TYPE count\n"
+        assert run([*argv, "ABC:ACB:17"]) == cli.EXIT_OK
+
+    def test_absent_type_fails(self, files, capsys):
+        argv = ["figure", "--profile", files["profile4"], "--rule", files["plurality"], "--trajectory"]
+        assert run([*argv, "ACB:CAB:99"]) == cli.EXIT_FAILURE
+        assert "not present" in capsys.readouterr().err
+
 
 class TestExamples:
     def test_all_fixtures_pass(self, capsys):
@@ -279,6 +276,12 @@ class TestExamples:
         assert code == 0
         assert "5/5 fixtures pass" in out
         assert "corrected from EBCAD" in out
+
+    def test_threshold_check_reports_a_missing_k(self):
+        fx = fixtures.FIXTURE_3
+        check = fixtures._threshold_check("past the type", fx.rule, fx.profile, "ABC", "ACB", {range(18, 100): "Z"})
+        assert not check.passed
+        assert check.detail.startswith("k=18: expected Z, got none: the type has 17 voters; k=19: ")
 
     def test_json_format(self, capsys):
         code = run(["examples", "--format", "json"])
@@ -489,8 +492,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestGoldenOutputs:
-    """JSON reports are byte-identical to the committed ones: the CLI's
-    determinism contract for a fixed config and seed."""
+    """JSON reports and SVG figures are byte-identical to the committed ones:
+    the CLI's determinism contract for a fixed config and seed."""
 
     @pytest.mark.parametrize(
         "argv, golden",
@@ -503,3 +506,8 @@ class TestGoldenOutputs:
     def test_json_matches_golden(self, capsys, argv, golden):
         assert run(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_figure_matches_golden(self, files, capsys):
+        argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"]]
+        assert run([*argv, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "figure_borda94.svg").read_text(encoding="utf-8")

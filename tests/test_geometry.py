@@ -175,6 +175,15 @@ class TestRealizableRegion:
             (1, 0, 0),
         ]
 
+    @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 0, 0), (5, 2, 1), (1, 1, 0)])
+    def test_int_weights_keep_exact_geometry(self, weights):
+        plain, exact = ScoringRule(weights, o("BAC")), ScoringRule.from_ints(weights, o("BAC"))
+        assert plain.weights == exact.weights and plain.config_text() == exact.config_text()
+        region, boundaries = realizable_region(plain), region_boundaries(plain)
+        assert region == realizable_region(exact) and boundaries == region_boundaries(exact)
+        points = [*region, *(point for segment in boundaries for point in segment)]
+        assert all(type(c) is Fraction for point in points for c in point)
+
     def test_boundaries_lie_on_equal_score_loci(self):
         pairs = ((0, 1), (0, 2), (1, 2))
         segments = region_boundaries(borda(o("ABC")))

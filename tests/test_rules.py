@@ -178,6 +178,19 @@ class TestProfileEncoding:
         assert all(x.compact == "ABC" for x in first.orders)
         assert sum(1 for _ in all_profiles(D3, 2)) == 36
 
+    @pytest.mark.parametrize(
+        "labels, n",
+        [("ABC", 1), ("ABC", 2), ("ABC", 3), ("ABCD", 2), ("CAB", 2)],
+        ids=["m3-n1", "m3-n2", "m3-n3", "m4-n2", "labels-not-sorted"],
+    )
+    def test_all_profiles_walks_the_encoding(self, labels, n):
+        domain = Domain.from_labels(labels)
+        orders = all_orders(domain)
+        profiles = list(all_profiles(domain, n))
+        assert len(profiles) == profile_space_size(len(domain), n)
+        for index, profile in enumerate(profiles):
+            assert profile == decode_profile(index, n, orders)
+
 
 class TestTableRule:
     def test_lookup_matches_encoding(self):

@@ -16,6 +16,7 @@ from safevote.core import (
     voters_of_type,
 )
 from safevote.rules import (
+    Rule,
     ScoringRule,
     TableRule,
     all_profiles,
@@ -514,6 +515,21 @@ class TestVerifiers:
         with pytest.raises(InconclusiveError) as exc:
             verify_gs(dictatorial_rule(), budget=1)
         assert exc.value.scanned == 1
+
+    @pytest.mark.parametrize("search", [verify_gs, verify_safely_manipulable, verify_safe_pivotal])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_no_budget_stops_before_any_move(self, search, budget):
+        class Untouchable(Rule):
+            domain, anonymous, n = D3, False, 2
+
+            def evaluate(self, profile):
+                raise AssertionError("a move was tried")
+
+            switched = solo_switches = evaluate
+
+        with pytest.raises(InconclusiveError) as exc:
+            search(Untouchable(), budget=budget)
+        assert exc.value.scanned == budget
 
     def test_lift_agrees_with_direct_search(self):
         for seed in range(40):
