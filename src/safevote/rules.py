@@ -17,6 +17,14 @@ profile's table index.  The default kernel replays the switch through
 `Rule.solo_switches` is the pivot kernel beside it: every single voter's
 switch to every other order, asked once per profile.
 
+`Rule.size_runs` is the runs kernel of anonymous rules, whose winner
+depends only on how many voters of the type switch: the switch counts k at
+which the winner changes, with the winner from there on.  The default walks
+the canonical prefixes through `switched`, lazily, and is the oracle.  A
+scoring rule's winner after k switchers is the first maximum of the lines
+`base + k * step`, which can change only where two lines cross, so it
+scores at most m(m-1)+1 switch counts, whatever the type's count.
+
 Table rules work on order ids: an order's position in the domain's
 `_orders`, read from id tables interned on the standard `Domain` (order to
 id, and each id's top and bottom alternative).  The pivot kernel encodes
@@ -35,7 +43,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from safevote.core import (
     MAX_ALTERNATIVES,
@@ -116,6 +125,21 @@ class Rule:
 
         return winner
 
+    def size_runs(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Iterator[tuple[int, Alternative]]:
+        """(k, winner) at k = 0 and at each switch count k up to the type's
+        count where the winner changes, k ascending: the winner once any k
+        `type_order` voters vote `order`, for an anonymous rule.
+
+        Set-up raises what `switched` raises.  This default asks `switched`
+        about each canonical prefix in turn, lazily, so a caller that stops
+        at the first run it wants scores no further.
+        """
+        winner = self.switched(profile, type_order, order)
+        members = sorted(voters_of_type(profile, type_order))
+        return _changes((k, winner(frozenset(members[:k]))) for k in range(len(members) + 1))
+
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]
     ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
@@ -137,6 +161,11 @@ class Rule:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # Rules are immutable, so the text is rendered and hashed once.
         return hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
 
     def _check_profile(self, profile: Profile) -> None:
@@ -164,6 +193,16 @@ def _switch_check(
             raise EditError(f"coalition {sorted(coalition)} is not within the {type_order.compact} voters")
 
     return check
+
+
+def _changes(winners: Iterable[tuple[int, Alternative]]) -> Iterator[tuple[int, Alternative]]:
+    """The first (k, winner) pair and each later one whose winner differs
+    from the one before."""
+    last = None
+    for k, winner in winners:
+        if winner != last:
+            yield k, winner
+            last = winner
 
 
 def resolve_n(rule: Rule, n: int | None) -> int:
@@ -232,19 +271,26 @@ class ScoringRule(Rule):
         best = max(totals)
         return next(alt for alt in self.tiebreak.ranking if totals[alt.index] == best)
 
-    def switched(
+    def _lines(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> Callable[[VoterSet], Alternative]:
-        check = _switch_check(profile, type_order, order)
+    ) -> tuple[list[int], list[int]]:
+        """Each alternative's sincere total and its change per switcher, both
+        in tie-break order, so the first maximum of `base + k * step` is the
+        winner after k switchers."""
         totals = self._totals(profile)
         change = [0] * len(totals)
         for points, new, old in zip(self._points, order.ranking, type_order.ranking):
             change[new.index] += points
             change[old.index] -= points
-        # Both in tie-break order, so the first maximum is the winner.
         ranking = self.tiebreak.ranking
-        base = [totals[alt.index] for alt in ranking]
-        step = [change[alt.index] for alt in ranking]
+        return [totals[alt.index] for alt in ranking], [change[alt.index] for alt in ranking]
+
+    def switched(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        check = _switch_check(profile, type_order, order)
+        base, step = self._lines(profile, type_order, order)
+        ranking = self.tiebreak.ranking
 
         def winner(coalition: VoterSet) -> Alternative:
             check(coalition)
@@ -253,6 +299,28 @@ class ScoringRule(Rule):
             return ranking[scores.index(max(scores))]
 
         return winner
+
+    def size_runs(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Iterator[tuple[int, Alternative]]:
+        _switch_check(profile, type_order, order)  # for its set-up errors
+        count = len(voters_of_type(profile, type_order))
+        base, step = self._lines(profile, type_order, order)
+        ranking = self.tiebreak.ranking
+        # Two lines keep their order between integer k except across their
+        # crossing c: a run can start at ceil(c), or at c, where the
+        # tie-break decides, and at c + 1 when c is an integer.
+        starts = {0}
+        for (b1, d1), (b2, d2) in itertools.combinations(zip(base, step), 2):
+            if d1 != d2:
+                c, rest = divmod(b2 - b1, d1 - d2)
+                starts.update(k for k in ((c, c + 1) if rest == 0 else (c + 1,)) if 0 < k <= count)
+
+        def winner(k: int) -> Alternative:
+            scores = [b + k * d for b, d in zip(base, step)]
+            return ranking[scores.index(max(scores))]
+
+        return _changes((k, winner(k)) for k in sorted(starts))
 
     def config_text(self) -> str:
         ws = " ".join(str(w) for w in self.weights)

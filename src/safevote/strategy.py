@@ -6,21 +6,27 @@ order, taking the outcome from before to after.  `incentives` enumerates a
 type's improving moves, and `_certify` turns any move into the claim's
 `Certificate`, so recorded sets and outcomes always replay the switch.
 Every search is deterministic and its witnesses are minimal under its
-enumeration order.  Coalitions come from one iterator, `_coalitions`:
-every subset by size then lexicographically, or, for anonymous rules, one
-canonical prefix per size.  `has_incentive` and `classify_safety` walk the
-same coalitions (`force_subsets=True` takes the all-subsets order on any
-rule, which the tests use as an oracle); a `SafetyVerdict` carries its
-incentive witness, so one walk settles both questions.  The three theorem
+enumeration order.
+
+Under an anonymous rule a search reads the rule's runs kernel,
+`Rule.size_runs`: the switch counts at which the winner changes.  The
+incentive is the first improving count, the unsafe witness the first
+worsening one, and a coalition is built only for a witness, as the voter
+plus the first k-1 other members in sorted order.  Every other search walks
+coalitions from one iterator, `_coalitions`: every subset, by size then
+lexicographically (`force_subsets=True` takes it on any rule, which the
+tests use as an oracle).  `has_incentive` and `classify_safety` read the
+same runs or walk the same coalitions; a `SafetyVerdict` carries its
+incentive witness, so one pass settles both questions.  The three theorem
 verifiers share one profile scan, `_scan`, which certifies the first move
 that a per-claim generator yields.
 
-Searches find each coalition's winner through the rule's switch kernel,
-`Rule.switched`, set up once per (profile, type, strategic order), which
-builds no `Profile`; the pivotal scan reads every single-voter switch of a
-profile from one call to `Rule.solo_switches`.  `verify_certificate` is the
-independent check: it replays every certificate through `switch_votes` and
-`Rule.evaluate` only.
+Subset searches find each coalition's winner through the rule's switch
+kernel, `Rule.switched`, set up once per (profile, type, strategic order),
+which builds no `Profile`; the pivotal scan reads every single-voter switch
+of a profile from one call to `Rule.solo_switches`.  `verify_certificate`
+is the independent check: it replays every certificate through
+`switch_votes` and `Rule.evaluate` only.
 """
 
 from __future__ import annotations
@@ -151,21 +157,36 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _subsets(pool: list[int], sizes: range, by_size: bool) -> Iterator[tuple[int, ...]]:
-    """Subsets of a sorted pool, size by size: one canonical prefix per size
-    when `by_size`, otherwise every subset, lexicographically."""
+def _subsets(pool: list[int], sizes: range) -> Iterator[tuple[int, ...]]:
+    """Every subset of a sorted pool of the given sizes, size by size, then
+    lexicographically."""
     for size in sizes:
-        yield from [tuple(pool[:size])] if by_size else itertools.combinations(pool, size)
+        yield from itertools.combinations(pool, size)
 
 
-def _coalitions(voter: int, members: VoterSet, by_size: bool) -> Iterator[VoterSet]:
+def _coalitions(voter: int, members: VoterSet) -> Iterator[VoterSet]:
     """Coalitions of members containing the voter, smallest first."""
-    for combo in _subsets(sorted(members - {voter}), range(len(members)), by_size):
+    for combo in _subsets(sorted(members - {voter}), range(len(members))):
         yield frozenset((voter, *combo))
 
 
 def _use_sizes(rule: Rule, force_subsets: bool) -> bool:
     return rule.anonymous and not force_subsets
+
+
+def _prefixes(voter: int, members: VoterSet) -> Callable[[int], VoterSet]:
+    """The canonical coalition of each size k: the voter and the first k-1
+    other members in sorted order."""
+    others = sorted(members - {voter})
+    return lambda k: frozenset((voter, *others[: k - 1]))
+
+
+def _spans(runs: Iterator[tuple[int, Alternative]], count: int) -> list[tuple[range, Alternative]]:
+    """Each run of `Rule.size_runs` as its switch counts, up to `count`, and
+    its winner."""
+    runs = list(runs)
+    ends = [k for k, _ in runs[1:]] + [count + 1]
+    return [(range(k, end), winner) for (k, winner), end in zip(runs, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +207,16 @@ def has_incentive(
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
+    if _use_sizes(rule, force_subsets):
+        runs = rule.size_runs(profile, type_order, strategic_order)
+        _, sincere = next(runs)
+        for k, outcome in runs:
+            if type_order.prefers(outcome, sincere):
+                return IncentiveWitness(voter, strategic_order, _prefixes(voter, members)(k), sincere, outcome)
+        return None
     winner = rule.switched(profile, type_order, strategic_order)
     sincere = winner(frozenset())
-    for coalition in _coalitions(voter, members, _use_sizes(rule, force_subsets)):
+    for coalition in _coalitions(voter, members):
         outcome = winner(coalition)
         if type_order.prefers(outcome, sincere):
             return IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
@@ -231,19 +259,21 @@ def classify_safety(
 
     Raises NoIncentiveError when the precondition (an incentive exists)
     fails: safety is only defined for actual strategic opportunities.  The
-    walk below is `has_incentive`'s, so it finds the same witness too.
+    runs or walk below are `has_incentive`'s, so it finds the same witness
+    too.
     """
     type_order = profile.orders[voter]
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
+    if _use_sizes(rule, force_subsets):
+        return _classify_sizes(rule, profile, voter, strategic_order, members)
     winner = rule.switched(profile, type_order, strategic_order)
     sincere = winner(frozenset())
     sincere_rank = type_order.rank(sincere)
-    by_size = _use_sizes(rule, force_subsets)
     improving: list[VoterSet] = []
     worsening: list[VoterSet] = []
-    for coalition in _coalitions(voter, members, by_size):
+    for coalition in _coalitions(voter, members):
         outcome = winner(coalition)
         # Rank 0 is the type's favourite: a lower rank improves the outcome.
         rank = type_order.rank(outcome)
@@ -255,9 +285,8 @@ def classify_safety(
             worsening.append(coalition)
     if not improving:
         raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
-    if worsening and not by_size:
-        # The incentive clause of the unsafe definition is per member; under
-        # an anonymous rule every member shares the voter's incentive.  Every
+    if worsening:
+        # The incentive clause of the unsafe definition is per member.  Every
         # member of an improving coalition has one already, so only the other
         # members of worsening coalitions are asked.
         incentivized = frozenset().union(*improving)
@@ -278,6 +307,37 @@ def classify_safety(
                         SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=kind, good=good, bad=bad
                     )
     return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=UnsafeKind.OTHER)
+
+
+def _classify_sizes(
+    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, members: VoterSet
+) -> SafetyVerdict:
+    """`classify_safety` for an anonymous rule, from its runs.
+
+    Every member shares the voter's incentive, and coalitions of one type
+    nest by size, so only the switch counts matter: the incentive is the
+    first improving count g and the unsafe witness the first worsening
+    count.  A worsening count above g makes an Overshoot from g to the
+    least such count; otherwise every worsening count lies below g, an
+    Undershoot from the first of them to g.
+    """
+    type_order = profile.orders[voter]
+    runs = list(rule.size_runs(profile, type_order, strategic_order))
+    sincere = runs[0][1]
+    improving = [(k, outcome) for k, outcome in runs if type_order.prefers(outcome, sincere)]
+    worsening = [k for k, outcome in runs if type_order.prefers(sincere, outcome)]
+    if not improving:
+        raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
+    coalition = _prefixes(voter, members)
+    g, outcome = improving[0]
+    incentive = IncentiveWitness(voter, strategic_order, coalition(g), sincere, outcome)
+    if not worsening:
+        return SafetyVerdict(SafetyStatus.SAFE, incentive)
+    above = [k for k in worsening if k > g]
+    kind, bad = (UnsafeKind.OVERSHOOT, above[0]) if above else (UnsafeKind.UNDERSHOOT, worsening[0])
+    return SafetyVerdict(
+        SafetyStatus.UNSAFE, incentive, coalition(worsening[0]), kind, incentive.coalition, coalition(bad)
+    )
 
 
 def safety_verdicts(
@@ -313,11 +373,11 @@ def threshold_scan(
     """
     if not rule.anonymous:
         raise SafevoteError("threshold_scan requires an anonymous rule")
-    members = sorted(voters_of_type(profile, type_order))
+    members = voters_of_type(profile, type_order)
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    winner = rule.switched(profile, type_order, strategic_order)
-    return {k: winner(frozenset(members[:k])) for k in range(len(members) + 1)}
+    spans = _spans(rule.size_runs(profile, type_order, strategic_order), len(members))
+    return {k: winner for sizes, winner in spans for k in sizes}
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +409,23 @@ def find_L_inferior(
     """Proper subsets of the type class whose partial switch leaves the
     type strictly worse off than the full switch.
 
-    For anonymous rules one canonical subset per qualifying size is
-    returned; the general path returns every qualifying subset.
+    For anonymous rules one canonical subset per qualifying size, the
+    first members in sorted order, is read from the rule's runs; the general
+    path returns every qualifying subset.
     """
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the type order")
     members = voters_of_type(profile, type_order)
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
+    if _use_sizes(rule, force_subsets):
+        spans = _spans(rule.size_runs(profile, type_order, strategic_order), len(members))
+        full_outcome, ordered = spans[-1][1], sorted(members)
+        inferior = (sizes for sizes, outcome in spans if type_order.prefers(full_outcome, outcome))
+        return [frozenset(ordered[:k]) for sizes in inferior for k in sizes]
     winner = rule.switched(profile, type_order, strategic_order)
     full_outcome = winner(members)
-    subsets = _subsets(sorted(members), range(len(members)), _use_sizes(rule, force_subsets))
+    subsets = _subsets(sorted(members), range(len(members)))
     return [subset for subset in map(frozenset, subsets) if type_order.prefers(full_outcome, winner(subset))]
 
 
@@ -553,7 +619,7 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
         # containing j leaves the outcome at the sincere winner.
         winner = rule.switched(profile, profile.orders[j], strategic_order)
         moving: VoterSet | None = None
-        for coalition in _coalitions(j, incentivized, by_size=False):
+        for coalition in _coalitions(j, incentivized):
             if winner(coalition) != sincere:
                 moving = coalition
                 break

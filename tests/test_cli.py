@@ -180,6 +180,27 @@ class TestSafety:
         assert code == 0
         assert "no incentive" in capsys.readouterr().out
 
+    def test_large_count_profile_thresholds(self, tmp_path, capsys):
+        # 1,400/1,000/700 voters times 16: 49,600 in all.  The per-k table
+        # is recomputed here from the Borda scores of each switched profile.
+        counts = {"ABC": 22_400, "BAC": 16_000, "CBA": 11_200}
+        profile = tmp_path / "large.txt"
+        profile.write_text("alternatives: A B C\n" + "".join(f"{c}: {' > '.join(t)}\n" for t, c in counts.items()))
+        rule = tmp_path / "borda.txt"
+        rule.write_text("rule: scoring\nscores: 2 1 0\ntiebreak: A > B > C\n")
+        argv = ["safety", "--profile", str(profile), "--rule", str(rule), "--type", "ABC", "--strategic", "ACB"]
+        assert run([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = {}
+        for k in range(counts["ABC"] + 1):
+            ballots = {**counts, "ABC": counts["ABC"] - k, "ACB": k}
+            totals = {a: sum(c * (2 - order.index(a)) for order, c in ballots.items()) for a in "ABC"}
+            expected[str(k)] = min("ABC", key=lambda a: (-totals[a], "ABC".index(a)))
+        assert report["thresholds"] == expected
+        first_gain = next(k for k in range(len(expected)) if expected[str(k)] == "A")
+        assert report["status"] == "Safe"
+        assert report["witness_coalition"] == list(range(1, first_gain + 1))
+
     def test_absent_type_fails(self, files, capsys):
         code = run(
             [

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from safevote.core import (
     MAX_VOTERS,
@@ -229,6 +229,64 @@ def test_default_kernel_matches_object_path(data):
     assert_kernel_matches_oracle(rule, profile, type_order, target, every_subset(members))
 
 
+@st.composite
+def scoring_switches(draw):
+    """(rule, profile, type, target) with fractional weights (negatives,
+    equal runs and so zero steps), m from 2 to 5, and 0 to 60 voters of the
+    type among up to 20 others."""
+    rule = draw(fractional_scoring_rules())
+    orders = all_orders(rule.domain)
+    type_order = draw(st.sampled_from(orders))
+    target = draw(st.sampled_from([L for L in orders if L != type_order]))
+    count = draw(st.integers(0, 60))
+    other_orders = st.sampled_from([L for L in orders if L != type_order])
+    others = draw(st.lists(other_orders, min_size=int(count == 0), max_size=20))
+    ballots = draw(st.permutations([type_order] * count + others))
+    return rule, Profile(tuple(ballots)), type_order, target
+
+
+@st.composite
+def tied_crossings(draw):
+    """(rule, profile, type, target) where two alternatives' score lines
+    tie exactly at an integer switch count k0.
+
+    With a = w_T(x) - w_T(y) and b = w_L(x) - w_L(y) of opposite signs,
+    u = t|b|/g type voters and v = t|a|/g target voters at k0 give
+    u*a + v*b = 0: the profile holds k0 + u voters of type T and v - k0 of
+    L, and any other ballot comes with its x-y swap, so adds no gap.
+    """
+    m = draw(st.integers(2, 5))
+    domain = Domain.of_size(m)
+    weights = sorted(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)), reverse=True)
+    rule = ScoringRule(tuple(weights), LinearOrder(tuple(draw(st.permutations(domain.alternatives)))))
+    orders = all_orders(domain)
+    type_order = draw(st.sampled_from(orders))
+    target = draw(st.sampled_from([L for L in orders if L != type_order]))
+    x, y = draw(st.permutations(domain.alternatives))[:2]
+    a = int(rule.weights[type_order.rank(x)] - rule.weights[type_order.rank(y)])
+    b = int(rule.weights[target.rank(x)] - rule.weights[target.rank(y)])
+    assume(a * b < 0)
+    g, t = math.gcd(a, b), draw(st.integers(1, 3))
+    u, v = t * abs(b) // g, t * abs(a) // g
+    k0 = draw(st.integers(0, v))
+
+    def swap(order):
+        return LinearOrder(tuple({x: y, y: x}.get(alt, alt) for alt in order.ranking))
+
+    rest = [r for r in draw(st.lists(st.sampled_from(orders), max_size=3)) if type_order not in (r, swap(r))]
+    ballots = [type_order] * (k0 + u) + [target] * (v - k0) + rest + [swap(r) for r in rest]
+    return rule, Profile(tuple(ballots)), type_order, target
+
+
+@given(case=st.one_of(scoring_switches(), tied_crossings()))
+@settings(max_examples=400, deadline=None)
+def test_scoring_runs_match_the_prefix_walk(case):
+    # The crossing-point runs against the default kernel's walk over every
+    # switch count through `switched`.
+    rule, profile, type_order, target = case
+    assert list(rule.size_runs(profile, type_order, target)) == list(Rule.size_runs(rule, profile, type_order, target))
+
+
 KERNEL_RULES = {
     "scoring": borda(ORDERS_3[0]),
     "table": random_table_rule(3, 3, 0),
@@ -253,11 +311,13 @@ def test_kernel_errors_match_switch_votes(kind):
     both_raise(EditError, abc, frozenset({0}), abc)  # L == T
     foreign = LinearOrder.from_labels("XYZ", Domain.from_labels("XYZ"))
     both_raise(DomainMismatchError, abc, frozenset({0}), foreign)
-    # Both L == T and a foreign order fail at set-up, before any coalition.
-    with pytest.raises(EditError):
-        rule.switched(profile, abc, abc)
-    with pytest.raises(DomainMismatchError):
-        rule.switched(profile, abc, foreign)
+    # Both L == T and a foreign order fail at set-up, before any coalition,
+    # and the runs kernel fails the same way.
+    for kernel in (rule.switched, rule.size_runs):
+        with pytest.raises(EditError):
+            kernel(profile, abc, abc)
+        with pytest.raises(DomainMismatchError):
+            kernel(profile, abc, foreign)
 
 
 @given(st.integers(0, 6**3 - 1))

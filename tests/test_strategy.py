@@ -88,12 +88,18 @@ def two_pass_classify_safety(rule, profile, voter, strategic_order):
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
     sincere = rule.evaluate(profile)
-    by_size = rule.anonymous
-    incentivized = members if by_size else frozenset(
-        v for v in members if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
-    )
+    if rule.anonymous:
+        # One canonical coalition per size, and every member shares the incentive.
+        others = sorted(members - {voter})
+        coalitions = [frozenset((voter, *others[:size])) for size in range(len(members))]
+        incentivized = members
+    else:
+        coalitions = _coalitions(voter, members)
+        incentivized = frozenset(
+            v for v in members if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
+        )
     improving, worsening, dropped = [], [], False
-    for coalition in _coalitions(voter, members, by_size):
+    for coalition in coalitions:
         outcome = rule.evaluate(switch_votes(profile, coalition, strategic_order))
         if type_order.prefers(outcome, sincere):
             improving.append(coalition)
@@ -181,7 +187,7 @@ class TestHasIncentive:
         voter = min(members)
         assert has_incentive(APPROVAL_33, PROFILE_33, voter, o("ABC"), force_subsets=True) is None
         # The sincere profile, then every coalition containing the voter, once each.
-        assert asked == [frozenset(), *_coalitions(voter, members, by_size=False)]
+        assert asked == [frozenset(), *_coalitions(voter, members)]
         assert len(set(asked)) == len(asked) == 1 + 2 ** (len(members) - 1)
 
 
@@ -382,6 +388,46 @@ class TestLInferior:
         fast = find_L_inferior(BORDA_94, profile, o("ACB"), o("CAB"))
         slow = find_L_inferior(BORDA_94, profile, o("ACB"), o("CAB"), force_subsets=True)
         assert sorted({len(s) for s in fast}) == sorted({len(s) for s in slow})
+
+
+class TestSizePathReadsRuns:
+    """Under an anonymous rule the searches read the rule's runs kernel and
+    never score a coalition through `switched`."""
+
+    SEARCHES = {
+        "has_incentive": lambda: [has_incentive(BORDA_94, PROFILE_94, 0, o(s)) for s in ("ACB", "BAC", "CAB")],
+        "classify_safety": lambda: [
+            verdict
+            for type_order in PROFILE_94.types_present()
+            for verdict in safety_verdicts(BORDA_94, PROFILE_94, type_order, all_orders(D3))
+        ],
+        "threshold_scan": lambda: [
+            threshold_scan(BORDA_94, PROFILE_94, o("ABC"), o("ACB")),
+            threshold_scan(BORDA_94, PROFILE_94, o("ACB"), o("CAB")),
+        ],
+        "find_L_inferior": lambda: find_L_inferior(BORDA_94, PROFILE_94, o("ACB"), o("CAB")),
+    }
+
+    def test_searches_never_call_the_switch_kernel(self, monkeypatch):
+        pinned = {name: search() for name, search in self.SEARCHES.items()}
+        overshoot, safe_acb, safe_cab = pinned["classify_safety"]
+        assert (overshoot.kind, len(overshoot.good), len(overshoot.bad)) == (UnsafeKind.OVERSHOOT, 4, 10)
+        assert overshoot.good == overshoot.incentive.coalition == frozenset(range(4))
+        assert overshoot.witness_bad == overshoot.bad == frozenset(range(10))
+        assert (safe_acb.status, len(safe_acb.incentive.coalition)) == (SafetyStatus.SAFE, 13)
+        assert (safe_cab.status, len(safe_cab.incentive.coalition)) == (SafetyStatus.SAFE, 4)
+        assert [w and len(w.coalition) for w in pinned["has_incentive"]] == [4, None, None]
+        abc_acb, acb_cab = pinned["threshold_scan"]
+        assert "".join(w.label for w in abc_acb.values()) == "BBBB" + "A" * 6 + "C" * 8
+        assert "".join(w.label for w in acb_cab.values()) == "B" * 13 + "CCC"
+        assert [len(s) for s in pinned["find_L_inferior"]] == list(range(13))
+
+        def kernel(*args):
+            raise AssertionError("the size path asked the switch kernel")
+
+        monkeypatch.setattr(ScoringRule, "switched", kernel)
+        for name, search in self.SEARCHES.items():
+            assert search() == pinned[name], name
 
 
 class TestConstructSafe:
@@ -662,8 +708,20 @@ class TestCertificateReplay:
 
         for cls in (ScoringRule, TableRule):
             monkeypatch.setattr(cls, "switched", kernel)
+        monkeypatch.setattr(ScoringRule, "size_runs", kernel)
         for rule, cert in certificates:
             assert verify_certificate(rule, cert), cert.claim
+
+    def test_fingerprint_renders_the_rule_once(self, monkeypatch):
+        rendered = []
+        config_text = TableRule.config_text
+        monkeypatch.setattr(TableRule, "config_text", lambda rule: rendered.append(rule) or config_text(rule))
+        rule = random_table_rule(2, 3, 5)
+        for search in (verify_gs, verify_safely_manipulable, verify_safe_pivotal):
+            cert = search(rule)
+            assert verify_certificate(rule, cert), cert.claim
+            assert cert.rule_fingerprint == rule.fingerprint()
+        assert rendered == [rule]
 
     def test_gs_with_swapped_outcomes_and_bogus_fingerprint_fails(self):
         rule = random_table_rule(2, 3, 5)
