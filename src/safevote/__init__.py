@@ -11,9 +11,7 @@ from safevote.core import (
     Alternative,
     Domain,
     LinearOrder,
-    Preference,
     Profile,
-    group_prefers,
     parse_profile,
     switch_votes,
     voters_of_type,
@@ -51,9 +49,7 @@ __all__ = [
     "Alternative",
     "Domain",
     "LinearOrder",
-    "Preference",
     "Profile",
-    "group_prefers",
     "parse_profile",
     "switch_votes",
     "voters_of_type",

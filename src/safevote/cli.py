@@ -8,18 +8,23 @@ times therefore go to stderr, never into JSON).  Exit codes: 0 success,
 profile and a rule over different alternatives or, for a table rule, a
 different voter count, or an argument out of range or naming no order of
 the domain), 3 inconclusive scans.
+
+`main` is reentrant: it builds its argument parser once per process and
+keeps no state between calls.  `analyze` scores each strategic vote once;
+one incentive walk per type gives both its summary and its escape.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
 
-from safevote.core import Domain, LinearOrder, ParseError, SafevoteError, all_orders, parse_profile, voters_of_type
+from safevote.core import Domain, LinearOrder, ParseError, SafevoteError, parse_profile, voters_of_type
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
 from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, parse_rule, random_table_rule, scores
@@ -27,10 +32,9 @@ from safevote.strategy import (  # noqa: F401 - bench/test_bench.py reads cli.ha
     InconclusiveError,
     NoIncentiveError,
     SafetyStatus,
+    analyze,
     classify_safety,
-    find_escapes,
     has_incentive,
-    incentives,
     threshold_scan,
     verify_certificate,
     verify_gs,
@@ -55,6 +59,7 @@ def _order(text: str, domain: Domain, flag: str) -> LinearOrder:
         raise UsageError(f"{flag} {text!r}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safevote", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,37 +128,24 @@ def _load(args):
     return profile, rule
 
 
-def _incentive_summary(rule, profile):
-    """Per-type summary of which strategic orders carry an incentive."""
-    summary = []
-    orders = all_orders(profile.domain)
-    for type_order in profile.types_present():
-        found = {w.strategic_order for w in incentives(rule, profile, type_order, orders)}
-        summary.append(
-            {
-                "type": type_order.compact,
-                "count": len(voters_of_type(profile, type_order)),
-                "incentives": [o.compact for o in orders if o in found],
-            }
-        )
-    return summary
-
-
 def cmd_analyze(args) -> int:
     profile, rule = _load(args)
-    winner = rule.evaluate(profile)
+    analysis = analyze(rule, profile)
     report = {
-        "winner": winner.label,
+        "winner": analysis.winner.label,
         "rule_fingerprint": rule.fingerprint(),
-        "types": _incentive_summary(rule, profile),
-        "escapes": [c.to_json_dict() for c in find_escapes(rule, profile)],
+        "types": [
+            {"type": t.type_order.compact, "count": t.count, "incentives": [o.compact for o in t.strategic_orders]}
+            for t in analysis.types
+        ],
+        "escapes": [c.to_json_dict() for c in analysis.escapes],
     }
     if isinstance(rule, ScoringRule):
         report["scores"] = {a.label: str(s) for a, s in scores(rule, profile).items()}
     if args.format == "json":
         _emit(_json_dumps(report), args.out)
     else:
-        lines = [f"winner: {winner.label}"]
+        lines = [f"winner: {report['winner']}"]
         if "scores" in report:
             lines.append("scores: " + "  ".join(f"{k}={v}" for k, v in sorted(report["scores"].items())))
         for entry in report["types"]:
@@ -330,8 +322,7 @@ def cmd_examples(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "safety": cmd_safety,

@@ -7,7 +7,6 @@ CLI reports).
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -206,28 +205,6 @@ class LinearOrder:
 
     def __str__(self) -> str:
         return " > ".join(a.label for a in self.ranking)
-
-
-class Preference(enum.Enum):
-    """Outcome of a group comparison under one shared order."""
-
-    STRICT = "strict"
-    WEAK = "weak"
-    NO = "no"
-
-
-def group_prefers(type_order: LinearOrder, x: Alternative, y: Alternative) -> Preference:
-    """How a uniform-type group ranks x against y.
-
-    STRICT: everyone ranks x above y.  WEAK: no lower (only the x == y
-    case, since orders are strict).  NO: y is ranked above x.
-    """
-    rx, ry = type_order.rank(x), type_order.rank(y)
-    if rx < ry:
-        return Preference.STRICT
-    if rx == ry:
-        return Preference.WEAK
-    return Preference.NO
 
 
 # Voter coalitions are plain frozensets of 0-based indices.

@@ -5,8 +5,9 @@ coalition of one type, containing the voter, switches to a strategic
 order, taking the outcome from before to after.  `incentives` enumerates a
 type's improving moves, and `_certify` turns any move into the claim's
 `Certificate`, so recorded sets and outcomes always replay the switch.
-Every search is deterministic and its witnesses are minimal under its
-enumeration order.
+`analyze` walks `incentives` once per type present, and that one walk
+gives the type's incentives and its escape.  Every search is
+deterministic and its witnesses are minimal under its enumeration order.
 
 Under an anonymous rule a search reads the rule's runs kernel,
 `Rule.size_runs`: the switch counts at which the winner changes.  The
@@ -381,22 +382,53 @@ def threshold_scan(
 
 
 # ---------------------------------------------------------------------------
-# Escapes and L-inferior subsets
+# Profile analysis: incentives and escapes per type; L-inferior subsets
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TypeIncentives:
+    """One type present at a profile: how many voters hold it, and the
+    strategic orders some member has an incentive to cast, in `all_orders`
+    order."""
+
+    type_order: LinearOrder
+    count: int
+    strategic_orders: tuple[LinearOrder, ...]
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A profile's winner, the incentives of every type present, in
+    `types_present` order, and its Escape certificates."""
+
+    winner: Alternative
+    types: tuple[TypeIncentives, ...]
+    escapes: tuple[Certificate, ...]
+
+
+def analyze(rule: Rule, profile: Profile) -> Analysis:
+    """One `incentives` walk per type present settles both its incentives
+    and its escape: a type that ranks the winner last escapes through its
+    first witness."""
+    winner = rule.evaluate(profile)
+    orders = all_orders(profile.domain)
+    types: list[TypeIncentives] = []
+    escapes: list[Certificate] = []
+    for type_order in profile.types_present():
+        witnesses = list(incentives(rule, profile, type_order, orders))
+        found = {w.strategic_order for w in witnesses}
+        count = len(voters_of_type(profile, type_order))
+        types.append(TypeIncentives(type_order, count, tuple(o for o in orders if o in found)))
+        if witnesses and type_order.bottom == winner:
+            escapes.append(_certify(rule, "Escape", profile, witnesses[0]))
+    return Analysis(winner, tuple(types), tuple(escapes))
 
 
 def find_escapes(rule: Rule, profile: Profile) -> list[Certificate]:
     """Escape certificates: one per type that ranks the winner last and
     has a member with some strategic incentive."""
-    winner = rule.evaluate(profile)
-    certificates: list[Certificate] = []
-    orders = all_orders(profile.domain)
-    for type_order in profile.types_present():
-        if type_order.bottom == winner:
-            witness = next(incentives(rule, profile, type_order, orders), None)
-            if witness is not None:
-                certificates.append(_certify(rule, "Escape", profile, witness))
-    return certificates
+    return list(analyze(rule, profile).escapes)
 
 
 def find_L_inferior(

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -507,6 +510,62 @@ class TestSingleWalk:
         assert results() == expected
         assert {"no incentive", "Safe", "Unsafe"} <= {json.loads(out)["status"] for out in expected[:-1:2]}
         assert any(out and out.startswith("{") for out in expected[1:-1:2])
+
+    def test_analyze_scores_each_vote_once(self, files, capsys, monkeypatch):
+        # The summary and the escapes come from one walk: one
+        # `has_incentive` per (type, strategic order), six types by five
+        # orders, though two types rank the winner B last and escape.
+        calls = []
+        has_incentive = strategy.has_incentive
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return has_incentive(*args, **kwargs)
+
+        monkeypatch.setattr(strategy, "has_incentive", counted)
+        assert run(["analyze", "--profile", files["profile94"], "--rule", files["borda"], "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == len(set(calls)) == 6 * 5
+        assert len(report["escapes"]) == 2
+
+
+class TestReentrantMain:
+    def test_each_call_parses_as_the_first(self, files, capsys):
+        # `main` builds its parser once per process.  Each call must still
+        # give what the same argv gives as a fresh process's first call: no
+        # `--trajectory` arrows left from an earlier call and no `--out`
+        # path carried over.
+        base = ["--profile", files["profile94"], "--rule", files["borda"]]
+        out_file = files["tmp"] / "analyze.json"
+        argvs = [
+            ["figure", *base, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"],
+            ["figure", *base, "--trajectory", "ABC:ACB:17"],
+            ["figure", *base],
+            ["analyze", *base, "--format", "json", "--out", str(out_file)],
+            ["analyze", *base, "--format", "json"],
+        ]
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+
+        def written():
+            text = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return text
+
+        def first_call(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "safevote.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            )
+            return proc.returncode, proc.stdout, written()
+
+        def in_process(argv):
+            code = run(argv)
+            return code, capsys.readouterr().out, written()
+
+        expected = [first_call(argv) for argv in argvs]
+        assert [out.count('class="trajectory"') for _, out, _ in expected[:3]] == [2, 1, 0]
+        assert expected[3][1] == "" and expected[3][2] == expected[4][1] and expected[4][2] is None
+        assert [in_process(argv) for argv in argvs] == expected
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

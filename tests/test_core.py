@@ -15,12 +15,10 @@ from safevote.core import (
     EditError,
     LinearOrder,
     ParseError,
-    Preference,
     Profile,
     all_orders,
     completely_agreed,
     format_profile,
-    group_prefers,
     parse_profile,
     switch_votes,
     voters_of_type,
@@ -138,22 +136,6 @@ class TestLinearOrder:
             for seed in ("1", "2")
         }
         assert hashes == {f"{hash(o('CAEBD', D5))}\n"}
-
-
-class TestGroupPrefers:
-    def test_top_beats_bottom(self):
-        assert group_prefers(o("ABC"), D3.by_label("A"), D3.by_label("C")) == Preference.STRICT
-
-    def test_reflexive_is_weak(self):
-        b = D3.by_label("B")
-        assert group_prefers(o("ABC"), b, b) == Preference.WEAK
-
-    def test_five_alternative_comparison(self):
-        order = o("ABCDE", D5)
-        assert group_prefers(order, D5.by_label("B"), D5.by_label("E")) == Preference.STRICT
-
-    def test_reverse_is_no(self):
-        assert group_prefers(o("ABC"), D3.by_label("C"), D3.by_label("A")) == Preference.NO
 
 
 class TestProfile:

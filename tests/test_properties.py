@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from safevote import strategy
 from safevote.core import (
     MAX_VOTERS,
     Domain,
@@ -15,10 +17,8 @@ from safevote.core import (
     EditError,
     LinearOrder,
     ParseError,
-    Preference,
     Profile,
     all_orders,
-    group_prefers,
     parse_profile,
     switch_votes,
     voters_of_type,
@@ -31,15 +31,19 @@ from safevote.rules import (
     check_predicates,
     decode_profile,
     encode_profile,
+    k_approval,
     parse_rule,
     plurality,
     random_table_rule,
     subrule_minus,
 )
 from safevote.strategy import (
+    Certificate,
     SafetyStatus,
     UnsafeKind,
+    analyze,
     classify_safety,
+    find_escapes,
     has_incentive,
 )
 
@@ -65,16 +69,16 @@ def domains(draw):
 
 
 @given(domain=domains(), data=st.data())
-def test_group_prefers_trichotomy(domain, data):
+def test_prefers_trichotomy(domain, data):
     order = data.draw(orders_for(domain))
     x = data.draw(st.sampled_from(domain.alternatives))
     y = data.draw(st.sampled_from(domain.alternatives))
-    forward = group_prefers(order, x, y)
-    backward = group_prefers(order, y, x)
+    forward = order.prefers(x, y)
+    backward = order.prefers(y, x)
     if x == y:
-        assert forward == backward == Preference.WEAK
+        assert not forward and not backward
     else:
-        assert {forward, backward} == {Preference.STRICT, Preference.NO}
+        assert forward != backward
 
 
 @given(domain=domains(), data=st.data())
@@ -413,6 +417,74 @@ def test_sampled_rule_searches_agree_across_paths(seed):
             v_slow = classify_safety(rule, profile, voter, strategic, force_subsets=True)
             assert v_fast.incentive == fast and v_slow.incentive == slow
             assert v_fast == v_slow
+
+
+def separate_walks(rule: Rule, profile: Profile):
+    """`analyze`'s winner, summary and escapes from the subset path, asked
+    about every member's vote: a type's incentives are the orders some
+    member can improve with, and a type that ranks the winner last escapes
+    through the first incentive of its first voter (of each member in turn,
+    under a table rule)."""
+    winner = rule.evaluate(profile)
+    orders = all_orders(profile.domain)
+    summary, escapes = [], []
+    for type_order in profile.types_present():
+        members = sorted(voters_of_type(profile, type_order))
+        strategic = [L for L in orders if L != type_order]
+        found = [L for L in strategic if any(has_incentive(rule, profile, v, L, force_subsets=True) for v in members)]
+        summary.append((type_order, len(members), found))
+        if type_order.bottom != winner:
+            continue
+        voters = members[:1] if rule.anonymous else members
+        moves = (has_incentive(rule, profile, v, L, force_subsets=True) for v in voters for L in strategic)
+        move = next((w for w in moves if w is not None), None)
+        if move is not None:
+            sets = {"coalition": move.coalition}
+            outcomes = {"before": move.outcome_before, "after": move.outcome_after}
+            escapes.append(
+                Certificate("Escape", profile, move.voter, move.strategic_order, sets, outcomes, True, rule.fingerprint())
+            )
+    return winner, summary, [c.to_json_dict() for c in escapes]
+
+
+def assert_one_walk(rule: Rule, profile: Profile) -> None:
+    with mock.patch.object(strategy, "has_incentive", wraps=strategy.has_incentive) as counted:
+        analysis = analyze(rule, profile)
+    winner, summary, escapes = separate_walks(rule, profile)
+    assert analysis.winner == winner
+    assert [(t.type_order, t.count, list(t.strategic_orders)) for t in analysis.types] == summary
+    assert [c.to_json_dict() for c in analysis.escapes] == escapes
+    assert [c.to_json_dict() for c in find_escapes(rule, profile)] == escapes
+    # One `has_incentive` per strategic vote: per type and order under an
+    # anonymous rule, per member and order under a table rule.
+    votes = sum(1 if rule.anonymous else t.count for t in analysis.types) * (len(all_orders(profile.domain)) - 1)
+    assert counted.call_count == votes
+
+
+@st.composite
+def count_elections(draw):
+    domain = draw(domains())
+    tiebreak = draw(orders_for(domain))
+    rule = draw(st.sampled_from((borda(tiebreak), plurality(tiebreak), k_approval(2, tiebreak))))
+    # A count for every order, as in a count file: crowded enough that
+    # about two draws in five have an escape.
+    orders = all_orders(domain)
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(orders), max_size=len(orders)).filter(any))
+    return rule, Profile.from_counts(list(zip(orders, counts)))
+
+
+@given(count_elections())
+@settings(max_examples=60, deadline=None)
+def test_analyze_walks_each_vote_once_on_count_profiles(election):
+    assert_one_walk(*election)
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_analyze_walks_each_vote_once_on_table_rules(seed, data):
+    rule = random_table_rule(2, 3, seed)
+    orders = all_orders(rule.domain)
+    assert_one_walk(rule, Profile((data.draw(st.sampled_from(orders)), data.draw(st.sampled_from(orders)))))
 
 
 # ---------------------------------------------------------------------------
