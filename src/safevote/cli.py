@@ -24,10 +24,10 @@ import random
 import sys
 import time
 
-from safevote.core import Domain, LinearOrder, ParseError, SafevoteError, parse_profile, voters_of_type
+from safevote.core import MAX_ALTERNATIVES, Domain, LinearOrder, ParseError, SafevoteError, parse_profile, voters_of_type
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
-from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, parse_rule, random_table_rule, scores
+from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, enumerable_size, parse_rule, random_table_rule, scores
 from safevote.strategy import (  # noqa: F401 - bench/test_bench.py reads cli.has_incentive
     InconclusiveError,
     NoIncentiveError,
@@ -212,6 +212,12 @@ def cmd_verify(args) -> int:
     for flag, value, least in minimums:
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if args.m > MAX_ALTERNATIVES:
+        raise UsageError(f"--m must be at most {MAX_ALTERNATIVES}, got {args.m}")
+    try:
+        enumerable_size(args.m, args.n)
+    except SafevoteError as exc:  # the profile space passes the enumeration bound
+        raise UsageError(str(exc)) from None
     master = random.Random(args.seed)
     rule_seeds = [master.getrandbits(63) for _ in range(args.samples)]
     results = []

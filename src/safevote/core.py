@@ -320,6 +320,15 @@ def completely_agreed(order: LinearOrder, n: int) -> Profile:
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """`int` of ASCII digits with an optional minus sign: `int` itself also
+    reads underscores, a plus sign and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_profile(text: str) -> Profile:
     lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), start=1)]
     lines = [(no, line) for no, line in lines if line and not line.startswith("#")]
@@ -356,9 +365,12 @@ def parse_profile(text: str) -> Profile:
             if count_entries:
                 raise ParseError("cannot mix count lines and voter lines", no)
             try:
-                idx = int(head.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"bad voter index in {head!r}", no) from None
+                word, index = head.split()
+                if word.lower() != "voter":
+                    raise ValueError(word)
+                idx = _integer(index)
+            except ValueError:
+                raise ParseError(f"bad voter index in {head!r}; expected 'voter <i>'", no) from None
             if idx < 1:
                 raise ParseError(f"voter indices are 1-based, got {idx}", no)
             if idx in voter_entries:
@@ -368,7 +380,7 @@ def parse_profile(text: str) -> Profile:
             if voter_entries:
                 raise ParseError("cannot mix count lines and voter lines", no)
             try:
-                count = int(head)
+                count = _integer(head)
             except ValueError:
                 raise ParseError(f"bad count {head!r}", no) from None
             if count < 0:

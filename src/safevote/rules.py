@@ -65,7 +65,7 @@ from safevote.core import (
 
 #: The one profile-space limit: the largest `(m!)^n` that table
 #: constructions, rule sampling, exhaustive predicate checks and table rule
-#: files may walk.  `_enumerable_size` reads it at call time.
+#: files may walk.  `enumerable_size` reads it at call time.
 DEFAULT_ENUMERATION_BOUND = 2_000_000
 
 #: Most digits a score weight's numerator or denominator may have: the
@@ -273,30 +273,33 @@ class ScoringRule(Rule):
 
     def _lines(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> tuple[list[int], list[int]]:
+    ) -> tuple[list[int], list[int], Callable[[int], Alternative]]:
         """Each alternative's sincere total and its change per switcher, both
-        in tie-break order, so the first maximum of `base + k * step` is the
-        winner after k switchers."""
+        in tie-break order, and the winner after k switchers: the first
+        maximum of `base + k * step`."""
         totals = self._totals(profile)
         change = [0] * len(totals)
         for points, new, old in zip(self._points, order.ranking, type_order.ranking):
             change[new.index] += points
             change[old.index] -= points
         ranking = self.tiebreak.ranking
-        return [totals[alt.index] for alt in ranking], [change[alt.index] for alt in ranking]
+        base, step = [totals[alt.index] for alt in ranking], [change[alt.index] for alt in ranking]
+
+        def winner(k: int) -> Alternative:
+            scores = [b + k * d for b, d in zip(base, step)]
+            return ranking[scores.index(max(scores))]
+
+        return base, step, winner
 
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
         check = _switch_check(profile, type_order, order)
-        base, step = self._lines(profile, type_order, order)
-        ranking = self.tiebreak.ranking
+        _, _, winner_after = self._lines(profile, type_order, order)
 
         def winner(coalition: VoterSet) -> Alternative:
             check(coalition)
-            k = len(coalition)
-            scores = [b + k * d for b, d in zip(base, step)]
-            return ranking[scores.index(max(scores))]
+            return winner_after(len(coalition))
 
         return winner
 
@@ -305,8 +308,7 @@ class ScoringRule(Rule):
     ) -> Iterator[tuple[int, Alternative]]:
         _switch_check(profile, type_order, order)  # for its set-up errors
         count = len(voters_of_type(profile, type_order))
-        base, step = self._lines(profile, type_order, order)
-        ranking = self.tiebreak.ranking
+        base, step, winner = self._lines(profile, type_order, order)
         # Two lines keep their order between integer k except across their
         # crossing c: a run can start at ceil(c), or at c, where the
         # tie-break decides, and at c + 1 when c is an integer.
@@ -315,11 +317,6 @@ class ScoringRule(Rule):
             if d1 != d2:
                 c, rest = divmod(b2 - b1, d1 - d2)
                 starts.update(k for k in ((c, c + 1) if rest == 0 else (c + 1,)) if 0 < k <= count)
-
-        def winner(k: int) -> Alternative:
-            scores = [b + k * d for b, d in zip(base, step)]
-            return ranking[scores.index(max(scores))]
-
         return _changes((k, winner(k)) for k in sorted(starts))
 
     def config_text(self) -> str:
@@ -363,7 +360,7 @@ def profile_space_size(m: int, n: int) -> int:
     return math.factorial(m) ** n
 
 
-def _enumerable_size(m: int, n: int) -> int:
+def enumerable_size(m: int, n: int) -> int:
     """`profile_space_size(m, n)`, or BudgetExceededError when it passes
     DEFAULT_ENUMERATION_BOUND.
 
@@ -471,7 +468,7 @@ class TableRule(Rule):
     @classmethod
     def from_function(cls, domain: Domain, n: int, fn) -> "TableRule":
         """Tabulate `fn(profile) -> Alternative` over the whole profile space."""
-        _enumerable_size(len(domain), n)
+        enumerable_size(len(domain), n)
         return cls(domain, n, tuple(fn(p) for p in all_profiles(domain, n)))
 
 
@@ -581,7 +578,7 @@ def check_predicates(rule: Rule, n: int | None = None) -> RulePredicateReport:
     """
     n = resolve_n(rule, n)
     try:
-        _enumerable_size(len(rule.domain), n)
+        enumerable_size(len(rule.domain), n)
     except BudgetExceededError:
         if isinstance(rule, ScoringRule):
             return _check_predicates_scoring(rule, n)
@@ -656,7 +653,7 @@ def random_table_rule(n: int, m: int, seed: int) -> TableRule:
     Deterministic given the seed; raises SamplingError with the attempt
     count when the rejection budget runs out.
     """
-    total = _enumerable_size(m, n)
+    total = enumerable_size(m, n)
     domain = Domain.of_size(m)
     rng = random.Random(seed)
     for _ in range(_SAMPLING_ATTEMPTS):
@@ -727,7 +724,7 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         if m > MAX_ALTERNATIVES:
             raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
         try:
-            _enumerable_size(m, n)
+            enumerable_size(m, n)
         except BudgetExceededError as exc:
             raise ParseError(str(exc), line_of["n"]) from None
         if not fields["entries"]:

@@ -9,18 +9,17 @@ type's improving moves, and `_certify` turns any move into the claim's
 gives the type's incentives and its escape.  Every search is
 deterministic and its witnesses are minimal under its enumeration order.
 
-Under an anonymous rule a search reads the rule's runs kernel,
-`Rule.size_runs`: the switch counts at which the winner changes.  The
-incentive is the first improving count, the unsafe witness the first
-worsening one, and a coalition is built only for a witness, as the voter
-plus the first k-1 other members in sorted order.  Every other search walks
-coalitions from one iterator, `_coalitions`: every subset, by size then
-lexicographically (`force_subsets=True` takes it on any rule, which the
-tests use as an oracle).  `has_incentive` and `classify_safety` read the
-same runs or walk the same coalitions; a `SafetyVerdict` carries its
-incentive witness, so one pass settles both questions.  The three theorem
-verifiers share one profile scan, `_scan`, which certifies the first move
-that a per-claim generator yields.
+Each vote's searches (`has_incentive`, `classify_safety` and
+`lift_safe_pivotal`) read one move walk, `_moves`.  Under an anonymous rule
+it reads the runs kernel, `Rule.size_runs`: the switch counts at which the
+winner changes, and a coalition is built only for a witness, as the voter
+plus the first k-1 other members in sorted order.  Otherwise it walks every
+subset from `_coalitions`, by size then lexicographically
+(`force_subsets=True` takes it on any rule, which the tests use as an
+oracle).  A `SafetyVerdict` carries its incentive witness, so one pass
+settles both questions.  The three theorem verifiers share one profile
+scan, `_scan`, which certifies the first move that a per-claim generator
+yields.
 
 Subset searches find each coalition's winner through the rule's switch
 kernel, `Rule.switched`, set up once per (profile, type, strategic order),
@@ -33,6 +32,7 @@ is the independent check: it replays every certificate through
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import operator
@@ -171,23 +171,41 @@ def _coalitions(voter: int, members: VoterSet) -> Iterator[VoterSet]:
         yield frozenset((voter, *combo))
 
 
-def _use_sizes(rule: Rule, force_subsets: bool) -> bool:
-    return rule.anonymous and not force_subsets
-
-
-def _prefixes(voter: int, members: VoterSet) -> Callable[[int], VoterSet]:
-    """The canonical coalition of each size k: the voter and the first k-1
-    other members in sorted order."""
-    others = sorted(members - {voter})
-    return lambda k: frozenset((voter, *others[: k - 1]))
-
-
 def _spans(runs: Iterator[tuple[int, Alternative]], count: int) -> list[tuple[range, Alternative]]:
     """Each run of `Rule.size_runs` as its switch counts, up to `count`, and
     its winner."""
     runs = list(runs)
     ends = [k for k, _ in runs[1:]] + [count + 1]
     return [(range(k, end), winner) for (k, winner), end in zip(runs, ends)]
+
+
+def _moves(
+    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, force_subsets: bool = False
+) -> tuple[Alternative, Iterator[tuple], Callable[..., VoterSet], bool]:
+    """The moves of one strategic vote, smallest coalition first: the
+    sincere winner, the (key, winner) pair of each move, the coalition of a
+    key, and whether the keys are switch counts.
+
+    Under an anonymous rule, unless `force_subsets`, a key is a switch count
+    at which the winner changes (a run start of `Rule.size_runs`) and its
+    coalition the voter and the first k-1 other members in sorted order,
+    sorted only once a coalition is asked for.  Otherwise a key is each
+    coalition from `_coalitions`, scored by `Rule.switched`.  Keys nest as
+    their coalitions do.
+    """
+    type_order = profile.orders[voter]
+    if strategic_order == type_order:
+        raise ValueError("strategic order must differ from the voter's sincere order")
+    members = voters_of_type(profile, type_order)
+    if rule.anonymous and not force_subsets:
+        runs = rule.size_runs(profile, type_order, strategic_order)
+        _, sincere = next(runs)
+        others = functools.cache(lambda: sorted(members - {voter}))
+        return sincere, runs, lambda k: frozenset((voter, *others()[: k - 1])), True
+    winner = rule.switched(profile, type_order, strategic_order)
+    moves = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
+    # `frozenset` of a coalition is the coalition itself.
+    return winner(frozenset()), moves, frozenset, False
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +223,10 @@ def has_incentive(
 ) -> IncentiveWitness | None:
     """A minimal-coalition incentive witness, or None if there is none."""
     type_order = profile.orders[voter]
-    if strategic_order == type_order:
-        raise ValueError("strategic order must differ from the voter's sincere order")
-    members = voters_of_type(profile, type_order)
-    if _use_sizes(rule, force_subsets):
-        runs = rule.size_runs(profile, type_order, strategic_order)
-        _, sincere = next(runs)
-        for k, outcome in runs:
-            if type_order.prefers(outcome, sincere):
-                return IncentiveWitness(voter, strategic_order, _prefixes(voter, members)(k), sincere, outcome)
-        return None
-    winner = rule.switched(profile, type_order, strategic_order)
-    sincere = winner(frozenset())
-    for coalition in _coalitions(voter, members):
-        outcome = winner(coalition)
+    sincere, moves, coalition, _ = _moves(rule, profile, voter, strategic_order, force_subsets)
+    for key, outcome in moves:
         if type_order.prefers(outcome, sincere):
-            return IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
+            return IncentiveWitness(voter, strategic_order, coalition(key), sincere, outcome)
     return None
 
 
@@ -260,36 +266,28 @@ def classify_safety(
 
     Raises NoIncentiveError when the precondition (an incentive exists)
     fails: safety is only defined for actual strategic opportunities.  The
-    runs or walk below are `has_incentive`'s, so it finds the same witness
-    too.
+    moves below are `has_incentive`'s, so it finds the same witness too.
     """
     type_order = profile.orders[voter]
-    if strategic_order == type_order:
-        raise ValueError("strategic order must differ from the voter's sincere order")
-    members = voters_of_type(profile, type_order)
-    if _use_sizes(rule, force_subsets):
-        return _classify_sizes(rule, profile, voter, strategic_order, members)
-    winner = rule.switched(profile, type_order, strategic_order)
-    sincere = winner(frozenset())
+    sincere, moves, coalition, by_size = _moves(rule, profile, voter, strategic_order, force_subsets)
     sincere_rank = type_order.rank(sincere)
-    improving: list[VoterSet] = []
-    worsening: list[VoterSet] = []
-    for coalition in _coalitions(voter, members):
-        outcome = winner(coalition)
+    improving, worsening = [], []
+    for key, outcome in moves:
         # Rank 0 is the type's favourite: a lower rank improves the outcome.
         rank = type_order.rank(outcome)
         if rank < sincere_rank:
             if not improving:
-                incentive = IncentiveWitness(voter, strategic_order, coalition, sincere, outcome)
-            improving.append(coalition)
+                incentive = IncentiveWitness(voter, strategic_order, coalition(key), sincere, outcome)
+            improving.append(key)
         elif rank > sincere_rank:
-            worsening.append(coalition)
+            worsening.append(key)
     if not improving:
         raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
-    if worsening:
+    if worsening and not by_size:
         # The incentive clause of the unsafe definition is per member.  Every
         # member of an improving coalition has one already, so only the other
-        # members of worsening coalitions are asked.
+        # members of worsening coalitions are asked.  Under anonymity every
+        # member shares the voter's incentive and nobody is asked.
         incentivized = frozenset().union(*improving)
         incentivized |= {
             v
@@ -299,46 +297,16 @@ def classify_safety(
         worsening = [c for c in worsening if c <= incentivized]
     if not worsening:
         return SafetyVerdict(SafetyStatus.SAFE, incentive)
+    witness_bad = coalition(worsening[0])
     # Prefer Overshoot (good strictly inside bad) when both nested-pair kinds exist.
     for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
         for bad in worsening:
             for good in improving:
                 if nested(good, bad):
                     return SafetyVerdict(
-                        SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=kind, good=good, bad=bad
+                        SafetyStatus.UNSAFE, incentive, witness_bad, kind, coalition(good), coalition(bad)
                     )
-    return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad=worsening[0], kind=UnsafeKind.OTHER)
-
-
-def _classify_sizes(
-    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, members: VoterSet
-) -> SafetyVerdict:
-    """`classify_safety` for an anonymous rule, from its runs.
-
-    Every member shares the voter's incentive, and coalitions of one type
-    nest by size, so only the switch counts matter: the incentive is the
-    first improving count g and the unsafe witness the first worsening
-    count.  A worsening count above g makes an Overshoot from g to the
-    least such count; otherwise every worsening count lies below g, an
-    Undershoot from the first of them to g.
-    """
-    type_order = profile.orders[voter]
-    runs = list(rule.size_runs(profile, type_order, strategic_order))
-    sincere = runs[0][1]
-    improving = [(k, outcome) for k, outcome in runs if type_order.prefers(outcome, sincere)]
-    worsening = [k for k, outcome in runs if type_order.prefers(sincere, outcome)]
-    if not improving:
-        raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
-    coalition = _prefixes(voter, members)
-    g, outcome = improving[0]
-    incentive = IncentiveWitness(voter, strategic_order, coalition(g), sincere, outcome)
-    if not worsening:
-        return SafetyVerdict(SafetyStatus.SAFE, incentive)
-    above = [k for k in worsening if k > g]
-    kind, bad = (UnsafeKind.OVERSHOOT, above[0]) if above else (UnsafeKind.UNDERSHOOT, worsening[0])
-    return SafetyVerdict(
-        SafetyStatus.UNSAFE, incentive, coalition(worsening[0]), kind, incentive.coalition, coalition(bad)
-    )
+    return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad, UnsafeKind.OTHER)
 
 
 def safety_verdicts(
@@ -450,7 +418,7 @@ def find_L_inferior(
     members = voters_of_type(profile, type_order)
     if not members:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    if _use_sizes(rule, force_subsets):
+    if rule.anonymous and not force_subsets:
         spans = _spans(rule.size_runs(profile, type_order, strategic_order), len(members))
         full_outcome, ordered = spans[-1][1], sorted(members)
         inferior = (sizes for sizes, outcome in spans if type_order.prefers(full_outcome, outcome))
@@ -626,6 +594,13 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     one member off it yields a shifted profile at which that member is
     singly pivotal, and the vote stays safe there.  The result is
     re-verified by direct replay.
+
+    The coalition is the first moving one among the vote's moves, read as
+    `has_incentive` reads them.  Under an anonymous rule that is the first
+    run start of `Rule.size_runs` whose winner differs from the sincere
+    one, and every member shares the voter's incentive, so only the voter
+    is asked and no subset is walked.  Otherwise the coalitions are walked
+    and every member is asked.
     """
     if safe_certificate.claim != "SafelyManipulable":
         raise ValueError("expected a SafelyManipulable certificate")
@@ -643,18 +618,19 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     sincere = move.outcome_before
     if not profile.orders[j].prefers(move.outcome_after, sincere):
         members = voters_of_type(profile, profile.orders[j])
-        incentivized = frozenset(
-            v for v in members if has_incentive(rule, profile, v, strategic_order) is not None
-        )
-        # Size-minimal moving coalition within the incentivized voters; size
+        _, moves, coalition, by_size = _moves(rule, profile, j, strategic_order)
+        if by_size:
+            incentivized = members if has_incentive(rule, profile, j, strategic_order) is not None else frozenset()
+        else:
+            incentivized = frozenset(
+                v for v in members if has_incentive(rule, profile, v, strategic_order) is not None
+            )
+        # Size-minimal moving coalition of j and incentivized voters; size
         # minimality implies inclusion minimality, so every proper subset
         # containing j leaves the outcome at the sincere winner.
-        winner = rule.switched(profile, profile.orders[j], strategic_order)
-        moving: VoterSet | None = None
-        for coalition in _coalitions(j, incentivized):
-            if winner(coalition) != sincere:
-                moving = coalition
-                break
+        allowed = incentivized | {j}
+        moved = (coalition(key) for key, outcome in moves if outcome != sincere)
+        moving = next((c for c in moved if c <= allowed), None)
         if moving is None or len(moving) < 2:
             raise SafevoteError("certificate does not lift: no moving coalition found")
         peeled = max(moving - {j})

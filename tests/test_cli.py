@@ -444,11 +444,15 @@ class TestErrors:
             ["verify", "--samples", "-3", "--seed", "1"],
             ["verify", "--m", "2", "--samples", "3", "--seed", "1"],
             ["verify", "--budget", "0", "--samples", "3", "--seed", "1"],
+            ["verify", "--n", "3", "--m", "6", "--samples", "1", "--seed", "1"],
+            ["verify", "--m", "27", "--samples", "1", "--seed", "1"],
+            ["verify", "--n", "1000000000", "--samples", "1", "--seed", "1"],
         ],
         ids=[
             "type-label-outside-domain", "trajectory-kmax-not-integer",
             "trajectory-kmax-negative", "trajectory-strategic-equal-to-type", "verify-n-0",
-            "verify-negative-samples", "verify-m-2", "verify-budget-0",
+            "verify-negative-samples", "verify-m-2", "verify-budget-0", "verify-past-the-enumeration-bound",
+            "verify-m-27", "verify-n-1e9",
         ],
     )
     def test_bad_argument_is_a_usage_error(self, files, capsys, argv):

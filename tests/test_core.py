@@ -298,6 +298,26 @@ class TestProfileText:
             parse_profile("alternatives: A B C\n2: A > B\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "voterx 1: A > B > C",
+            "voter 2 junk: B > A > C",
+            "voter 1 2: A > B > C",
+            "voter: A > B > C",
+            "voter 1_0: A > B > C",
+            "voter \u0661: A > B > C",
+            "1_0: A > B > C",
+            "+3: A > B > C",
+            "\uff13: A > B > C",
+            "3 3: A > B > C",
+        ],
+    )
+    def test_malformed_head_reports_line(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_profile(f"alternatives: A B C\n# a comment\n{line}\n")
+        assert exc.value.line == 3
+
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
             parse_profile("\n# only comments\n")

@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import operator
+import random
+from collections import Counter
 
 import pytest
 
+from safevote import strategy
 from safevote.core import (
     Domain,
     LinearOrder,
@@ -51,6 +54,7 @@ from safevote.strategy import (
 )
 
 D3 = Domain.from_labels("ABC")
+D4 = Domain.from_labels("ABCD")
 D5 = Domain.from_labels("ABCDE")
 
 
@@ -390,6 +394,9 @@ class TestLInferior:
         assert sorted({len(s) for s in fast}) == sorted({len(s) for s in slow})
 
 
+ENDUP_94 = construct_safe_from_endup(BORDA_94, PROFILE_94, min(voters_of_type(PROFILE_94, o("ACB"))), o("CAB"))
+
+
 class TestSizePathReadsRuns:
     """Under an anonymous rule the searches read the rule's runs kernel and
     never score a coalition through `switched`."""
@@ -406,6 +413,7 @@ class TestSizePathReadsRuns:
             threshold_scan(BORDA_94, PROFILE_94, o("ACB"), o("CAB")),
         ],
         "find_L_inferior": lambda: find_L_inferior(BORDA_94, PROFILE_94, o("ACB"), o("CAB")),
+        "lift_safe_pivotal": lambda: lift_safe_pivotal(BORDA_94, ENDUP_94).to_json(),
     }
 
     def test_searches_never_call_the_switch_kernel(self, monkeypatch):
@@ -421,13 +429,68 @@ class TestSizePathReadsRuns:
         assert "".join(w.label for w in abc_acb.values()) == "BBBB" + "A" * 6 + "C" * 8
         assert "".join(w.label for w in acb_cab.values()) == "B" * 13 + "CCC"
         assert [len(s) for s in pinned["find_L_inferior"]] == list(range(13))
+        # The ACB voters' CAB vote is safe but no single voter moves the
+        # winner, so the lift peels one voter off a moving coalition.
+        lifted = json.loads(pinned["lift_safe_pivotal"])
+        assert ENDUP_94.profile == PROFILE_94 and len(ENDUP_94.sets["coalition"]) == 13
+        assert (lifted["voter"], lifted["sets"], lifted["verified"]) == (30, {"coalition": [30]}, True)
 
         def kernel(*args):
-            raise AssertionError("the size path asked the switch kernel")
+            raise AssertionError("the size path asked the switch kernel or walked subsets")
 
         monkeypatch.setattr(ScoringRule, "switched", kernel)
+        monkeypatch.setattr(strategy, "_coalitions", kernel)
         for name, search in self.SEARCHES.items():
             assert search() == pinned[name], name
+
+
+class SubsetWalk(Rule):
+    """A rule seen as not anonymous, so every search walks its subsets; its
+    winners, switch kernel and fingerprint are the rule's."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.domain, self.anonymous, self.n = rule.domain, False, rule.n
+
+    def evaluate(self, profile):
+        return self.rule.evaluate(profile)
+
+    def switched(self, profile, type_order, order):
+        return self.rule.switched(profile, type_order, order)
+
+    def config_text(self):
+        return self.rule.config_text()
+
+
+class TestLiftReadsRuns:
+    def test_runs_and_subset_walk_lift_alike(self):
+        # Count profiles of at most 12 voters; the subset walk asks every
+        # member's incentive over all of the type's subsets.
+        rng = random.Random(12)
+        lifts = peeled = 0
+        for trial in range(300):
+            domain = (D3, D4)[trial % 4 == 3]
+            tiebreak = rng.choice(all_orders(domain))
+            rule = (borda(tiebreak), plurality(tiebreak), k_approval(2, tiebreak))[trial % 3]
+            ballots = rng.choices(rng.sample(all_orders(domain), rng.randint(1, 4)), k=rng.randint(2, 12))
+            profile = Profile.from_counts(list(Counter(ballots).items()))
+            for type_order in profile.types_present():
+                voter = min(voters_of_type(profile, type_order))
+                for strategic in all_orders(domain):
+                    if strategic == type_order:
+                        continue
+                    try:
+                        cert = construct_safe_from_endup(rule, profile, voter, strategic)
+                    except NoIncentiveError:
+                        continue
+                    if cert is None:
+                        continue
+                    lifted = lift_safe_pivotal(rule, cert)
+                    assert lifted.to_json() == lift_safe_pivotal(SubsetWalk(rule), cert).to_json()
+                    assert lifted.verified
+                    lifts += 1
+                    peeled += lifted.profile != cert.profile
+        assert lifts > 100 and 0 < peeled < lifts
 
 
 class TestConstructSafe:
