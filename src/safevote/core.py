@@ -256,6 +256,14 @@ class Profile:
             groups.setdefault(order, set()).add(i)
         return {order: frozenset(members) for order, members in groups.items()}
 
+    @cached_property
+    def _tallies(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each alternative's score total under a scoring rule's integer
+        points vector, keyed by that vector: `ScoringRule._totals` fills an
+        entry on first use, so the ballots are scanned once per vector.
+        Profiles are immutable, so an entry never goes stale."""
+        return {}
+
     def types_present(self) -> list[LinearOrder]:
         """Distinct types in first-appearance order (deterministic)."""
         return list(self.counts)

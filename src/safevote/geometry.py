@@ -5,6 +5,15 @@ Normalized scores of the three alternatives are a point of the standard
 winner regions partition the simplex and coordinated switching traces a
 straight trajectory through them.  All coordinates are exact rationals;
 floats appear only when SVG coordinates are formatted.
+
+Points come from the rule's integer lines (`ScoringRule.lines`): the
+profile's sincere totals, read from its one tally per score vector, and
+each alternative's change per switcher, so an arrow builds no switched
+profile and scores no ballot again.  A score vector with a negative weight
+is shifted to w - min(w) first (a constant one to -w).  Every ballot gains
+the same points from the shift, so the winner is unchanged at every
+profile, while the scores stay non-negative and the point stays inside
+the simplex.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from safevote.core import (
     LinearOrder,
     Profile,
     SafevoteError,
-    switch_votes,
     voters_of_type,
 )
 from safevote.rules import ScoringRule, scores
@@ -48,6 +56,8 @@ def embed(score_map: Mapping[Alternative, Fraction]) -> BarycentricPoint:
     """Normalize a 3-alternative score map so the coordinates sum to 1."""
     if len(score_map) != 3:
         raise SafevoteError("barycentric embedding needs exactly three alternatives")
+    if min(score_map.values()) < 0:
+        raise SafevoteError("cannot embed a negative score; shift the score vector to w - min(w)")
     total = sum(score_map.values())
     if total == 0:
         raise SafevoteError("cannot embed an all-zero score map")
@@ -67,6 +77,18 @@ def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
     return min(tied, key=tiebreak.rank)
 
 
+def _nonnegative(rule: ScoringRule) -> ScoringRule:
+    """The rule itself when no weight is negative, else the rule on
+    w - min(w): the same winner at every profile.  A constant negative
+    vector goes to -w instead, which keeps its every point at the centre
+    rather than at zero."""
+    low = min(rule.weights)
+    if low >= 0:
+        return rule
+    shift = 2 * low if rule.is_constant_vector else low
+    return ScoringRule(tuple(w - shift for w in rule.weights), rule.tiebreak)
+
+
 def trajectory(
     rule: ScoringRule,
     profile: Profile,
@@ -79,18 +101,23 @@ def trajectory(
     Every ballot's points sum to the same total, so each switcher moves the
     point by one exact step; a switch that keeps one alternative's score
     moves it parallel to the simplex edge opposite that alternative's vertex.
+    The points are read off the rule's integer lines: after k switchers
+    alternative i sits at `(base[i] + k * step[i]) / sum(base)`, in which
+    the weights' common scale cancels.  A negative weight is shifted away
+    first, as in `figure_spec`.
     """
     if len(rule.domain) != 3:
         raise SafevoteError("trajectories are defined for three alternatives")
-    members = sorted(voters_of_type(profile, type_order))
-    if not members:
+    count = len(voters_of_type(profile, type_order))
+    if not count:
         raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    if not 0 <= k_max <= len(members):
-        raise SafevoteError(f"k_max={k_max} is outside 0..{len(members)}, the type count")
-    start = embed(scores(rule, profile)).coords
-    first = embed(scores(rule, switch_votes(profile, frozenset(members[:1]), strategic_order))).coords
-    step = [b - a for a, b in zip(start, first)]
-    return [BarycentricPoint(*(a + k * d for a, d in zip(start, step))) for k in range(k_max + 1)]
+    if not 0 <= k_max <= count:
+        raise SafevoteError(f"k_max={k_max} is outside 0..{count}, the type count")
+    base, step = _nonnegative(rule).lines(profile, type_order, strategic_order)
+    total = sum(base)
+    if total == 0:
+        raise SafevoteError("cannot embed an all-zero score map")
+    return [BarycentricPoint(*(Fraction(b + k * d, total) for b, d in zip(base, step))) for k in range(k_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -107,8 +134,11 @@ def figure_spec(
     profile: Profile,
     moves: Sequence[tuple[LinearOrder, LinearOrder, int]] = (),
 ) -> FigureSpec:
-    """Build a FigureSpec from a profile and (type, strategic, k_max) moves."""
-    base = embed(scores(rule, profile))
+    """Build a FigureSpec from a profile and (type, strategic, k_max) moves.
+
+    The base point is taken under w - min(w) when a weight is negative.
+    """
+    base = embed(scores(_nonnegative(rule), profile))
     arrows = tuple(
         tuple(trajectory(rule, profile, type_order, strategic_order, k_max))
         for type_order, strategic_order, k_max in moves
@@ -152,15 +182,17 @@ def realizable_region(rule: ScoringRule) -> list[Bary]:
     Each alternative's per-voter score lies between the smallest and the
     largest weight, so each normalized coordinate is pinned between
     w_min/sum and w_max/sum; clipping the simplex by those bounds yields
-    the region (a hexagon for Borda-type vectors).
+    the region (a hexagon for Borda-type vectors).  A negative weight is
+    shifted away first, as in `figure_spec`.
     """
     if len(rule.domain) != 3:
         raise SafevoteError("realizable region is defined for three alternatives")
-    total = sum(rule.weights)
+    weights = _nonnegative(rule).weights
+    total = sum(weights)
     if total == 0:
         raise SafevoteError("score vector sums to zero; region undefined")
-    lo = min(rule.weights) / total
-    hi = max(rule.weights) / total
+    lo = min(weights) / total
+    hi = max(weights) / total
     one = Fraction(1)
     polygon: list[Bary] = [(one, Fraction(0), Fraction(0)), (Fraction(0), one, Fraction(0)), (Fraction(0), Fraction(0), one)]
     for i in range(3):
@@ -176,8 +208,12 @@ def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
     realizable region: clipping by x_i <= x_j and then x_j <= x_i leaves
     the points on the line.  Degenerate (point or empty) loci are dropped.
     """
+    return _boundaries(realizable_region(rule))
+
+
+def _boundaries(region: list[Bary]) -> list[tuple[Bary, Bary]]:
+    """`region_boundaries` of a rule whose realizable region is given."""
     segments: list[tuple[Bary, Bary]] = []
-    region = realizable_region(rule)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         k = 3 - i - j
         poly = _clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
@@ -252,7 +288,7 @@ def render_svg(spec: FigureSpec) -> str:
         f'<path class="simplex" d="{_path([_to_xy(p) for p in corners], close=True)}" '
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    for a, b in region_boundaries(spec.rule):
+    for a, b in _boundaries(region):
         lines.append(
             f'<path class="region-boundary" d="{_path([_to_xy(a), _to_xy(b)])}" '
             'fill="none" stroke="black" stroke-width="0.8"/>'

@@ -7,13 +7,20 @@ of each position. `scores()` divides back, so it reports the same
 `Fraction`s. Ties are broken by a fixed linear order per rule instance
 (argmax, then first in the tie-break order).
 
+A profile is scored once per score vector: the totals are kept on the
+profile, keyed by the integer points vector, and every later question on
+that profile (`evaluate`, `scores`, and the switch and runs kernels below)
+reads them, so rules with equal points share them whatever their tie-break
+or weight scale.
+
 `Rule.switched` is the switch kernel the strategy searches evaluate
 through: the winner once a coalition of one type votes another order,
 found as a delta from the sincere profile with no `Profile` built.  A
-scoring rule adds k times the per-alternative points change to the sincere
-totals; a table rule adds each switcher's digit change to the sincere
-profile's table index.  The default kernel replays the switch through
-`switch_votes` and `evaluate`, which stay the object path and the oracle.
+scoring rule reads its integer lines (`ScoringRule.lines`): the sincere
+totals plus k times the per-alternative points change.  A table rule adds
+each switcher's digit change to the sincere profile's table index.  The
+default kernel replays the switch through `switch_votes` and `evaluate`,
+which stay the object path and the oracle.
 `Rule.solo_switches` is the pivot kernel beside it: every single voter's
 switch to every other order, asked once per profile.
 
@@ -253,13 +260,17 @@ class ScoringRule(Rule):
         """All weights equal: the rule is constant up to tie-break."""
         return len(set(self.weights)) == 1
 
-    def _totals(self, profile: Profile) -> list[int]:
-        """Every alternative's score times `_scale`, indexed by alternative index."""
+    def _totals(self, profile: Profile) -> tuple[int, ...]:
+        """Every alternative's score times `_scale`, indexed by alternative
+        index: the profile's tally for these points, scanned on first use."""
         self._check_profile(profile)
-        totals = [0] * len(self._points)
-        for order, count in profile.counts.items():
-            for alt, points in zip(order.ranking, self._points):
-                totals[alt.index] += count * points
+        totals = profile._tallies.get(self._points)
+        if totals is None:
+            sums = [0] * len(self._points)
+            for order, count in profile.counts.items():
+                for alt, points in zip(order.ranking, self._points):
+                    sums[alt.index] += count * points
+            totals = profile._tallies[self._points] = tuple(sums)
         return totals
 
     def scores(self, profile: Profile) -> dict[Alternative, Fraction]:
@@ -271,31 +282,47 @@ class ScoringRule(Rule):
         best = max(totals)
         return next(alt for alt in self.tiebreak.ranking if totals[alt.index] == best)
 
+    def lines(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> tuple[tuple[int, ...], list[int]]:
+        """The integer lines of a switch: every alternative's sincere total
+        times `_scale` and its change per `type_order` voter who votes
+        `order` instead, both indexed by alternative index.  After k
+        switchers alternative i scores `base[i] + k * step[i]`.
+
+        Set-up raises what `switch_votes` would for the switch.
+        """
+        _switch_check(profile, type_order, order)
+        return self._lines(profile, type_order, order)
+
     def _lines(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> tuple[list[int], list[int], Callable[[int], Alternative]]:
-        """Each alternative's sincere total and its change per switcher, both
-        in tie-break order, and the winner after k switchers: the first
-        maximum of `base + k * step`."""
-        totals = self._totals(profile)
-        change = [0] * len(totals)
+    ) -> tuple[tuple[int, ...], list[int]]:
+        """`lines` once the switch is checked."""
+        base = self._totals(profile)
+        step = [0] * len(base)
         for points, new, old in zip(self._points, order.ranking, type_order.ranking):
-            change[new.index] += points
-            change[old.index] -= points
+            step[new.index] += points
+            step[old.index] -= points
+        return base, step
+
+    def _winner_after(self, base: Sequence[int], step: Sequence[int]) -> Callable[[int], Alternative]:
+        """The winner after k switchers: the first maximum, in tie-break
+        order, of the lines `base + k * step`."""
         ranking = self.tiebreak.ranking
-        base, step = [totals[alt.index] for alt in ranking], [change[alt.index] for alt in ranking]
+        pairs = [(base[alt.index], step[alt.index]) for alt in ranking]
 
         def winner(k: int) -> Alternative:
-            scores = [b + k * d for b, d in zip(base, step)]
+            scores = [b + k * d for b, d in pairs]
             return ranking[scores.index(max(scores))]
 
-        return base, step, winner
+        return winner
 
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
         check = _switch_check(profile, type_order, order)
-        _, _, winner_after = self._lines(profile, type_order, order)
+        winner_after = self._winner_after(*self._lines(profile, type_order, order))
 
         def winner(coalition: VoterSet) -> Alternative:
             check(coalition)
@@ -306,9 +333,9 @@ class ScoringRule(Rule):
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Iterator[tuple[int, Alternative]]:
-        _switch_check(profile, type_order, order)  # for its set-up errors
-        count = len(voters_of_type(profile, type_order))
-        base, step, winner = self._lines(profile, type_order, order)
+        base, step = self.lines(profile, type_order, order)
+        count = profile.counts.get(type_order, 0)
+        winner = self._winner_after(base, step)
         # Two lines keep their order between integer k except across their
         # crossing c: a run can start at ceil(c), or at c, where the
         # tie-break decides, and at c + 1 when c is an integer.

@@ -32,7 +32,6 @@ is the independent check: it replays every certificate through
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import json
 import operator
@@ -200,8 +199,14 @@ def _moves(
     if rule.anonymous and not force_subsets:
         runs = rule.size_runs(profile, type_order, strategic_order)
         _, sincere = next(runs)
-        others = functools.cache(lambda: sorted(members - {voter}))
-        return sincere, runs, lambda k: frozenset((voter, *others()[: k - 1])), True
+        others: list[int] = []
+
+        def prefix(k: int) -> VoterSet:
+            if not others:
+                others.extend(sorted(members - {voter}))
+            return frozenset((voter, *others[: k - 1]))
+
+        return sincere, runs, prefix, True
     winner = rule.switched(profile, type_order, strategic_order)
     moves = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
     # `frozenset` of a coalition is the coalition itself.

@@ -287,6 +287,18 @@ class TestFigure:
         assert captured.err == "error: bad trajectory spec 'ABC:ACB:99'; KMAX 99 is outside 0..17, the TYPE count\n"
         assert run([*argv, "ABC:ACB:17"]) == cli.EXIT_OK
 
+    def test_negative_weight_draws_the_shifted_figure(self, files, capsys):
+        figures = []
+        for scores in ("0 0 -1", "1 1 0"):
+            rule = files["tmp"] / "rule.txt"
+            rule.write_text(f"rule: scoring\nscores: {scores}\ntiebreak: B > A > C\n")
+            argv = ["figure", "--profile", files["profile94"], "--rule", str(rule)]
+            assert run([*argv, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"]) == 0
+            figures.append(capsys.readouterr().out)
+        veto, shifted = figures
+        assert veto == shifted
+        assert 'class="realizable-region"' in veto and veto.count('class="region-boundary"') == 3
+
     def test_absent_type_fails(self, files, capsys):
         argv = ["figure", "--profile", files["profile4"], "--rule", files["plurality"], "--trajectory"]
         assert run([*argv, "ACB:CAB:99"]) == cli.EXIT_FAILURE

@@ -38,6 +38,7 @@ PROFILE_94 = Profile.from_counts(
     ]
 )
 BORDA_94 = borda(o("BAC"))
+GOLDEN_MOVES = [(o("ABC"), o("ACB"), 17), (o("ACB"), o("CAB"), 15)]
 
 
 class TestBarycentricPoint:
@@ -67,6 +68,11 @@ class TestEmbed:
     def test_zero_total_rejected(self):
         with pytest.raises(SafevoteError):
             embed({a: Fraction(0) for a in D3})
+
+    def test_negative_score_rejected(self):
+        # Scores that are all negative would land inside the simplex, inverted.
+        with pytest.raises(SafevoteError, match="negative"):
+            embed({a: Fraction(-1 - a.index) for a in D3})
 
     def test_wrong_arity_rejected(self):
         a, b, _ = D3.alternatives
@@ -159,6 +165,19 @@ class TestTrajectory:
         assert trajectory(rule, profile, type_order, strategic, k_max) == expected
 
 
+class TestFigureReadsTheTally:
+    def test_golden_arrows_build_no_profile(self, scanned, monkeypatch):
+        profile = scanned(PROFILE_94)
+        expected = figure_spec(BORDA_94, PROFILE_94, GOLDEN_MOVES)
+
+        def build(*args):
+            raise AssertionError("the figure built a switched profile")
+
+        monkeypatch.setattr(Profile, "__post_init__", build)
+        assert figure_spec(BORDA_94, profile, GOLDEN_MOVES) == expected
+        assert profile.counts.scans == 1
+
+
 class TestRealizableRegion:
     def test_borda_region_is_hexagon(self):
         region = realizable_region(borda(o("ABC")))
@@ -195,12 +214,7 @@ class TestRealizableRegion:
 
 class TestRenderSvg:
     def test_structure_with_two_trajectories(self):
-        spec = figure_spec(
-            BORDA_94,
-            PROFILE_94,
-            [(o("ABC"), o("ACB"), 17), (o("ACB"), o("CAB"), 15)],
-        )
-        svg = render_svg(spec)
+        svg = render_svg(figure_spec(BORDA_94, PROFILE_94, GOLDEN_MOVES))
         assert svg.startswith("<?xml")
         assert svg.count('class="trajectory"') == 2
         assert svg.count('class="base-point"') == 1
@@ -218,18 +232,50 @@ class TestRenderSvg:
         assert render_svg(spec) == render_svg(spec)
 
 
+def random_elections(low: int):
+    """300 seeded draws of a rule with weights in low..9 and a profile,
+    less those with the zero vector."""
+    rng = random.Random(2024)
+    orders = all_orders(D3)
+    for _ in range(300):
+        weights = tuple(sorted((rng.randint(low, 9) for _ in range(3)), reverse=True))
+        if weights == (0, 0, 0):
+            continue
+        rule = ScoringRule.from_ints(weights, rng.choice(orders))
+        profile = Profile.from_counts(
+            [(order, rng.randint(0, 8)) for order in orders] + [(orders[0], 1)]
+        )
+        yield rule, profile
+
+
 class TestGeometricAlgebraicAgreement:
     def test_region_matches_evaluate_on_random_profiles(self):
-        rng = random.Random(2024)
-        orders = all_orders(D3)
-        for _ in range(300):
-            weights = tuple(sorted((rng.randint(0, 9) for _ in range(3)), reverse=True))
-            if sum(weights) == 0:
-                continue
-            rule = ScoringRule.from_ints(weights, rng.choice(orders))
-            profile = Profile.from_counts(
-                [(order, rng.randint(0, 8)) for order in orders] + [(orders[0], 1)]
-            )
+        for rule, profile in random_elections(0):
             point = embed(scores(rule, profile))
+            assert point == figure_spec(rule, profile).base_point
             assert sum(point.coords) == 1
             assert region_of(point, rule.tiebreak) == rule.evaluate(profile)
+
+    def test_region_matches_evaluate_under_negative_weights(self):
+        for rule, profile in random_elections(-9):
+            point = figure_spec(rule, profile).base_point
+            assert region_of(point, rule.tiebreak) == rule.evaluate(profile)
+
+    def test_veto_with_a_negative_weight_names_the_winner(self):
+        profile = Profile.from_counts([(o("ABC"), 3), (o("BCA"), 1)])
+        veto = ScoringRule.from_ints((0, 0, -1), o("ABC"))
+        shifted = ScoringRule.from_ints((1, 1, 0), o("ABC"))
+        point = figure_spec(veto, profile).base_point
+        # A and C are vetoed once and three times: B wins, and C loses.
+        assert region_of(point, veto.tiebreak) == veto.evaluate(profile) == D3.by_label("B")
+        assert point == figure_spec(shifted, profile).base_point
+        assert realizable_region(veto) == realizable_region(shifted)
+        assert region_boundaries(veto) == region_boundaries(shifted)
+
+    def test_constant_negative_vector_stays_at_the_centre(self):
+        # w - min(w) would be the zero vector, which has no point at all.
+        profile = Profile.from_counts([(o("ABC"), 3), (o("BCA"), 1)])
+        constant = ScoringRule.from_ints((-1, -1, -1), o("CAB"))
+        point = figure_spec(constant, profile, [(o("ABC"), o("ACB"), 3)]).base_point
+        assert point.coords == (Fraction(1, 3),) * 3
+        assert region_of(point, constant.tiebreak) == constant.evaluate(profile) == D3.by_label("C")

@@ -291,6 +291,53 @@ def test_scoring_runs_match_the_prefix_walk(case):
     assert list(rule.size_runs(profile, type_order, target)) == list(Rule.size_runs(rule, profile, type_order, target))
 
 
+@st.composite
+def rules_over_one_domain(draw):
+    """Two or three scoring rules over one domain, drawn from one or two
+    points vectors and one or two tie-breaks, so that rules often share
+    points under another tie-break or another weight scale (points / s,
+    with s coprime to the points' gcd so that the points stay equal), or
+    share a tie-break but not their points."""
+    m = draw(st.integers(2, 4))
+    domain = Domain.of_size(m)
+    vector = st.lists(st.integers(-4, 4), min_size=m, max_size=m).map(lambda v: sorted(v, reverse=True))
+    vectors = draw(st.lists(vector, min_size=1, max_size=2))
+    tiebreaks = draw(st.lists(st.permutations(domain.alternatives), min_size=1, max_size=2))
+    rules = []
+    for _ in range(draw(st.integers(2, 3))):
+        points = draw(st.sampled_from(vectors))
+        scale = draw(st.integers(1, 6).filter(lambda s: math.gcd(s, *points) == 1))
+        tiebreak = LinearOrder(tuple(draw(st.sampled_from(tiebreaks))))
+        rules.append(ScoringRule(tuple(Fraction(p, scale) for p in points), tiebreak))
+    return rules
+
+
+@given(rules=rules_over_one_domain(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_tally_answers_as_a_fresh_profile(rules, data):
+    # One profile object answers interleaved questions under several score
+    # vectors; each answer must be the one a fresh equal profile gives.
+    orders = all_orders(rules[0].domain)
+    ballots = tuple(data.draw(st.lists(st.sampled_from(orders), min_size=1, max_size=30)))
+    shared = Profile(ballots)
+    for _ in range(data.draw(st.integers(2, 10))):
+        rule = data.draw(st.sampled_from(rules))
+        question = data.draw(st.sampled_from(["evaluate", "scores", "size_runs", "switched"]))
+        type_order = data.draw(st.sampled_from(shared.types_present()))
+        target = data.draw(st.sampled_from([L for L in orders if L != type_order]))
+        members = sorted(voters_of_type(shared, type_order))
+
+        def ask(profile):
+            if question in ("evaluate", "scores"):
+                return getattr(rule, question)(profile)
+            if question == "size_runs":
+                return list(rule.size_runs(profile, type_order, target))
+            winner = rule.switched(profile, type_order, target)
+            return [winner(frozenset(members[:k])) for k in range(len(members) + 1)]
+
+        assert ask(shared) == ask(Profile(ballots)), (question, rule)
+
+
 KERNEL_RULES = {
     "scoring": borda(ORDERS_3[0]),
     "table": random_table_rule(3, 3, 0),

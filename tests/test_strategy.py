@@ -37,6 +37,7 @@ from safevote.strategy import (
     NoIncentiveError,
     SafetyStatus,
     UnsafeKind,
+    analyze,
     classify_safety,
     construct_safe_from_endup,
     construct_safe_from_inferior,
@@ -442,6 +443,27 @@ class TestSizePathReadsRuns:
         monkeypatch.setattr(strategy, "_coalitions", kernel)
         for name, search in self.SEARCHES.items():
             assert search() == pinned[name], name
+
+
+class TestOneTallyPerScoreVector:
+    """Every question on one profile reads its one tally per score vector."""
+
+    def test_analyze_scans_the_ballots_once(self, scanned):
+        def report(analysis):
+            return analysis.winner, analysis.types, [c.to_json() for c in analysis.escapes]
+
+        profile = scanned(PROFILE_94)
+        assert report(analyze(BORDA_94, profile)) == report(analyze(BORDA_94, PROFILE_94))
+        assert profile.counts.scans == 1
+
+    def test_safety_scans_the_ballots_once(self, scanned):
+        profile = scanned(PROFILE_94)
+        verdict = classify_safety(BORDA_94, profile, 0, o("ACB"))
+        table = threshold_scan(BORDA_94, profile, o("ABC"), o("ACB"))
+        assert (verdict.kind, len(table)) == (UnsafeKind.OVERSHOOT, 18)
+        assert profile.counts.scans == 1
+        assert plurality(o("BAC")).evaluate(profile) == o("BAC").top
+        assert profile.counts.scans == 2
 
 
 class SubsetWalk(Rule):
