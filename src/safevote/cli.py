@@ -279,7 +279,8 @@ def cmd_figure(args) -> int:
     moves = []
     for raw in args.trajectory:
         parts = raw.split(":")
-        if len(parts) != 3 or not parts[2].isdecimal():
+        # ASCII digits only, as profile counts: `isdecimal` also takes other scripts' digits.
+        if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
             raise UsageError(f"bad trajectory spec {raw!r}; expected TYPE:STRATEGIC:KMAX, KMAX >= 0")
         type_order, strategic = (_order(part, profile.domain, "--trajectory") for part in parts[:2])
         if strategic == type_order:

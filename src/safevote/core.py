@@ -160,11 +160,18 @@ class LinearOrder:
 
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
-        """Build an order from a compact label string like "ACB"."""
+        """Build an order from a compact label string like "ACB".
+
+        The order's `domain` is the passed one: the length and permutation
+        checks make the two equal, so orders parsed against one domain
+        share it and domain checks between them are identity tests.
+        """
         ranking = tuple(domain.by_label(lab) for lab in labels)
         if len(ranking) != len(domain):
             raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
-        return cls(ranking)
+        order = cls(ranking)
+        object.__setattr__(order, "domain", domain)
+        return order
 
     @classmethod
     def from_string(cls, text: str, domain: Domain) -> "LinearOrder":
@@ -274,7 +281,7 @@ class Profile:
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
     """All voters whose ballot equals the given order (possibly empty)."""
-    if order.domain != profile.domain:
+    if order.domain is not profile.domain and order.domain != profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     return profile.grouped_view.get(order, frozenset())
 

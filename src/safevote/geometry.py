@@ -3,8 +3,10 @@
 Normalized scores of the three alternatives are a point of the standard
 2-simplex; the winner is the alternative whose coordinate is largest, so
 winner regions partition the simplex and coordinated switching traces a
-straight trajectory through them.  All coordinates are exact rationals;
-floats appear only when SVG coordinates are formatted.
+straight trajectory through them.  The region and boundary geometry runs
+on integer coordinates over one common scale S per score vector (a point
+is (c1, c2, c3) / S); the public functions return exact `Fraction`s, and
+floats appear only in SVG text, as c / S.
 
 Points come from the rule's integer lines (`ScoringRule.lines`): the
 profile's sincere totals, read from its one tally per score vector, and
@@ -46,6 +48,14 @@ class BarycentricPoint:
             raise ValueError(f"barycentric coordinates must sum to 1, got {self}")
         if min(self.x1, self.x2, self.x3) < 0:
             raise ValueError(f"barycentric coordinates must be non-negative, got {self}")
+
+    @classmethod
+    def _on_simplex(cls, x1: Fraction, x2: Fraction, x3: Fraction) -> "BarycentricPoint":
+        """A point whose caller has shown that it lies on the simplex, built
+        without `__post_init__`'s Fraction sum and comparisons."""
+        point = object.__new__(cls)
+        point.__dict__.update(x1=x1, x2=x2, x3=x3)
+        return point
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -104,7 +114,10 @@ def trajectory(
     The points are read off the rule's integer lines: after k switchers
     alternative i sits at `(base[i] + k * step[i]) / sum(base)`, in which
     the weights' common scale cancels.  A negative weight is shifted away
-    first, as in `figure_spec`.
+    first, as in `figure_spec`.  The simplex invariant is checked once, on
+    the lines: steps that sum to 0 keep every point's sum at 1, and lines
+    linear in k that are non-negative at k = 0 and k = k_max are so at
+    every k in between.
     """
     if len(rule.domain) != 3:
         raise SafevoteError("trajectories are defined for three alternatives")
@@ -117,7 +130,10 @@ def trajectory(
     total = sum(base)
     if total == 0:
         raise SafevoteError("cannot embed an all-zero score map")
-    return [BarycentricPoint(*(Fraction(b + k * d, total) for b, d in zip(base, step))) for k in range(k_max + 1)]
+    if sum(step) or min(*base, *(b + k_max * d for b, d in zip(base, step))) < 0:
+        raise SafevoteError(f"trajectory lines {base} + k * {step} leave the simplex for k in 0..{k_max}")
+    point = BarycentricPoint._on_simplex
+    return [point(*(Fraction(b + k * d, total) for b, d in zip(base, step))) for k in range(k_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -147,33 +163,72 @@ def figure_spec(
 
 
 # ---------------------------------------------------------------------------
-# Region and boundary computation (exact, in barycentric coordinates)
+# Region and boundary computation (exact, in integers over a common scale)
 # ---------------------------------------------------------------------------
 
 Bary = tuple[Fraction, Fraction, Fraction]
 
+#: A simplex point as integer coordinates over the region's scale S: the
+#: point (c1, c2, c3) / S.
+Tri = tuple[int, int, int]
 
-def _clip(polygon: list[Bary], f: Callable[[Bary], Fraction]) -> list[Bary]:
-    """Sutherland-Hodgman clip of a convex polygon against f(x) <= 0."""
+
+def _clip(polygon: list[Tri], f: Callable[[Tri], int]) -> list[Tri]:
+    """Sutherland-Hodgman clip of a convex polygon against f(x) <= 0, for
+    an affine f.  An edge from p to q crosses f = 0 at
+    (fp * q - fq * p) / (fp - fq); a crossing off the integer grid raises
+    SafevoteError instead of being rounded."""
     if not polygon:
         return []
-    result: list[Bary] = []
+    result: list[Tri] = []
     for i, p in enumerate(polygon):
         q = polygon[(i + 1) % len(polygon)]
         fp, fq = f(p), f(q)
         if fp <= 0:
             result.append(p)
         if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            result.append(tuple(p[j] + t * (q[j] - p[j]) for j in range(3)))  # type: ignore[arg-type]
+            crossing = [divmod(fp * b - fq * a, fp - fq) for a, b in zip(p, q)]
+            if any(r for _, r in crossing):
+                raise SafevoteError(f"edge {p}-{q} crosses the clip line off the integer grid")
+            result.append(tuple(c for c, _ in crossing))  # type: ignore[arg-type]
     # Drop consecutive duplicates introduced by on-boundary vertices.
-    deduped: list[Bary] = []
+    deduped: list[Tri] = []
     for p in result:
         if not deduped or p != deduped[-1]:
             deduped.append(p)
     if len(deduped) > 1 and deduped[0] == deduped[-1]:
         deduped.pop()
     return deduped
+
+
+def _region(rule: ScoringRule) -> tuple[list[Tri], int]:
+    """`realizable_region` as integer vertices, with its scale S.
+
+    With p the rule's integer points (after the negative-weight shift),
+    every vertex of the region and of its boundary segments is where two
+    of the lines x_a = p_min / sum(p), x_a = p_max / sum(p) and x_a = x_b
+    cross on the simplex.  Two bounds leave 1 - c1 - c2 for the third
+    coordinate, a bound and x_a = x_b give c, c, 1 - 2c or c and twice
+    (1 - c) / 2, and two equalities give the centre's 1/3: multiples of
+    1 / (6 * sum(p)) all, so S = 6 * sum(p) puts each on the integer grid.
+    """
+    if len(rule.domain) != 3:
+        raise SafevoteError("realizable region is defined for three alternatives")
+    points = _nonnegative(rule)._points
+    total = sum(points)
+    if total == 0:
+        raise SafevoteError("score vector sums to zero; region undefined")
+    scale = 6 * total
+    lo, hi = 6 * min(points), 6 * max(points)
+    polygon: list[Tri] = [(scale, 0, 0), (0, scale, 0), (0, 0, scale)]
+    for i in range(3):
+        polygon = _clip(polygon, lambda x, i=i: x[i] - hi)
+        polygon = _clip(polygon, lambda x, i=i: lo - x[i])
+    return polygon, scale
+
+
+def _exact(vertex: Tri, scale: int) -> Bary:
+    return tuple(Fraction(c, scale) for c in vertex)  # type: ignore[return-value]
 
 
 def realizable_region(rule: ScoringRule) -> list[Bary]:
@@ -185,20 +240,8 @@ def realizable_region(rule: ScoringRule) -> list[Bary]:
     the region (a hexagon for Borda-type vectors).  A negative weight is
     shifted away first, as in `figure_spec`.
     """
-    if len(rule.domain) != 3:
-        raise SafevoteError("realizable region is defined for three alternatives")
-    weights = _nonnegative(rule).weights
-    total = sum(weights)
-    if total == 0:
-        raise SafevoteError("score vector sums to zero; region undefined")
-    lo = min(weights) / total
-    hi = max(weights) / total
-    one = Fraction(1)
-    polygon: list[Bary] = [(one, Fraction(0), Fraction(0)), (Fraction(0), one, Fraction(0)), (Fraction(0), Fraction(0), one)]
-    for i in range(3):
-        polygon = _clip(polygon, lambda x, i=i: x[i] - hi)
-        polygon = _clip(polygon, lambda x, i=i: lo - x[i])
-    return polygon
+    region, scale = _region(rule)
+    return [_exact(vertex, scale) for vertex in region]
 
 
 def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
@@ -208,12 +251,13 @@ def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
     realizable region: clipping by x_i <= x_j and then x_j <= x_i leaves
     the points on the line.  Degenerate (point or empty) loci are dropped.
     """
-    return _boundaries(realizable_region(rule))
+    region, scale = _region(rule)
+    return [(_exact(a, scale), _exact(b, scale)) for a, b in _boundaries(region)]
 
 
-def _boundaries(region: list[Bary]) -> list[tuple[Bary, Bary]]:
-    """`region_boundaries` of a rule whose realizable region is given."""
-    segments: list[tuple[Bary, Bary]] = []
+def _boundaries(region: list[Tri]) -> list[tuple[Tri, Tri]]:
+    """`region_boundaries` of a rule whose integer region is given."""
+    segments: list[tuple[Tri, Tri]] = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         k = 3 - i - j
         poly = _clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
@@ -234,7 +278,7 @@ HEIGHT = 440.0
 _MARGIN = 40.0
 
 
-def _to_xy(point: Bary) -> tuple[float, float]:
+def _to_xy(point: Sequence[float | Fraction]) -> tuple[float, float]:
     """Figure convention: first vertex bottom-left, second bottom-right,
     third at the top."""
     side = WIDTH - 2 * _MARGIN
@@ -264,10 +308,11 @@ def render_svg(spec: FigureSpec) -> str:
     Emits the simplex outline, the realizable-region polygon, the
     equal-score boundary polylines, the base score point, and one arrow
     per trajectory.  Identical specs produce byte-identical documents.
+
+    Region vertices are placed at c / S: int true division is correctly
+    rounded, so it equals `float(Fraction(c, S))` bit for bit.
     """
-    one = Fraction(1)
-    zero = Fraction(0)
-    corners: list[Bary] = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    corners: list[Tri] = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     lines: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
@@ -278,10 +323,14 @@ def render_svg(spec: FigureSpec) -> str:
         "</marker>",
         "</defs>",
     ]
-    region = realizable_region(spec.rule)
+    region, scale = _region(spec.rule)
+
+    def xy(vertex: Tri) -> tuple[float, float]:
+        return _to_xy([c / scale for c in vertex])
+
     if region:
         lines.append(
-            f'<path class="realizable-region" d="{_path([_to_xy(p) for p in region], close=True)}" '
+            f'<path class="realizable-region" d="{_path([xy(p) for p in region], close=True)}" '
             'fill="#d9d9d9" stroke="none"/>'
         )
     lines.append(
@@ -290,7 +339,7 @@ def render_svg(spec: FigureSpec) -> str:
     )
     for a, b in _boundaries(region):
         lines.append(
-            f'<path class="region-boundary" d="{_path([_to_xy(a), _to_xy(b)])}" '
+            f'<path class="region-boundary" d="{_path([xy(a), xy(b)])}" '
             'fill="none" stroke="black" stroke-width="0.8"/>'
         )
     for arrow in spec.trajectories:

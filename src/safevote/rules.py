@@ -176,7 +176,7 @@ class Rule:
         return hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
 
     def _check_profile(self, profile: Profile) -> None:
-        if profile.domain != self.domain:
+        if profile.domain is not self.domain and profile.domain != self.domain:
             raise DomainMismatchError(
                 f"profile over {profile.domain.labels} fed to rule over {self.domain.labels}"
             )
@@ -189,7 +189,7 @@ def _switch_check(
 ) -> Callable[[VoterSet], None]:
     """Set-up checks of a switch kernel, and its per-coalition check: a
     subset of the type's voters, so in range and of one type."""
-    if order.domain != profile.domain:
+    if order.domain is not profile.domain and order.domain != profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if order == type_order:
         raise EditError(f"coalition already votes {order.compact}")

@@ -451,6 +451,8 @@ class TestErrors:
             ["safety", "--type", "ABD", "--strategic", "ACB"],
             ["figure", "--trajectory", "ABC:ACB:x"],
             ["figure", "--trajectory", "ABC:ACB:-1"],
+            ["figure", "--trajectory", "ABC:ACB:\u0663"],
+            ["figure", "--trajectory", "ABC:ACB:\uff13"],
             ["figure", "--trajectory", "ABC:ABC:3"],
             ["verify", "--n", "0", "--samples", "3", "--seed", "1"],
             ["verify", "--samples", "-3", "--seed", "1"],
@@ -462,7 +464,8 @@ class TestErrors:
         ],
         ids=[
             "type-label-outside-domain", "trajectory-kmax-not-integer",
-            "trajectory-kmax-negative", "trajectory-strategic-equal-to-type", "verify-n-0",
+            "trajectory-kmax-negative", "trajectory-kmax-arabic-indic-digit", "trajectory-kmax-fullwidth-digit",
+            "trajectory-strategic-equal-to-type", "verify-n-0",
             "verify-negative-samples", "verify-m-2", "verify-budget-0", "verify-past-the-enumeration-bound",
             "verify-m-27", "verify-n-1e9",
         ],
@@ -607,3 +610,21 @@ class TestGoldenOutputs:
         argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"]]
         assert run([*argv, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "figure_borda94.svg").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "scores, tiebreak, moves, golden",
+        [
+            ("1 0 0", "A > B > C", ["ABC:BCA:17", "CAB:ACB:14"], "figure_plurality.svg"),
+            ("1 1 0", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_2approval.svg"),
+            ("3/2 1/2 -1", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_fraction_negative.svg"),
+        ],
+        ids=["plurality-triangle", "2-approval-triangle", "fraction-and-negative-weights"],
+    )
+    def test_more_figures_match_golden(self, files, capsys, scores, tiebreak, moves, golden):
+        # Regions unlike the Borda hexagon: the whole simplex, a triangle, and
+        # a vector that is shifted and scaled before it is clipped.
+        rule = files["tmp"] / "rule.txt"
+        rule.write_text(f"rule: scoring\nscores: {scores}\ntiebreak: {tiebreak}\n")
+        arrows = [arg for move in moves for arg in ("--trajectory", move)]
+        assert run(["figure", "--profile", files["profile94"], "--rule", str(rule), *arrows]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -88,6 +88,17 @@ class TestLinearOrder:
         with pytest.raises(DomainMismatchError):
             LinearOrder.from_labels("AB", D3)
 
+    def test_parsed_orders_carry_their_domain(self):
+        # A parsed profile's ballots share one domain object, so domain
+        # checks between them are identity tests; an order built from its
+        # ranking alone gets an equal domain of its own.
+        profile = parse_profile("alternatives: A B C\n2: A > B > C\n1: C > B > A\n")
+        assert all(order.domain is profile.domain for order in profile.orders)
+        assert o("CAB").domain is D3
+        plain = LinearOrder(o("CBA").ranking)
+        assert plain.domain == D3 and plain.domain is not D3
+        assert voters_of_type(profile, plain) == frozenset({2})
+
     def test_duplicate_entry_rejected(self):
         a = D3.by_label("A")
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from safevote import geometry
 from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
 from safevote.geometry import (
     BarycentricPoint,
@@ -151,6 +152,22 @@ class TestTrajectory:
                         expected = per_k_trajectory(BORDA_94, PROFILE_94, type_order, strategic, k_max)
                         assert trajectory(BORDA_94, PROFILE_94, type_order, strategic, k_max) == expected
 
+    @pytest.mark.parametrize(
+        "lines, k_max, ok",
+        [(((3, 3, 3), [1, 0, 0]), 1, False), (((3, 3, 3), [-1, 1, 0]), 3, True), (((3, 3, 3), [-1, 1, 0]), 4, False)],
+        ids=["steps-not-summing-to-zero", "last-point-on-an-edge", "last-point-off-the-simplex"],
+    )
+    def test_simplex_invariant_checked_on_the_lines(self, monkeypatch, lines, k_max, ok):
+        # Lines a scoring rule cannot produce, to reach the one check that
+        # replaces every point's own.
+        monkeypatch.setattr(ScoringRule, "lines", lambda *args: lines)
+        profile = Profile.from_counts([(o("ABC"), 4)])
+        if ok:
+            assert trajectory(BORDA_94, profile, o("ABC"), o("BAC"), k_max)[-1].coords == (0, Fraction(2, 3), Fraction(1, 3))
+        else:
+            with pytest.raises(SafevoteError, match="leave the simplex"):
+                trajectory(BORDA_94, profile, o("ABC"), o("BAC"), k_max)
+
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_per_k_rebuild(self, data):
@@ -210,6 +227,105 @@ class TestRealizableRegion:
         for (i, j), (a, b) in zip(pairs, segments):
             assert a[i] == a[j]
             assert b[i] == b[j]
+
+
+def fraction_clip(polygon, f):
+    """The oracle clip: Sutherland-Hodgman against f(x) <= 0 in Fractions."""
+    if not polygon:
+        return []
+    result = []
+    for i, p in enumerate(polygon):
+        q = polygon[(i + 1) % len(polygon)]
+        fp, fq = f(p), f(q)
+        if fp <= 0:
+            result.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            t = fp / (fp - fq)
+            result.append(tuple(p[j] + t * (q[j] - p[j]) for j in range(3)))
+    deduped = []
+    for p in result:
+        if not deduped or p != deduped[-1]:
+            deduped.append(p)
+    if len(deduped) > 1 and deduped[0] == deduped[-1]:
+        deduped.pop()
+    return deduped
+
+
+def fraction_region(rule):
+    """The oracle `realizable_region`: the simplex clipped in Fractions."""
+    if len(rule.domain) != 3:
+        raise SafevoteError("realizable region is defined for three alternatives")
+    weights = geometry._nonnegative(rule).weights
+    total = sum(weights)
+    if total == 0:
+        raise SafevoteError("score vector sums to zero; region undefined")
+    lo, hi = min(weights) / total, max(weights) / total
+    one, zero = Fraction(1), Fraction(0)
+    polygon = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    for i in range(3):
+        polygon = fraction_clip(polygon, lambda x, i=i: x[i] - hi)
+        polygon = fraction_clip(polygon, lambda x, i=i: lo - x[i])
+    return polygon
+
+
+def fraction_boundaries(rule):
+    """The oracle `region_boundaries`, clipped in Fractions."""
+    region, segments = fraction_region(rule), []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        k = 3 - i - j
+        poly = fraction_clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
+        on_line = fraction_clip(fraction_clip(poly, lambda x: x[i] - x[j]), lambda x: x[j] - x[i])
+        unique = sorted(set(on_line))
+        if len(unique) >= 2:
+            segments.append((unique[0], unique[-1]))
+    return segments
+
+
+def outcome(function, rule):
+    """What `function(rule)` returns, or the type and text of its error."""
+    try:
+        return function(rule)
+    except SafevoteError as exc:
+        return type(exc), str(exc)
+
+
+WEIGHT = st.one_of(st.integers(-30, 30), st.fractions(-5, 5, max_denominator=12))
+
+
+class TestIntegerGeometry:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_clip(self, data):
+        weights = sorted(data.draw(st.lists(WEIGHT, min_size=3, max_size=3)), reverse=True)
+        shape = data.draw(st.sampled_from(["any", "constant", "zero"]))
+        if shape != "any":
+            weights = [weights[0] if shape == "constant" else 0] * 3
+        rule = ScoringRule(tuple(weights), LinearOrder(tuple(data.draw(st.permutations(D3.alternatives)))))
+        region = outcome(realizable_region, rule)
+        assert region == outcome(fraction_region, rule)
+        assert outcome(region_boundaries, rule) == outcome(fraction_boundaries, rule)
+        if isinstance(region, list):
+            assert all(type(c) is Fraction for point in region for c in point)
+
+    def test_zero_vector_and_four_alternatives_fail_as_the_oracle(self):
+        zero = ScoringRule.from_ints((0, 0, 0), o("ABC"))
+        four = borda(LinearOrder.from_labels("ABCD", Domain.from_labels("ABCD")))
+        for rule in (zero, four):
+            for function, oracle in ((realizable_region, fraction_region), (region_boundaries, fraction_boundaries)):
+                assert outcome(function, rule) == outcome(oracle, rule)
+                assert outcome(function, rule)[0] is SafevoteError
+
+    @given(c=st.integers(-(10**80), 10**80), scale=st.integers(1, 10**60))
+    def test_true_division_is_the_fraction_float(self, c, scale):
+        # `render_svg` places a vertex at c / S instead of float(Fraction(c, S)).
+        assert c / scale == float(Fraction(c, scale))
+
+    def test_off_grid_crossing_raises(self):
+        # The edge (2, 0, 0)-(0, 2, 0) crosses 3 * x0 = 2 at (2/3, 4/3, 0).
+        triangle = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        with pytest.raises(SafevoteError, match="off the integer grid"):
+            geometry._clip(triangle, lambda x: 3 * x[0] - 2)
+        assert geometry._clip(triangle, lambda x: x[0] - 1) == [(1, 1, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1)]
 
 
 class TestRenderSvg:
