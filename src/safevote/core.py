@@ -55,6 +55,19 @@ class Alternative:
             raise ValueError(f"alternative index {self.index} out of range")
         if len(self.label) != 1 or self.label not in _LABELS + _LABELS.lower():
             raise ValueError(f"alternative label {self.label!r} must be a single letter")
+        # From the index alone, so the hash is the same in every process;
+        # equal alternatives have equal indices, so it agrees with equality.
+        object.__setattr__(self, "_hash", hash(self.index))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and self.label == other.label
 
     def __str__(self) -> str:
         return self.label
@@ -100,8 +113,15 @@ class Domain:
 
     @cached_property
     def _orders(self) -> tuple[LinearOrder, ...]:
-        """The m! orders over the domain, built once, lexicographic by labels."""
-        return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
+        """The m! orders over the domain, built once, lexicographic by labels.
+
+        Each order's `domain` is this domain, as `LinearOrder.from_labels`
+        sets it, so domain checks between interned orders are identity tests.
+        """
+        orders = tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
+        for order in orders:
+            object.__setattr__(order, "domain", self)
+        return orders
 
     # Order ids: an order's position in `_orders`, the digit a table rule's
     # profile encoding gives it.  `_tops` and `_bottoms` are indexed by id
@@ -227,13 +247,18 @@ class Profile:
     #: Ballot count per type, in first-appearance order.
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
 
+    #: The profile's index in a table rule's winners (`rules.encode_profile`),
+    #: set by `TableRule` on first use.  Equal domains give equal order ids,
+    #: so one index serves every table rule the profile fits.
+    _table_index: int | None = field(default=None, init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not self.orders:
             raise ValueError("a profile needs at least one voter")
         counts = dict(Counter(self.orders))
         d = self.orders[0].domain
         for o in counts:
-            if o.domain != d:
+            if o.domain is not d and o.domain != d:
                 raise DomainMismatchError("all ballots in a profile must share one domain")
         object.__setattr__(self, "counts", counts)
 
@@ -292,7 +317,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     The coalition must be of one type, and that type must differ from the
     strategic order; everyone outside the coalition is untouched.
     """
-    if order.domain != profile.domain:
+    if order.domain is not profile.domain and order.domain != profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if not voters:
         return profile

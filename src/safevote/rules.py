@@ -17,10 +17,12 @@ or weight scale.
 through: the winner once a coalition of one type votes another order,
 found as a delta from the sincere profile with no `Profile` built.  A
 scoring rule reads its integer lines (`ScoringRule.lines`): the sincere
-totals plus k times the per-alternative points change.  A table rule adds
-each switcher's digit change to the sincere profile's table index.  The
-default kernel replays the switch through `switch_votes` and `evaluate`,
-which stay the object path and the oracle.
+totals plus k times the per-alternative points change, and scores each
+coalition size once per set-up: later coalitions of a size it has met cost
+their membership check and one lookup.  A table rule adds each switcher's
+place value times the digit change to the sincere profile's table index.
+The default kernel replays the switch through `switch_votes` and
+`evaluate`, which stay the object path and the oracle.
 `Rule.solo_switches` is the pivot kernel beside it: every single voter's
 switch to every other order, asked once per profile.
 
@@ -34,8 +36,10 @@ scores at most m(m-1)+1 switch counts, whatever the type's count.
 
 Table rules work on order ids: an order's position in the domain's
 `_orders`, read from id tables interned on the standard `Domain` (order to
-id, and each id's top and bottom alternative).  The pivot kernel encodes
-the profile once and reads `winners[base + (id - digit) * R^(n-1-v)]`; the
+id, and each id's top and bottom alternative).  The interned orders share
+that `Domain` instance as their `domain`, so domain checks between them
+are identity tests.  A profile keeps its table index once encoded, and the
+pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`; the
 predicate report walks digit tuples beside the winner ids and decodes a
 `Profile` only for the antagonism witness it reports.
 """
@@ -323,10 +327,17 @@ class ScoringRule(Rule):
     ) -> Callable[[VoterSet], Alternative]:
         check = _switch_check(profile, type_order, order)
         winner_after = self._winner_after(*self._lines(profile, type_order, order))
+        # Coalition size to winner, filled as sizes come up: a subset walk
+        # scores each size once, and a walk that asks few sizes scores few.
+        by_size: dict[int, Alternative] = {}
 
         def winner(coalition: VoterSet) -> Alternative:
             check(coalition)
-            return winner_after(len(coalition))
+            k = len(coalition)
+            found = by_size.get(k)
+            if found is None:
+                found = by_size[k] = winner_after(k)
+            return found
 
         return winner
 
@@ -446,8 +457,15 @@ class TableRule(Rule):
             raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
 
     def _encode(self, profile: Profile) -> int:
+        """The profile's table index, kept on the profile once encoded.
+        The rule's order ids encode it, so a profile of orders that carry
+        their own equal domain never builds that domain's order table."""
         self._check_profile(profile)
-        return encode_profile(profile, self.domain._order_ids)
+        index = profile._table_index
+        if index is None:
+            index = encode_profile(profile, self.domain._order_ids)
+            object.__setattr__(profile, "_table_index", index)
+        return index
 
     def evaluate(self, profile: Profile) -> Alternative:
         return self.winners[self._encode(profile)]
@@ -459,13 +477,14 @@ class TableRule(Rule):
         base = self._encode(profile)
         ids = self.domain._order_ids
         step = ids[order] - ids[type_order]
+        # Voter v is the digit of place value radix^(n-1-v).
         radix, last = len(ids), self.n - 1
+        places = [radix ** (last - v) for v in range(self.n)]
         winners = self.winners
 
         def winner(coalition: VoterSet) -> Alternative:
             check(coalition)
-            # Voter v is the digit of place value radix^(n-1-v).
-            return winners[base + step * sum(radix ** (last - v) for v in coalition)]
+            return winners[base + step * sum(places[v] for v in coalition)]
 
         return winner
 
@@ -526,9 +545,7 @@ class SubRule(Rule):
         return self.parent.n
 
     def _lift_order(self, order: LinearOrder) -> LinearOrder:
-        parent_domain = self.parent.domain
-        lifted = tuple(parent_domain.by_label(a.label) for a in order.ranking)
-        return LinearOrder(lifted + (self.removed,))
+        return LinearOrder.from_labels(order.compact + self.removed.label, self.parent.domain)
 
     def evaluate(self, profile: Profile) -> Alternative:
         self._check_profile(profile)

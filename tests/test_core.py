@@ -1,5 +1,6 @@
 """Unit tests for the ballot-domain vocabulary."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from safevote.core import (
     switch_votes,
     voters_of_type,
 )
+from safevote.rules import all_profiles, decode_profile, encode_profile, random_table_rule
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -66,6 +68,35 @@ class TestDomain:
         assert Alternative(0, "A") in D3
         assert Alternative(3, "D") not in D3
         assert "A" not in D3
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_interned_orders_share_their_domain(self, m):
+        domain = Domain.of_size(m)
+        assert all(order.domain is domain for order in domain._orders)
+
+    def test_interned_orders_of_a_labelled_domain_share_it(self):
+        domain = Domain.from_labels("QZX")
+        assert all(order.domain is domain for order in all_orders(domain))
+        profile = Profile(tuple(all_orders(domain)))
+        assert profile.domain is domain
+        assert switch_votes(profile, frozenset({0}), all_orders(domain)[1]).domain is domain
+
+
+class TestAlternative:
+    def test_equal_alternatives_hash_equal(self):
+        a, b = Alternative(2, "C"), Alternative(2, "C")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, D3.by_label("C"), Domain.of_size(3).alternatives[2]}) == 1
+
+    def test_same_index_different_label_unequal(self):
+        assert Alternative(1, "B") != Alternative(1, "X")
+        assert Alternative(1, "B") not in {Alternative(1, "X")}
+        assert Alternative(1, "B") != (1, "B")
+
+    def test_order_by_index_then_label(self):
+        alts = [Alternative(2, "A"), Alternative(0, "C"), Alternative(2, "B")]
+        assert sorted(alts) == [Alternative(0, "C"), Alternative(2, "A"), Alternative(2, "B")]
 
 
 class TestLinearOrder:
@@ -134,8 +165,8 @@ class TestLinearOrder:
 
     def test_hash_is_the_same_in_every_process(self):
         code = (
-            "from safevote.core import Domain, LinearOrder;"
-            "print(hash(LinearOrder.from_labels('CAEBD', Domain.of_size(5))))"
+            "from safevote.core import Alternative, Domain, LinearOrder;"
+            "print(hash(LinearOrder.from_labels('CAEBD', Domain.of_size(5))), hash(Alternative(3, 'D')))"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         hashes = {
@@ -146,7 +177,7 @@ class TestLinearOrder:
             ).stdout
             for seed in ("1", "2")
         }
-        assert hashes == {f"{hash(o('CAEBD', D5))}\n"}
+        assert hashes == {f"{hash(o('CAEBD', D5))} {hash(Alternative(3, 'D'))}\n"}
 
 
 class TestProfile:
@@ -251,6 +282,46 @@ class TestSwitchVotes:
     def test_domain_mismatch_rejected(self):
         with pytest.raises(DomainMismatchError):
             switch_votes(PROFILE_2, frozenset({0}), o("ABCDE", D5))
+
+
+class TestTableIndex:
+    """The index a table rule keeps on a profile is the table encoding."""
+
+    @staticmethod
+    def assert_kept_index_is_the_encoding(rule, profile):
+        assert profile._table_index is None
+        index = encode_profile(profile, D3._order_ids)
+        assert decode_profile(index, profile.n, all_orders(D3)) == profile
+        assert rule.evaluate(profile) == rule.winners[index]
+        assert profile._table_index == index
+
+    def test_every_two_voter_profile(self):
+        rule = random_table_rule(2, 3, 5)
+        for profile in all_profiles(Domain.of_size(3), 2):
+            self.assert_kept_index_is_the_encoding(rule, profile)
+        # Over an equal domain built apart from the rule's.
+        for index in range(36):
+            self.assert_kept_index_is_the_encoding(rule, decode_profile(index, 2, all_orders(D3)))
+
+    def test_orders_built_directly(self):
+        # Each order carries its own equal domain; the rule's ids encode the
+        # profile, so that domain never builds its order table.
+        rule = random_table_rule(2, 3, 5)
+        for first, second in itertools.product(all_orders(D3), repeat=2):
+            profile = Profile((LinearOrder(first.ranking), LinearOrder(second.ranking)))
+            self.assert_kept_index_is_the_encoding(rule, profile)
+            assert "_orders" not in profile.domain.__dict__
+
+    def test_switched_profiles(self):
+        rule = random_table_rule(2, 3, 5)
+        orders = Domain.of_size(3)._orders
+        for profile in all_profiles(Domain.of_size(3), 2):
+            rule.evaluate(profile)
+            for order, voters in profile.grouped_view.items():
+                for target in orders:
+                    if target != order:
+                        for coalition in (voters, frozenset({min(voters)})):
+                            self.assert_kept_index_is_the_encoding(rule, switch_votes(profile, coalition, target))
 
 
 class TestProfileText:

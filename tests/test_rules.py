@@ -1,12 +1,14 @@
 """Unit tests for scoring rules, table rules, predicates, and derived rules."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safevote import rules
-from safevote.core import Domain, LinearOrder, Profile, all_orders, completely_agreed
+from safevote.core import Domain, EditError, LinearOrder, Profile, all_orders, completely_agreed, voters_of_type
 from safevote.rules import (
     AntagonismError,
     Rule,
@@ -33,6 +35,7 @@ from safevote.rules import (
     subrule_minus,
     two_voter_reduction,
 )
+from safevote.strategy import _ObjectPath
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -419,6 +422,42 @@ class TestPivotKernel:
             list(rule.solo_switches(Profile((o("ABC"), o("BCA"))), all_orders(D5)))
         with pytest.raises(DomainMismatchError):
             list(rule.solo_switches(Profile((o("ABC"),) * 3), all_orders(D3)))
+
+
+@st.composite
+def scoring_switch_setups(draw):
+    """(rule, profile, type, strategic order): a scoring rule over 3 or 4
+    alternatives with fractional weights, a profile of 1 to 12 voters, a
+    type present in it and an order other than the type."""
+    m = draw(st.sampled_from((3, 4)))
+    orders = all_orders(Domain.of_size(m))
+    weights = sorted(draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=m, max_size=m)), reverse=True)
+    rule = ScoringRule(tuple(weights), draw(st.sampled_from(orders)))
+    profile = Profile(tuple(draw(st.lists(st.sampled_from(orders), min_size=1, max_size=12))))
+    type_order = draw(st.sampled_from(profile.types_present()))
+    return rule, profile, type_order, draw(st.sampled_from([L for L in orders if L != type_order]))
+
+
+class TestScoringSizeMemo:
+    """`ScoringRule.switched` scores each coalition size once per set-up
+    and still checks every coalition it is given."""
+
+    @given(setup=scoring_switch_setups(), rng=st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_every_subset_in_any_order_matches_the_object_path(self, setup, rng):
+        rule, profile, type_order, target = setup
+        members = sorted(voters_of_type(profile, type_order))
+        walk = [frozenset(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)]
+        rng.shuffle(walk)
+        kernel = rule.switched(profile, type_order, target)
+        oracle = _ObjectPath(rule).switched(profile, type_order, target)
+        for coalition in walk:
+            assert kernel(coalition) == oracle(coalition)
+        # Every size is known now; a coalition of a known size that reaches
+        # outside the type (or past the last voter) is still refused.
+        outsider = next((v for v in range(profile.n) if v not in members), profile.n)
+        with pytest.raises(EditError):
+            kernel(frozenset(members[1:]) | {outsider})
 
 
 class TestTwoVoterReduction:
