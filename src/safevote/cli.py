@@ -24,7 +24,9 @@ import random
 import sys
 import time
 
-from safevote.core import MAX_ALTERNATIVES, Domain, LinearOrder, ParseError, SafevoteError, parse_profile, voters_of_type
+from safevote.core import (
+    MAX_ALTERNATIVES, Domain, LinearOrder, ParseError, SafevoteError, parse_profile, read_text, voters_of_type
+)
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
 from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, enumerable_size, parse_rule, random_table_rule, scores
@@ -117,11 +119,9 @@ def _json_dumps(payload) -> str:
 
 
 def _load(args):
-    with open(args.profile, encoding="utf-8") as fh:
-        profile = parse_profile(fh.read())
-    with open(args.rule, encoding="utf-8") as fh:
-        rule = parse_rule(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.rule)))
-    if profile.domain != rule.domain:
+    profile = parse_profile(read_text(args.profile))
+    rule = parse_rule(read_text(args.rule), base_dir=os.path.dirname(os.path.abspath(args.rule)))
+    if profile.domain is not rule.domain:
         raise UsageError(f"profile over {profile.domain.labels} does not match rule over {rule.domain.labels}")
     if rule.n is not None and profile.n != rule.n:
         raise UsageError(f"rule expects {rule.n} voters, profile has {profile.n}")

@@ -53,8 +53,9 @@ class Alternative:
     def __post_init__(self) -> None:
         if not (0 <= self.index < MAX_ALTERNATIVES):
             raise ValueError(f"alternative index {self.index} out of range")
-        if len(self.label) != 1 or self.label not in _LABELS + _LABELS.lower():
-            raise ValueError(f"alternative label {self.label!r} must be a single letter")
+        # Capitals only: `Domain.by_label` upper-cases its query.
+        if len(self.label) != 1 or self.label not in _LABELS:
+            raise ValueError(f"alternative label {self.label!r} must be a single letter A-Z")
         # From the index alone, so the hash is the same in every process;
         # equal alternatives have equal indices, so it agrees with equality.
         object.__setattr__(self, "_hash", hash(self.index))
@@ -89,16 +90,18 @@ class Domain:
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Domain":
-        return cls(tuple(Alternative(i, lab) for i, lab in enumerate(labels)))
+        """The one shared domain over these labels, in this order, so every
+        domain check is an identity test; invalid labels are not kept."""
+        key = tuple(labels)
+        domain = _DOMAINS.get(key)
+        if domain is None:
+            domain = _DOMAINS.setdefault(key, cls(tuple(Alternative(i, lab) for i, lab in enumerate(key))))
+        return domain
 
     @classmethod
     def of_size(cls, m: int) -> "Domain":
-        """The standard domain A, B, C, ... of m alternatives: one shared
-        instance per m, so its orders and id tables are built once."""
-        domain = _STANDARD_DOMAINS.get(m)
-        if domain is None:
-            domain = _STANDARD_DOMAINS[m] = cls.from_labels(_LABELS[:m])
-        return domain
+        """The domain A, B, C, ... of m alternatives."""
+        return cls.from_labels(_LABELS[:m])
 
     def __len__(self) -> int:
         return len(self.alternatives)
@@ -113,15 +116,8 @@ class Domain:
 
     @cached_property
     def _orders(self) -> tuple[LinearOrder, ...]:
-        """The m! orders over the domain, built once, lexicographic by labels.
-
-        Each order's `domain` is this domain, as `LinearOrder.from_labels`
-        sets it, so domain checks between interned orders are identity tests.
-        """
-        orders = tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
-        for order in orders:
-            object.__setattr__(order, "domain", self)
-        return orders
+        """The m! orders over the domain, built once, lexicographic by labels."""
+        return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
 
     # Order ids: an order's position in `_orders`, the digit a table rule's
     # profile encoding gives it.  `_tops` and `_bottoms` are indexed by id
@@ -154,7 +150,7 @@ class Domain:
         return "".join(a.label for a in self.alternatives)
 
 
-_STANDARD_DOMAINS: dict[int, Domain] = {}
+_DOMAINS: dict[tuple[str, ...], Domain] = {}
 
 
 @dataclass(frozen=True)
@@ -180,18 +176,11 @@ class LinearOrder:
 
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
-        """Build an order from a compact label string like "ACB".
-
-        The order's `domain` is the passed one: the length and permutation
-        checks make the two equal, so orders parsed against one domain
-        share it and domain checks between them are identity tests.
-        """
+        """Build an order from a compact label string like "ACB"."""
         ranking = tuple(domain.by_label(lab) for lab in labels)
         if len(ranking) != len(domain):
             raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
-        order = cls(ranking)
-        object.__setattr__(order, "domain", domain)
-        return order
+        return cls(ranking)
 
     @classmethod
     def from_string(cls, text: str, domain: Domain) -> "LinearOrder":
@@ -201,7 +190,8 @@ class LinearOrder:
 
     @cached_property
     def domain(self) -> Domain:
-        return Domain(tuple(sorted(self.ranking, key=lambda a: a.index)))
+        """The shared domain over the ranking's labels, in index order."""
+        return Domain.from_labels(a.label for a in sorted(self.ranking, key=lambda a: a.index))
 
     @cached_property
     def _ranks(self) -> Mapping[Alternative, int]:
@@ -248,8 +238,8 @@ class Profile:
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
 
     #: The profile's index in a table rule's winners (`rules.encode_profile`),
-    #: set by `TableRule` on first use.  Equal domains give equal order ids,
-    #: so one index serves every table rule the profile fits.
+    #: set by `TableRule` on first use.  Table rules over the profile's
+    #: domain share its order ids, so one index serves every rule it fits.
     _table_index: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -258,7 +248,7 @@ class Profile:
         counts = dict(Counter(self.orders))
         d = self.orders[0].domain
         for o in counts:
-            if o.domain is not d and o.domain != d:
+            if o.domain is not d:
                 raise DomainMismatchError("all ballots in a profile must share one domain")
         object.__setattr__(self, "counts", counts)
 
@@ -306,7 +296,7 @@ class Profile:
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
     """All voters whose ballot equals the given order (possibly empty)."""
-    if order.domain is not profile.domain and order.domain != profile.domain:
+    if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     return profile.grouped_view.get(order, frozenset())
 
@@ -317,7 +307,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     The coalition must be of one type, and that type must differ from the
     strategic order; everyone outside the coalition is untouched.
     """
-    if order.domain is not profile.domain and order.domain != profile.domain:
+    if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if not voters:
         return profile
@@ -367,6 +357,18 @@ def _integer(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines as the parsers count them; the "x" stands for the bad byte.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path} is not UTF-8: {exc.reason}", line) from None
 
 
 def parse_profile(text: str) -> Profile:

@@ -35,13 +35,13 @@ scoring rule's winner after k switchers is the first maximum of the lines
 scores at most m(m-1)+1 switch counts, whatever the type's count.
 
 Table rules work on order ids: an order's position in the domain's
-`_orders`, read from id tables interned on the standard `Domain` (order to
-id, and each id's top and bottom alternative).  The interned orders share
-that `Domain` instance as their `domain`, so domain checks between them
-are identity tests.  A profile keeps its table index once encoded, and the
-pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`; the
-predicate report walks digit tuples beside the winner ids and decodes a
-`Profile` only for the antagonism witness it reports.
+`_orders`, read from id tables kept on the `Domain` (order to id, and each
+id's top and bottom alternative).  There is one `Domain` per label set, so
+every order and profile over the rule's alternatives shares its tables and
+domain checks are identity tests.  A profile keeps its table index once
+encoded, and the pivot kernel reads `winners[base + (id - digit) *
+R^(n-1-v)]`; the predicate report walks digit tuples beside the winner ids
+and decodes a `Profile` only for the antagonism witness it reports.
 """
 
 from __future__ import annotations
@@ -68,8 +68,10 @@ from safevote.core import (
     Profile,
     SafevoteError,
     VoterSet,
+    _integer,
     all_orders,
     completely_agreed,
+    read_text,
     switch_votes,
     voters_of_type,
 )
@@ -180,7 +182,7 @@ class Rule:
         return hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
 
     def _check_profile(self, profile: Profile) -> None:
-        if profile.domain is not self.domain and profile.domain != self.domain:
+        if profile.domain is not self.domain:
             raise DomainMismatchError(
                 f"profile over {profile.domain.labels} fed to rule over {self.domain.labels}"
             )
@@ -193,7 +195,7 @@ def _switch_check(
 ) -> Callable[[VoterSet], None]:
     """Set-up checks of a switch kernel, and its per-coalition check: a
     subset of the type's voters, so in range and of one type."""
-    if order.domain is not profile.domain and order.domain != profile.domain:
+    if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if order == type_order:
         raise EditError(f"coalition already votes {order.compact}")
@@ -457,9 +459,7 @@ class TableRule(Rule):
             raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
 
     def _encode(self, profile: Profile) -> int:
-        """The profile's table index, kept on the profile once encoded.
-        The rule's order ids encode it, so a profile of orders that carry
-        their own equal domain never builds that domain's order table."""
+        """The profile's table index, kept on the profile once encoded."""
         self._check_profile(profile)
         index = profile._table_index
         if index is None:
@@ -773,10 +773,7 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
             raise ParseError(str(exc), line_of["n"]) from None
         if not fields["entries"]:
             raise ParseError("entries names no file", line_of["entries"])
-        path = os.path.join(base_dir, fields["entries"])
-        with open(path, encoding="utf-8") as fh:
-            entries_text = fh.read()
-        return _parse_table_entries(entries_text, n, m)
+        return _parse_table_entries(read_text(os.path.join(base_dir, fields["entries"])), n, m)
     raise ParseError(f"unknown rule kind {kind!r}")
 
 
@@ -800,7 +797,7 @@ def _weight(token: str) -> Fraction:
 
 def _positive_int(fields: Mapping[str, str], line_of: Mapping[str, int], key: str) -> int:
     try:
-        value = int(fields[key])
+        value = _integer(fields[key])
     except ValueError:
         raise ParseError(f"{key} must be an integer, got {fields[key]!r}", line_of[key]) from None
     if value < 1:
@@ -820,7 +817,7 @@ def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
         if not sep:
             raise ParseError(f"expected '<index>: <label>', got {line!r}", no)
         try:
-            idx = int(idx_part)
+            idx = _integer(idx_part.strip())
         except ValueError:
             raise ParseError(f"bad index {idx_part!r}", no) from None
         if idx in winners:

@@ -345,6 +345,9 @@ class TestErrors:
             ),
             (PROFILE_FOUR, "rule: table\nn: x\nm: 3\nentries: w.txt\n", "line 2: n must be an integer"),
             (PROFILE_FOUR, "rule: table\nn: 4\nm: 3.5\nentries: w.txt\n", "line 3: m must be an integer"),
+            (PROFILE_FOUR, "rule: table\nn: +2\nm: 3\nentries: w.txt\n", "line 2: n must be an integer, got '+2'"),
+            (PROFILE_FOUR, "rule: table\nn: 0_2\nm: 3\nentries: w.txt\n", "line 2: n must be an integer, got '0_2'"),
+            (PROFILE_FOUR, "rule: table\nn: 2\nm: \u0663\nentries: w.txt\n", "line 3: m must be an integer"),
             (
                 PROFILE_FOUR,
                 "rule: scoring\nscores: 0 1 2\ntiebreak: A > B > C\n",
@@ -381,7 +384,8 @@ class TestErrors:
             ),
         ],
         ids=[
-            "zero-voters", "negative-count", "table-n", "table-m", "increasing-scores", "scores-length",
+            "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
+            "table-m-arabic-indic", "increasing-scores", "scores-length",
             "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
             "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
         ],
@@ -392,6 +396,23 @@ class TestErrors:
         code = run(["analyze", "--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")])
         assert code == cli.EXIT_PARSE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["p.txt", "r.txt", "w.txt"], ids=["profile", "rule", "entries"])
+    def test_non_utf8_file_is_a_parse_error(self, files, capsys, bad):
+        texts = {
+            "p.txt": "alternatives: A B C\nvoter 1: A > B > C\nvoter 2: C > A > B\n",
+            "r.txt": "rule: table\nn: 2\nm: 3\nentries: w.txt\n",
+            "w.txt": format_table_entries(random_table_rule(2, 3, 0)),
+        }
+        for name, text in texts.items():
+            data = text.encode()
+            if name == bad:
+                data = data.replace(b"\n", b"\n\xff", 1)  # the first byte of line 2
+            (files["tmp"] / name).write_bytes(data)
+        code = run(["analyze", "--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: line 2: ") and f"{bad} is not UTF-8" in err
 
     @pytest.mark.parametrize("n", [6000, 10_000_000])
     def test_oversized_table_spec_is_a_parse_error(self, files, capsys, n):

@@ -24,7 +24,7 @@ from safevote.core import (
     switch_votes,
     voters_of_type,
 )
-from safevote.rules import all_profiles, decode_profile, encode_profile, random_table_rule
+from safevote.rules import all_profiles, decode_profile, encode_profile, parse_rule, random_table_rule
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -46,6 +46,7 @@ class TestDomain:
         assert d.labels == "ABCD"
         assert len(d) == 4
         assert Domain.of_size(4) is d
+        assert Domain.from_labels("ABC") is Domain.of_size(3) is D3
 
     def test_order_id_tables(self):
         orders = all_orders(D3)
@@ -63,6 +64,17 @@ class TestDomain:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             Domain((Alternative(0, "A"), Alternative(1, "A")))
+        # A label tuple that fails validation is not kept: asking again fails again.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Domain.from_labels("ABA")
+
+    @pytest.mark.parametrize("labels", ["abc", "aBC"])
+    def test_labels_are_capital_letters(self, labels):
+        # `by_label` upper-cases its query, so a lowercase label could
+        # never be found; the parsers upper-case before building.
+        with pytest.raises(ValueError):
+            Domain.from_labels(labels)
 
     def test_contains(self):
         assert Alternative(0, "A") in D3
@@ -120,15 +132,19 @@ class TestLinearOrder:
             LinearOrder.from_labels("AB", D3)
 
     def test_parsed_orders_carry_their_domain(self):
-        # A parsed profile's ballots share one domain object, so domain
-        # checks between them are identity tests; an order built from its
-        # ranking alone gets an equal domain of its own.
+        # One domain object per label set, however the orders were built or
+        # read, so domain checks between them are identity tests.
         profile = parse_profile("alternatives: A B C\n2: A > B > C\n1: C > B > A\n")
-        assert all(order.domain is profile.domain for order in profile.orders)
+        assert all(order.domain is profile.domain is D3 for order in profile.orders)
         assert o("CAB").domain is D3
-        plain = LinearOrder(o("CBA").ranking)
-        assert plain.domain == D3 and plain.domain is not D3
+        plain = LinearOrder(tuple(Alternative(a.index, a.label) for a in o("CBA").ranking))
+        assert plain.domain is D3
         assert voters_of_type(profile, plain) == frozenset({2})
+        # A profile and a rule read from separate texts share one domain.
+        profile = parse_profile("alternatives: Z Q X\n2: Z > Q > X\n1: X > Q > Z\n")
+        rule = parse_rule("rule: scoring\nscores: 2 1 0\ntiebreak: X > Z > Q\n")
+        assert profile.domain is rule.domain is Domain.from_labels("QXZ")
+        assert rule.evaluate(profile).label == "Z"
 
     def test_duplicate_entry_rejected(self):
         a = D3.by_label("A")
@@ -154,14 +170,13 @@ class TestLinearOrder:
             "ABC", "ACB", "BAC", "BCA", "CAB", "CBA",
         ]
 
-    def test_equal_orders_from_separate_domains_hash_equal(self):
-        other = Domain.from_labels("ABC")
-        assert other is not D3
-        for x, y in zip(all_orders(D3), all_orders(other)):
+    def test_equal_orders_built_apart_hash_equal(self):
+        for x in all_orders(D3):
+            y = LinearOrder.from_labels(x.compact, D3)
             assert x is not y
             assert x == y
             assert hash(x) == hash(y)
-        assert len({o("CAB"), o("CAB", other), LinearOrder.from_string("C > A > B", other)}) == 1
+        assert len({o("CAB"), LinearOrder(o("CAB").ranking), LinearOrder.from_string("C > A > B", D3)}) == 1
 
     def test_hash_is_the_same_in_every_process(self):
         code = (
@@ -299,18 +314,17 @@ class TestTableIndex:
         rule = random_table_rule(2, 3, 5)
         for profile in all_profiles(Domain.of_size(3), 2):
             self.assert_kept_index_is_the_encoding(rule, profile)
-        # Over an equal domain built apart from the rule's.
         for index in range(36):
             self.assert_kept_index_is_the_encoding(rule, decode_profile(index, 2, all_orders(D3)))
 
     def test_orders_built_directly(self):
-        # Each order carries its own equal domain; the rule's ids encode the
-        # profile, so that domain never builds its order table.
+        # Orders built from their rankings, not taken from the domain's
+        # table, still derive the rule's domain and encode by its ids.
         rule = random_table_rule(2, 3, 5)
         for first, second in itertools.product(all_orders(D3), repeat=2):
             profile = Profile((LinearOrder(first.ranking), LinearOrder(second.ranking)))
+            assert profile.domain is rule.domain
             self.assert_kept_index_is_the_encoding(rule, profile)
-            assert "_orders" not in profile.domain.__dict__
 
     def test_switched_profiles(self):
         rule = random_table_rule(2, 3, 5)

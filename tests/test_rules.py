@@ -605,6 +605,14 @@ class TestRuleConfig:
             parse_rule("rule: table\nn: 1\nm: 3\nentries: winners.txt\n", base_dir=str(tmp_path))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("entries", ["0: A\n+1: B\n2: C\n", "0: A\n0_1: B\n2: C\n", "0: A\n\u0661: B\n2: C\n"])
+    def test_index_must_be_ascii_digits(self, tmp_path, entries):
+        # As profile counts: `int` alone also reads signs, underscores and other scripts' digits.
+        (tmp_path / "winners.txt").write_text(entries, encoding="utf-8")
+        with pytest.raises(ParseError, match="bad index") as exc:
+            parse_rule("rule: table\nn: 1\nm: 3\nentries: winners.txt\n", base_dir=str(tmp_path))
+        assert exc.value.line == 2
+
     def test_duplicate_index_rejected(self, tmp_path):
         (tmp_path / "winners.txt").write_text("0: A\n0: B\n")
         with pytest.raises(ParseError):
