@@ -81,12 +81,16 @@ class Domain:
     alternatives: tuple[Alternative, ...]
 
     def __post_init__(self) -> None:
-        labels = [a.label for a in self.alternatives]
+        labels = tuple(a.label for a in self.alternatives)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in domain: {labels}")
+            raise ValueError(f"duplicate labels in domain: {list(labels)}")
         for i, alt in enumerate(self.alternatives):
             if alt.index != i:
                 raise ValueError(f"alternative {alt.label} has index {alt.index}, expected {i}")
+        # A valid domain becomes the shared one for its labels; a second
+        # domain over them would fail every identity check.
+        if _DOMAINS.setdefault(labels, self) is not self:
+            raise ValueError(f"a domain over {''.join(labels)} exists; use Domain.from_labels")
 
     @classmethod
     def from_labels(cls, labels: Iterable[str]) -> "Domain":
@@ -95,7 +99,7 @@ class Domain:
         key = tuple(labels)
         domain = _DOMAINS.get(key)
         if domain is None:
-            domain = _DOMAINS.setdefault(key, cls(tuple(Alternative(i, lab) for i, lab in enumerate(key))))
+            domain = cls(tuple(Alternative(i, lab) for i, lab in enumerate(key)))
         return domain
 
     @classmethod
@@ -196,6 +200,16 @@ class LinearOrder:
     @cached_property
     def _ranks(self) -> Mapping[Alternative, int]:
         return {a: i for i, a in enumerate(self.ranking)}
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Each alternative's `rank`, indexed by alternative index: a walk
+        whose outcomes are over the order's domain reads
+        `ranks[outcome.index]`, with no call per outcome."""
+        ranks = [0] * len(self.ranking)
+        for i, a in enumerate(self.ranking):
+            ranks[a.index] = i
+        return tuple(ranks)
 
     def rank(self, alt: Alternative) -> int:
         """0 for the best-ranked alternative, m-1 for the worst."""

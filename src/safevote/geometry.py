@@ -76,17 +76,6 @@ def embed(score_map: Mapping[Alternative, Fraction]) -> BarycentricPoint:
     return BarycentricPoint(x1, x2, x3)
 
 
-def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
-    """The winning alternative for a score point: largest coordinate,
-    ties broken by the rule's tie-break order."""
-    domain = tiebreak.domain
-    if len(domain) != 3:
-        raise SafevoteError("region classification is defined for three alternatives")
-    best = max(point.coords)
-    tied = {domain.alternatives[i] for i, c in enumerate(point.coords) if c == best}
-    return min(tied, key=tiebreak.rank)
-
-
 def _nonnegative(rule: ScoringRule) -> ScoringRule:
     """The rule itself when no weight is negative, else the rule on
     w - min(w): the same winner at every profile.  A constant negative

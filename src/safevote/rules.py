@@ -130,10 +130,11 @@ class Rule:
         default replays every coalition through `switch_votes` and
         `evaluate`; rules with a delta kernel override it.
         """
-        check = _switch_check(profile, type_order, order)
+        members = _switch_check(profile, type_order, order)
 
         def winner(coalition: VoterSet) -> Alternative:
-            check(coalition)
+            if not coalition <= members:
+                raise _stray(coalition, type_order)
             return self.evaluate(switch_votes(profile, coalition, order))
 
         return winner
@@ -190,22 +191,20 @@ class Rule:
             raise DomainMismatchError(f"rule expects {self.n} voters, profile has {profile.n}")
 
 
-def _switch_check(
-    profile: Profile, type_order: LinearOrder, order: LinearOrder
-) -> Callable[[VoterSet], None]:
-    """Set-up checks of a switch kernel, and its per-coalition check: a
-    subset of the type's voters, so in range and of one type."""
+def _switch_check(profile: Profile, type_order: LinearOrder, order: LinearOrder) -> VoterSet:
+    """Set-up checks of a switch kernel, and the type's voters.  Each
+    kernel's `winner` tests `coalition <= members` on every call, so a
+    coalition is in range and of one type, and raises `_stray` otherwise."""
     if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if order == type_order:
         raise EditError(f"coalition already votes {order.compact}")
-    members = voters_of_type(profile, type_order)
+    return voters_of_type(profile, type_order)
 
-    def check(coalition: VoterSet) -> None:
-        if not coalition <= members:
-            raise EditError(f"coalition {sorted(coalition)} is not within the {type_order.compact} voters")
 
-    return check
+def _stray(coalition: VoterSet, type_order: LinearOrder) -> EditError:
+    """The error of a kernel asked about a coalition outside the type's voters."""
+    return EditError(f"coalition {sorted(coalition)} is not within the {type_order.compact} voters")
 
 
 def _changes(winners: Iterable[tuple[int, Alternative]]) -> Iterator[tuple[int, Alternative]]:
@@ -327,14 +326,15 @@ class ScoringRule(Rule):
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
-        check = _switch_check(profile, type_order, order)
+        members = _switch_check(profile, type_order, order)
         winner_after = self._winner_after(*self._lines(profile, type_order, order))
         # Coalition size to winner, filled as sizes come up: a subset walk
         # scores each size once, and a walk that asks few sizes scores few.
         by_size: dict[int, Alternative] = {}
 
         def winner(coalition: VoterSet) -> Alternative:
-            check(coalition)
+            if not coalition <= members:
+                raise _stray(coalition, type_order)
             k = len(coalition)
             found = by_size.get(k)
             if found is None:
@@ -473,7 +473,7 @@ class TableRule(Rule):
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
-        check = _switch_check(profile, type_order, order)
+        members = _switch_check(profile, type_order, order)
         base = self._encode(profile)
         ids = self.domain._order_ids
         step = ids[order] - ids[type_order]
@@ -483,8 +483,9 @@ class TableRule(Rule):
         winners = self.winners
 
         def winner(coalition: VoterSet) -> Alternative:
-            check(coalition)
-            return winners[base + step * sum(places[v] for v in coalition)]
+            if not coalition <= members:
+                raise _stray(coalition, type_order)
+            return winners[base + step * sum(map(places.__getitem__, coalition))]
 
         return winner
 
@@ -829,7 +830,3 @@ def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
     if len(winners) != total or sorted(winners) != list(range(total)):
         raise ParseError(f"table indices must be contiguous 0..{total - 1}")
     return TableRule(domain, n, tuple(winners[i] for i in range(total)))
-
-
-def format_table_entries(rule: TableRule) -> str:
-    return "".join(f"{i}: {w.label}\n" for i, w in enumerate(rule.winners))

@@ -23,10 +23,13 @@ yields.
 
 Subset searches find each coalition's winner through the rule's switch
 kernel, `Rule.switched`, set up once per (profile, type, strategic order),
-which builds no `Profile`; the pivotal scan reads every single-voter switch
-of a profile from one call to `Rule.solo_switches`.  `verify_certificate`
-is the independent check: it replays every certificate through
-`switch_votes` and `Rule.evaluate` only.
+which builds no `Profile`.  `_coalitions` builds each coalition in C
+(`itertools` and `frozenset.union`), and the searches compare outcomes by
+the type order's rank tuple, `LinearOrder.ranks`, so the kernel's `winner`
+is the one Python call per coalition.  The pivotal scan reads every
+single-voter switch of a profile from one call to `Rule.solo_switches`.
+`verify_certificate` is the independent check: it replays every
+certificate through `switch_votes` and `Rule.evaluate` only.
 """
 
 from __future__ import annotations
@@ -157,17 +160,16 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _subsets(pool: list[int], sizes: range) -> Iterator[tuple[int, ...]]:
-    """Every subset of a sorted pool of the given sizes, size by size, then
-    lexicographically."""
-    for size in sizes:
-        yield from itertools.combinations(pool, size)
+def _subsets(base: VoterSet, pool: list[int], sizes: range) -> Iterator[VoterSet]:
+    """`base` joined with every subset of a sorted pool of the given sizes,
+    size by size, then lexicographically.  Each set is built in C, with no
+    Python frame per set."""
+    return itertools.chain.from_iterable(map(base.union, itertools.combinations(pool, size)) for size in sizes)
 
 
 def _coalitions(voter: int, members: VoterSet) -> Iterator[VoterSet]:
     """Coalitions of members containing the voter, smallest first."""
-    for combo in _subsets(sorted(members - {voter}), range(len(members))):
-        yield frozenset((voter, *combo))
+    return _subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members)))
 
 
 def _spans(runs: Iterator[tuple[int, Alternative]], count: int) -> list[tuple[range, Alternative]]:
@@ -227,10 +229,11 @@ def has_incentive(
     force_subsets: bool = False,
 ) -> IncentiveWitness | None:
     """A minimal-coalition incentive witness, or None if there is none."""
-    type_order = profile.orders[voter]
+    ranks = profile.orders[voter].ranks
     sincere, moves, coalition, _ = _moves(rule, profile, voter, strategic_order, force_subsets)
+    sincere_rank = ranks[sincere.index]
     for key, outcome in moves:
-        if type_order.prefers(outcome, sincere):
+        if ranks[outcome.index] < sincere_rank:
             return IncentiveWitness(voter, strategic_order, coalition(key), sincere, outcome)
     return None
 
@@ -273,13 +276,13 @@ def classify_safety(
     fails: safety is only defined for actual strategic opportunities.  The
     moves below are `has_incentive`'s, so it finds the same witness too.
     """
-    type_order = profile.orders[voter]
+    ranks = profile.orders[voter].ranks
     sincere, moves, coalition, by_size = _moves(rule, profile, voter, strategic_order, force_subsets)
-    sincere_rank = type_order.rank(sincere)
+    sincere_rank = ranks[sincere.index]
     improving, worsening = [], []
     for key, outcome in moves:
         # Rank 0 is the type's favourite: a lower rank improves the outcome.
-        rank = type_order.rank(outcome)
+        rank = ranks[outcome.index]
         if rank < sincere_rank:
             if not improving:
                 incentive = IncentiveWitness(voter, strategic_order, coalition(key), sincere, outcome)
@@ -429,9 +432,10 @@ def find_L_inferior(
         inferior = (sizes for sizes, outcome in spans if type_order.prefers(full_outcome, outcome))
         return [frozenset(ordered[:k]) for sizes in inferior for k in sizes]
     winner = rule.switched(profile, type_order, strategic_order)
-    full_outcome = winner(members)
-    subsets = _subsets(sorted(members), range(len(members)))
-    return [subset for subset in map(frozenset, subsets) if type_order.prefers(full_outcome, winner(subset))]
+    ranks = type_order.ranks
+    full_rank = ranks[winner(members).index]
+    subsets = _subsets(frozenset(), sorted(members), range(len(members)))
+    return [subset for subset in subsets if full_rank < ranks[winner(subset).index]]
 
 
 def construct_safe_from_inferior(

@@ -18,7 +18,7 @@ from safevote.core import (
     switch_votes,
     voters_of_type,
 )
-from safevote.geometry import embed, region_of, trajectory
+from safevote.geometry import embed, trajectory
 from safevote.rules import (
     ScoringRule,
     borda,
@@ -38,6 +38,8 @@ from safevote.strategy import (
     verify_safe_pivotal,
     verify_safely_manipulable,
 )
+
+from helpers import region_of
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")

@@ -11,8 +11,10 @@ import pytest
 
 from safevote import cli, fixtures, strategy
 from safevote.core import MAX_VOTERS, Domain, LinearOrder, all_orders, parse_profile, voters_of_type
-from safevote.rules import all_profiles, borda, format_table_entries, random_table_rule
+from safevote.rules import all_profiles, borda, random_table_rule
 from safevote.strategy import NoIncentiveError, construct_safe_from_endup, has_incentive, verify_safely_manipulable
+
+from helpers import format_table_entries
 
 PROFILE_94 = """\
 alternatives: A B C

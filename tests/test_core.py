@@ -68,6 +68,32 @@ class TestDomain:
         for _ in range(2):
             with pytest.raises(ValueError):
                 Domain.from_labels("ABA")
+        with pytest.raises(ValueError, match="index 2, expected 1"):
+            Domain((Alternative(0, "W"), Alternative(2, "V")))
+        assert [a.index for a in Domain.from_labels("WV")] == [0, 1]
+
+    def test_constructor_yields_the_shared_domain(self):
+        # A domain built by its constructor is the shared one when none
+        # exists yet, so a rule over it takes profiles of its orders.
+        code = (
+            "from safevote.core import Alternative, Domain, Profile, all_orders\n"
+            "from safevote.rules import TableRule\n"
+            "d = Domain((Alternative(0, 'A'), Alternative(1, 'B'), Alternative(2, 'C')))\n"
+            "assert Domain.from_labels('ABC') is Domain.of_size(3) is d\n"
+            "rule = TableRule(d, 1, tuple(order.top for order in all_orders(d)))\n"
+            "print(rule.evaluate(Profile((all_orders(d)[0],))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "A\n"
+        # Once the label set has its domain, a second one is refused.
+        with pytest.raises(ValueError, match="Domain.from_labels"):
+            Domain((Alternative(0, "A"), Alternative(1, "B"), Alternative(2, "C")))
+        assert Domain.from_labels("ABC") is D3
 
     @pytest.mark.parametrize("labels", ["abc", "aBC"])
     def test_labels_are_capital_letters(self, labels):
@@ -126,6 +152,12 @@ class TestLinearOrder:
         order = o("BCA")
         assert order.prefers(D3.by_label("B"), D3.by_label("A"))
         assert not order.prefers(D3.by_label("A"), D3.by_label("C"))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_ranks_agree_with_rank(self, m):
+        domain = Domain.of_size(m)
+        for order in all_orders(domain):
+            assert order.ranks == tuple(order.rank(a) for a in domain)
 
     def test_incomplete_order_rejected(self):
         with pytest.raises(DomainMismatchError):

@@ -14,12 +14,13 @@ from safevote.geometry import (
     figure_spec,
     realizable_region,
     region_boundaries,
-    region_of,
     render_svg,
     trajectory,
 )
 from safevote.rules import ScoringRule, borda, plurality, scores
 from safevote.core import SafevoteError
+
+from helpers import region_of
 
 D3 = Domain.from_labels("ABC")
 

@@ -25,7 +25,6 @@ from safevote.rules import (
     check_predicates,
     decode_profile,
     encode_profile,
-    format_table_entries,
     k_approval,
     parse_rule,
     plurality,
@@ -36,6 +35,8 @@ from safevote.rules import (
     two_voter_reduction,
 )
 from safevote.strategy import _ObjectPath
+
+from helpers import format_table_entries
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")

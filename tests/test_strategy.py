@@ -1,6 +1,7 @@
 """Unit tests for incentives, safety classification, and certificate search."""
 
 import dataclasses
+import itertools
 import json
 import operator
 import random
@@ -82,6 +83,23 @@ def dictatorial_rule(n: int = 2) -> TableRule:
     return TableRule.from_function(D3, n, lambda p: p.orders[0].top)
 
 
+def reference_coalitions(voter, members):
+    """Reference walk: coalitions of members containing the voter, by size,
+    then lexicographically, one generator step and one `frozenset` each."""
+    for size in range(len(members)):
+        for combo in itertools.combinations(sorted(members - {voter}), size):
+            yield frozenset((voter, *combo))
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_coalitions_match_the_reference_walk(size):
+    for members in (frozenset(range(size)), frozenset(random.Random(size).sample(range(40), size))):
+        for voter in members:
+            walk = list(_coalitions(voter, members))
+            assert walk == list(reference_coalitions(voter, members))
+            assert all(type(c) is frozenset for c in walk)
+
+
 def two_pass_classify_safety(rule, profile, voter, strategic_order):
     """Reference classifier: an incentive check first, whose witness the
     verdict carries, then a second walk over the same coalitions, filtering
@@ -99,7 +117,7 @@ def two_pass_classify_safety(rule, profile, voter, strategic_order):
         coalitions = [frozenset((voter, *others[:size])) for size in range(len(members))]
         incentivized = members
     else:
-        coalitions = _coalitions(voter, members)
+        coalitions = reference_coalitions(voter, members)
         incentivized = frozenset(
             v for v in members if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
         )
