@@ -25,7 +25,8 @@ import sys
 import time
 
 from safevote.core import (
-    MAX_ALTERNATIVES, Domain, LinearOrder, ParseError, SafevoteError, parse_profile, read_text, voters_of_type
+    MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, parse_profile, read_text,
+    voters_of_type,
 )
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
@@ -121,10 +122,10 @@ def _json_dumps(payload) -> str:
 def _load(args):
     profile = parse_profile(read_text(args.profile))
     rule = parse_rule(read_text(args.rule), base_dir=os.path.dirname(os.path.abspath(args.rule)))
-    if profile.domain is not rule.domain:
-        raise UsageError(f"profile over {profile.domain.labels} does not match rule over {rule.domain.labels}")
-    if rule.n is not None and profile.n != rule.n:
-        raise UsageError(f"rule expects {rule.n} voters, profile has {profile.n}")
+    try:
+        rule.check_profile(profile)
+    except DomainMismatchError as exc:
+        raise UsageError(str(exc)) from None
     return profile, rule
 
 

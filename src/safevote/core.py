@@ -8,6 +8,7 @@ CLI reports).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,21 +124,11 @@ class Domain:
         """The m! orders over the domain, built once, lexicographic by labels."""
         return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
 
-    # Order ids: an order's position in `_orders`, the digit a table rule's
-    # profile encoding gives it.  `_tops` and `_bottoms` are indexed by id
-    # and hold alternative indices.
-
     @cached_property
     def _order_ids(self) -> Mapping[LinearOrder, int]:
+        """Order ids: an order's position in `_orders`, the digit it gives
+        a profile's `Profile.index`."""
         return {order: i for i, order in enumerate(self._orders)}
-
-    @cached_property
-    def _tops(self) -> tuple[int, ...]:
-        return tuple(order.top.index for order in self._orders)
-
-    @cached_property
-    def _bottoms(self) -> tuple[int, ...]:
-        return tuple(order.bottom.index for order in self._orders)
 
     @cached_property
     def _by_label(self) -> Mapping[str, Alternative]:
@@ -198,10 +189,6 @@ class LinearOrder:
         return Domain.from_labels(a.label for a in sorted(self.ranking, key=lambda a: a.index))
 
     @cached_property
-    def _ranks(self) -> Mapping[Alternative, int]:
-        return {a: i for i, a in enumerate(self.ranking)}
-
-    @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Each alternative's `rank`, indexed by alternative index: a walk
         whose outcomes are over the order's domain reads
@@ -213,10 +200,11 @@ class LinearOrder:
 
     def rank(self, alt: Alternative) -> int:
         """0 for the best-ranked alternative, m-1 for the worst."""
-        try:
-            return self._ranks[alt]
-        except KeyError:
-            raise DomainMismatchError(f"{alt} not in order {self}") from None
+        ranks = self.ranks
+        # The index alone would take another domain's alternative.
+        if alt.index < len(ranks) and self.ranking[ranks[alt.index]] == alt:
+            return ranks[alt.index]
+        raise DomainMismatchError(f"{alt} not in order {self}")
 
     @property
     def top(self) -> Alternative:
@@ -251,10 +239,8 @@ class Profile:
     #: Ballot count per type, in first-appearance order.
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
 
-    #: The profile's index in a table rule's winners (`rules.encode_profile`),
-    #: set by `TableRule` on first use.  Table rules over the profile's
-    #: domain share its order ids, so one index serves every rule it fits.
-    _table_index: int | None = field(default=None, init=False, repr=False, compare=False)
+    #: `index`, once read.
+    _index: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.orders:
@@ -292,13 +278,42 @@ class Profile:
             groups.setdefault(order, set()).add(i)
         return {order: frozenset(members) for order, members in groups.items()}
 
+    @property
+    def index(self) -> int:
+        """The profile's position in `all_profiles` order: its order ids in
+        mixed radix m!, voter 1 the most significant digit.  It indexes a
+        table rule's winners, so it is part of the table file format.
+        Computed on first read and kept."""
+        index = self._index
+        if index is None:
+            ids = self.domain._order_ids
+            radix = len(ids)
+            index = 0
+            for order in self.orders:
+                index = index * radix + ids[order]
+            # A plain attribute, not a cached_property, whose first read
+            # takes a lock on Python 3.11.
+            object.__setattr__(self, "_index", index)
+        return index
+
     @cached_property
     def _tallies(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Each alternative's score total under a scoring rule's integer
-        points vector, keyed by that vector: `ScoringRule._totals` fills an
-        entry on first use, so the ballots are scanned once per vector.
-        Profiles are immutable, so an entry never goes stale."""
+        """`tally` per points vector.  Profiles are immutable, so an entry
+        never goes stale."""
         return {}
+
+    def tally(self, points: tuple[int, ...]) -> tuple[int, ...]:
+        """Each alternative's total when position k on a ballot earns
+        `points[k]`, indexed by alternative index.  The ballots are scanned
+        once per points vector, so rules with equal points share it."""
+        totals = self._tallies.get(points)
+        if totals is None:
+            sums = [0] * len(points)
+            for order, count in self.counts.items():
+                for alt, earned in zip(order.ranking, points):
+                    sums[alt.index] += count * earned
+            totals = self._tallies[points] = tuple(sums)
+        return totals
 
     def types_present(self) -> list[LinearOrder]:
         """Distinct types in first-appearance order (deterministic)."""
@@ -306,6 +321,28 @@ class Profile:
 
     def __str__(self) -> str:
         return format_profile(self)
+
+
+def profile_space_size(m: int, n: int) -> int:
+    return math.factorial(m) ** n
+
+
+def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile:
+    """The profile whose `Profile.index` over `orders` is `index`."""
+    radix = len(orders)
+    digits = []
+    for _ in range(n):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return Profile(tuple(orders[d] for d in reversed(digits)))
+
+
+def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
+    """All (m!)^n profiles in `Profile.index` order: the digit tuples,
+    voter 1 most significant."""
+    orders = domain._orders
+    for digits in itertools.product(range(len(orders)), repeat=n):
+        yield Profile(tuple(orders[d] for d in digits))
 
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:

@@ -7,11 +7,11 @@ of each position. `scores()` divides back, so it reports the same
 `Fraction`s. Ties are broken by a fixed linear order per rule instance
 (argmax, then first in the tie-break order).
 
-A profile is scored once per score vector: the totals are kept on the
-profile, keyed by the integer points vector, and every later question on
-that profile (`evaluate`, `scores`, and the switch and runs kernels below)
-reads them, so rules with equal points share them whatever their tie-break
-or weight scale.
+A profile is scored once per score vector: `Profile.tally` keeps the
+totals per integer points vector, and every later question on that
+profile (`evaluate`, `scores`, and the switch and runs kernels below) reads
+them, so rules with equal points share them whatever their tie-break or
+weight scale.
 
 `Rule.switched` is the switch kernel the strategy searches evaluate
 through: the winner once a coalition of one type votes another order,
@@ -35,13 +35,13 @@ scoring rule's winner after k switchers is the first maximum of the lines
 scores at most m(m-1)+1 switch counts, whatever the type's count.
 
 Table rules work on order ids: an order's position in the domain's
-`_orders`, read from id tables kept on the `Domain` (order to id, and each
-id's top and bottom alternative).  There is one `Domain` per label set, so
-every order and profile over the rule's alternatives shares its tables and
-domain checks are identity tests.  A profile keeps its table index once
-encoded, and the pivot kernel reads `winners[base + (id - digit) *
-R^(n-1-v)]`; the predicate report walks digit tuples beside the winner ids
-and decodes a `Profile` only for the antagonism witness it reports.
+`_orders`, read from the `Domain`'s order-to-id map.  There is one `Domain`
+per label set, so every order and profile over the rule's alternatives
+shares it and domain checks are identity tests.  A table rule reads a
+profile's winner at `Profile.index`, which the profile computes once, and
+the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`; the
+predicate report walks digit tuples beside the winner ids and decodes a
+`Profile` only for the antagonism witness it reports.
 """
 
 from __future__ import annotations
@@ -70,7 +70,10 @@ from safevote.core import (
     VoterSet,
     _integer,
     all_orders,
+    all_profiles,
     completely_agreed,
+    decode_profile,
+    profile_space_size,
     read_text,
     switch_votes,
     voters_of_type,
@@ -182,10 +185,12 @@ class Rule:
         # Rules are immutable, so the text is rendered and hashed once.
         return hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
 
-    def _check_profile(self, profile: Profile) -> None:
+    def check_profile(self, profile: Profile) -> None:
+        """DomainMismatchError unless the profile is over the rule's domain
+        and, for a rule with a fixed voter count, has that many voters."""
         if profile.domain is not self.domain:
             raise DomainMismatchError(
-                f"profile over {profile.domain.labels} fed to rule over {self.domain.labels}"
+                f"profile over {profile.domain.labels} does not match rule over {self.domain.labels}"
             )
         if self.n is not None and profile.n != self.n:
             raise DomainMismatchError(f"rule expects {self.n} voters, profile has {profile.n}")
@@ -267,16 +272,9 @@ class ScoringRule(Rule):
 
     def _totals(self, profile: Profile) -> tuple[int, ...]:
         """Every alternative's score times `_scale`, indexed by alternative
-        index: the profile's tally for these points, scanned on first use."""
-        self._check_profile(profile)
-        totals = profile._tallies.get(self._points)
-        if totals is None:
-            sums = [0] * len(self._points)
-            for order, count in profile.counts.items():
-                for alt, points in zip(order.ranking, self._points):
-                    sums[alt.index] += count * points
-            totals = profile._tallies[self._points] = tuple(sums)
-        return totals
+        index: the profile's tally for these points."""
+        self.check_profile(profile)
+        return profile.tally(self._points)
 
     def scores(self, profile: Profile) -> dict[Alternative, Fraction]:
         totals = self._totals(profile)
@@ -387,19 +385,6 @@ def k_approval(k: int, tiebreak: LinearOrder) -> ScoringRule:
     return ScoringRule.from_ints([1] * k + [0] * (m - k), tiebreak)
 
 
-# ---------------------------------------------------------------------------
-# Profile encodings for table rules.
-#
-# Orders are enumerated lexicographically by label sequence; a profile is
-# encoded in mixed radix m! with voter 1 the most significant digit.  The
-# encoding is part of the table file format.
-# ---------------------------------------------------------------------------
-
-
-def profile_space_size(m: int, n: int) -> int:
-    return math.factorial(m) ** n
-
-
 def enumerable_size(m: int, n: int) -> int:
     """`profile_space_size(m, n)`, or BudgetExceededError when it passes
     DEFAULT_ENUMERATION_BOUND.
@@ -412,31 +397,6 @@ def enumerable_size(m: int, n: int) -> int:
     if size > bound:
         raise BudgetExceededError(f"profile space ({m}!)^{n} exceeds the enumeration bound {bound}")
     return size
-
-
-def encode_profile(profile: Profile, order_index: Mapping[LinearOrder, int]) -> int:
-    idx = 0
-    radix = len(order_index)
-    for order in profile.orders:
-        idx = idx * radix + order_index[order]
-    return idx
-
-
-def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile:
-    radix = len(orders)
-    digits = []
-    for _ in range(n):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    return Profile(tuple(orders[d] for d in reversed(digits)))
-
-
-def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
-    """All (m!)^n profiles in canonical (mixed-radix ascending) order: the
-    digit tuples of the table encoding, voter 1 most significant."""
-    orders = domain._orders
-    for digits in itertools.product(range(len(orders)), repeat=n):
-        yield Profile(tuple(orders[d] for d in digits))
 
 
 @dataclass(frozen=True)
@@ -458,23 +418,19 @@ class TableRule(Rule):
             w = next(w for w in self.winners if w in outside)
             raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
 
-    def _encode(self, profile: Profile) -> int:
-        """The profile's table index, kept on the profile once encoded."""
-        self._check_profile(profile)
-        index = profile._table_index
-        if index is None:
-            index = encode_profile(profile, self.domain._order_ids)
-            object.__setattr__(profile, "_table_index", index)
-        return index
+    def _checked_index(self, profile: Profile) -> int:
+        """The profile's index into `winners`, once it is checked."""
+        self.check_profile(profile)
+        return profile.index
 
     def evaluate(self, profile: Profile) -> Alternative:
-        return self.winners[self._encode(profile)]
+        return self.winners[self._checked_index(profile)]
 
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
         members = _switch_check(profile, type_order, order)
-        base = self._encode(profile)
+        base = self._checked_index(profile)
         ids = self.domain._order_ids
         step = ids[order] - ids[type_order]
         # Voter v is the digit of place value radix^(n-1-v).
@@ -492,7 +448,7 @@ class TableRule(Rule):
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]
     ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
-        base = self._encode(profile)
+        base = self._checked_index(profile)
         ids = self.domain._order_ids
         try:
             targets = [(order, ids[order]) for order in orders]
@@ -549,7 +505,7 @@ class SubRule(Rule):
         return LinearOrder.from_labels(order.compact + self.removed.label, self.parent.domain)
 
     def evaluate(self, profile: Profile) -> Alternative:
-        self._check_profile(profile)
+        self.check_profile(profile)
         lifted = Profile(tuple(self._lift_order(o) for o in profile.orders))
         winner = self.parent.evaluate(lifted)
         if winner == self.removed:
@@ -646,7 +602,8 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
     else:
         # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
         winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))
-    tops, bottoms = domain._tops, domain._bottoms
+    tops = [order.top.index for order in orders]
+    bottoms = [order.bottom.index for order in orders]
     dictator_candidates = set(range(n))
     antagonistic_witness: int | None = None
     anonymous = True
@@ -666,7 +623,7 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
         onto=set(winners) == set(range(len(domain))),
         dictatorial=min(dictator_candidates) if dictator_candidates else None,
         anonymous=anonymous,
-        weakly_unanimous=list(tops) == agreed,
+        weakly_unanimous=tops == agreed,
         antagonistic=None if antagonistic_witness is None else decode_profile(antagonistic_witness, n, orders),
         agreed_image=frozenset(domain.alternatives[w] for w in agreed),
     )

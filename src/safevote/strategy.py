@@ -27,7 +27,8 @@ which builds no `Profile`.  `_coalitions` builds each coalition in C
 (`itertools` and `frozenset.union`), and the searches compare outcomes by
 the type order's rank tuple, `LinearOrder.ranks`, so the kernel's `winner`
 is the one Python call per coalition.  The pivotal scan reads every
-single-voter switch of a profile from one call to `Rule.solo_switches`.
+single-voter switch of a profile from one call to `Rule.solo_switches`,
+and compares its outcomes by the same rank tuples.
 `verify_certificate` is the independent check: it replays every
 certificate through `switch_votes` and `Rule.evaluate` only.
 """
@@ -48,11 +49,12 @@ from safevote.core import (
     SafevoteError,
     VoterSet,
     all_orders,
+    all_profiles,
     format_profile,
     switch_votes,
     voters_of_type,
 )
-from safevote.rules import DEFAULT_ENUMERATION_BOUND, Rule, all_profiles, resolve_n
+from safevote.rules import DEFAULT_ENUMERATION_BOUND, Rule, resolve_n
 
 
 class NoIncentiveError(SafevoteError):
@@ -548,7 +550,8 @@ def _pivotal_moves(
     """Single-voter switches that improve the outcome for that voter."""
     sincere = rule.evaluate(profile)
     for voter, strategic_order, outcome in rule.solo_switches(profile, orders):
-        if profile.orders[voter].prefers(outcome, sincere):
+        ranks = profile.orders[voter].ranks
+        if ranks[outcome.index] < ranks[sincere.index]:
             yield IncentiveWitness(voter, strategic_order, frozenset({voter}), sincere, outcome)
 
 

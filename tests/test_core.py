@@ -18,13 +18,15 @@ from safevote.core import (
     ParseError,
     Profile,
     all_orders,
+    all_profiles,
     completely_agreed,
+    decode_profile,
     format_profile,
     parse_profile,
     switch_votes,
     voters_of_type,
 )
-from safevote.rules import all_profiles, decode_profile, encode_profile, parse_rule, random_table_rule
+from safevote.rules import parse_rule, random_table_rule
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -51,8 +53,6 @@ class TestDomain:
     def test_order_id_tables(self):
         orders = all_orders(D3)
         assert D3._order_ids == {order: i for i, order in enumerate(orders)}
-        assert D3._tops == tuple(order.top.index for order in orders)
-        assert D3._bottoms == tuple(order.bottom.index for order in orders)
 
     def test_by_label_case_insensitive(self):
         assert D3.by_label("b") == Alternative(1, "B")
@@ -152,6 +152,18 @@ class TestLinearOrder:
         order = o("BCA")
         assert order.prefers(D3.by_label("B"), D3.by_label("A"))
         assert not order.prefers(D3.by_label("A"), D3.by_label("C"))
+
+    def test_rank_and_prefers_reject_foreign_alternatives(self):
+        # D shares C's index; F's index is past the domain's end.
+        order, a = o("BCA"), D3.by_label("A")
+        for foreign in (Alternative(2, "D"), Alternative(5, "F")):
+            message = f"{foreign} not in order B > C > A"
+            with pytest.raises(DomainMismatchError, match=message):
+                order.rank(foreign)
+            with pytest.raises(DomainMismatchError, match=message):
+                order.prefers(foreign, a)
+            with pytest.raises(DomainMismatchError, match=message):
+                order.prefers(a, foreign)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_ranks_agree_with_rank(self, m):
@@ -332,15 +344,17 @@ class TestSwitchVotes:
 
 
 class TestTableIndex:
-    """The index a table rule keeps on a profile is the table encoding."""
+    """A profile's index, which a table rule reads, is the table encoding."""
 
     @staticmethod
     def assert_kept_index_is_the_encoding(rule, profile):
-        assert profile._table_index is None
-        index = encode_profile(profile, D3._order_ids)
+        # Uncomputed until first read; the rule's lookup reads and keeps it.
+        assert profile._index is None
+        winner = rule.evaluate(profile)
+        index = profile._index
+        assert winner == rule.winners[index]
+        assert profile.index == index
         assert decode_profile(index, profile.n, all_orders(D3)) == profile
-        assert rule.evaluate(profile) == rule.winners[index]
-        assert profile._table_index == index
 
     def test_every_two_voter_profile(self):
         rule = random_table_rule(2, 3, 5)

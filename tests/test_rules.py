@@ -24,7 +24,6 @@ from safevote.rules import (
     borda,
     check_predicates,
     decode_profile,
-    encode_profile,
     k_approval,
     parse_rule,
     plurality,
@@ -167,10 +166,9 @@ class TestTieBreaking:
 class TestProfileEncoding:
     def test_round_trip_all_two_voter_profiles(self):
         orders = all_orders(D3)
-        index = {x: i for i, x in enumerate(orders)}
         for idx in range(36):
             profile = decode_profile(idx, 2, orders)
-            assert encode_profile(profile, index) == idx
+            assert profile.index == idx
 
     def test_first_voter_most_significant(self):
         orders = all_orders(D3)
@@ -193,6 +191,8 @@ class TestProfileEncoding:
         profiles = list(all_profiles(domain, n))
         assert len(profiles) == profile_space_size(len(domain), n)
         for index, profile in enumerate(profiles):
+            assert profile._index is None
+            assert profile.index == index
             assert profile == decode_profile(index, n, orders)
 
 
