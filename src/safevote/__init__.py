@@ -19,14 +19,10 @@ from safevote.core import (
 from safevote.rules import (
     RulePredicateReport,
     ScoringRule,
-    SubRule,
     TableRule,
     check_predicates,
     parse_rule,
     random_table_rule,
-    scores,
-    subrule_minus,
-    two_voter_reduction,
 )
 from safevote.strategy import (
     Certificate,
@@ -55,14 +51,10 @@ __all__ = [
     "voters_of_type",
     "RulePredicateReport",
     "ScoringRule",
-    "SubRule",
     "TableRule",
     "check_predicates",
     "parse_rule",
     "random_table_rule",
-    "scores",
-    "subrule_minus",
-    "two_voter_reduction",
     "Certificate",
     "IncentiveWitness",
     "SafetyVerdict",

@@ -30,7 +30,7 @@ from safevote.core import (
 )
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
-from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, enumerable_size, parse_rule, random_table_rule, scores
+from safevote.rules import DEFAULT_ENUMERATION_BOUND, ScoringRule, enumerable_size, parse_rule, random_table_rule
 from safevote.strategy import (  # noqa: F401 - bench/test_bench.py reads cli.has_incentive
     InconclusiveError,
     NoIncentiveError,
@@ -142,7 +142,7 @@ def cmd_analyze(args) -> int:
         "escapes": [c.to_json_dict() for c in analysis.escapes],
     }
     if isinstance(rule, ScoringRule):
-        report["scores"] = {a.label: str(s) for a, s in scores(rule, profile).items()}
+        report["scores"] = {a.label: str(s) for a, s in rule.scores(profile).items()}
     if args.format == "json":
         _emit(_json_dumps(report), args.out)
     else:

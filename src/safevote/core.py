@@ -328,8 +328,11 @@ def profile_space_size(m: int, n: int) -> int:
 
 
 def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile:
-    """The profile whose `Profile.index` over `orders` is `index`."""
+    """The profile whose `Profile.index` over `orders` is `index`, or
+    ValueError when `index` is outside 0..radix^n - 1."""
     radix = len(orders)
+    if not 0 <= index < radix**n:
+        raise ValueError(f"profile index {index} is outside 0..{radix**n - 1}")
     digits = []
     for _ in range(n):
         index, digit = divmod(index, radix)
@@ -499,10 +502,13 @@ def parse_profile(text: str) -> Profile:
 
 
 def format_profile(profile: Profile) -> str:
-    """Render a profile in the text format: the anonymous count style
-    whenever some type repeats, and the per-voter style otherwise."""
+    """Render a profile in the text format: count lines when some type
+    repeats and each type's voters form one block, in first-appearance
+    order, so that reading it back keeps every voter's number; per-voter
+    lines otherwise."""
     lines = ["alternatives: " + " ".join(a.label for a in profile.domain)]
-    if any(c > 1 for c in profile.counts.values()):
+    blocks = sum(1 for _ in itertools.groupby(profile.orders))
+    if blocks == len(profile.counts) < profile.n:
         for order in profile.types_present():
             lines.append(f"{profile.counts[order]}: {order}")
     else:

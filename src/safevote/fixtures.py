@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
-from safevote.rules import Rule, ScoringRule, borda, k_approval, plurality, scores
+from safevote.rules import Rule, ScoringRule, borda, k_approval, plurality
 from safevote.strategy import (
     SafetyStatus,
     UnsafeKind,
@@ -68,7 +68,7 @@ def _winner_check(name: str, rule: Rule, profile: Profile, expected: str) -> Che
 
 
 def _scores_check(name: str, rule: ScoringRule, profile: Profile, expected: dict[str, int]) -> CheckResult:
-    got = {a.label: s for a, s in scores(rule, profile).items()}
+    got = {a.label: s for a, s in rule.scores(profile).items()}
     want = {k: v for k, v in expected.items()}
     return _check(name, got == want, f"expected {want}, got {got}")
 

@@ -32,7 +32,7 @@ from safevote.core import (
     SafevoteError,
     voters_of_type,
 )
-from safevote.rules import ScoringRule, scores
+from safevote.rules import ScoringRule
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def figure_spec(
 
     The base point is taken under w - min(w) when a weight is negative.
     """
-    base = embed(scores(_nonnegative(rule), profile))
+    base = embed(_nonnegative(rule).scores(profile))
     arrows = tuple(
         tuple(trajectory(rule, profile, type_order, strategic_order, k_max))
         for type_order, strategic_order, k_max in moves

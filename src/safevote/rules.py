@@ -1,9 +1,9 @@
-"""Social choice rules: scoring rules, explicit tables, and derived rules.
+"""Social choice rules: scoring rules and explicit tables.
 
 Winner determination is exact. A scoring rule scales its `Fraction`
 weights once to integers over their least common denominator, then scores
 a profile in `int`s: the count of each ballot type times the scaled weight
-of each position. `scores()` divides back, so it reports the same
+of each position. `ScoringRule.scores` divides back, so it reports the same
 `Fraction`s. Ties are broken by a fixed linear order per rule instance
 (argmax, then first in the tie-break order).
 
@@ -21,8 +21,8 @@ totals plus k times the per-alternative points change, and scores each
 coalition size once per set-up: later coalitions of a size it has met cost
 their membership check and one lookup.  A table rule adds each switcher's
 place value times the digit change to the sincere profile's table index.
-The default kernel replays the switch through `switch_votes` and
-`evaluate`, which stay the object path and the oracle.
+The default kernel, which `strategy._ObjectPath` reaches for any rule,
+replays the switch through `switch_votes` and `evaluate`: the oracle.
 `Rule.solo_switches` is the pivot kernel beside it: every single voter's
 switch to every other order, asked once per profile.
 
@@ -96,10 +96,6 @@ _SAMPLING_ATTEMPTS = 1000
 
 class BudgetExceededError(SafevoteError):
     """An exhaustive scan would exceed the configured enumeration bound."""
-
-
-class AntagonismError(SafevoteError):
-    """A subrule evaluation returned the removed alternative."""
 
 
 class SamplingError(SafevoteError):
@@ -362,11 +358,6 @@ class ScoringRule(Rule):
         return f"rule: scoring\nscores: {ws}\ntiebreak: {self.tiebreak}\n"
 
 
-def scores(rule: ScoringRule, profile: Profile) -> dict[Alternative, Fraction]:
-    """Total positional score of every alternative."""
-    return rule.scores(profile)
-
-
 def borda(domain_or_tiebreak: LinearOrder) -> ScoringRule:
     """Borda count (m-1, m-2, ..., 0) with the given tie-break order."""
     m = len(domain_or_tiebreak.ranking)
@@ -473,76 +464,6 @@ class TableRule(Rule):
         """Tabulate `fn(profile) -> Alternative` over the whole profile space."""
         enumerable_size(len(domain), n)
         return cls(domain, n, tuple(fn(p) for p in all_profiles(domain, n)))
-
-
-@dataclass(frozen=True)
-class SubRule(Rule):
-    """The rule induced on a smaller domain by pinning one alternative last.
-
-    Evaluating lifts each ballot to the parent domain by appending the
-    removed alternative at the bottom.  If the parent ever elects the
-    removed alternative the parent is antagonistic there and the subrule
-    is undefined; that raises AntagonismError.
-    """
-
-    parent: Rule
-    removed: Alternative
-    domain: Domain  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.removed not in self.parent.domain:
-            raise DomainMismatchError(f"{self.removed} not in parent domain")
-
-    @property
-    def anonymous(self) -> bool:  # type: ignore[override]
-        return self.parent.anonymous
-
-    @property
-    def n(self) -> int | None:  # type: ignore[override]
-        return self.parent.n
-
-    def _lift_order(self, order: LinearOrder) -> LinearOrder:
-        return LinearOrder.from_labels(order.compact + self.removed.label, self.parent.domain)
-
-    def evaluate(self, profile: Profile) -> Alternative:
-        self.check_profile(profile)
-        lifted = Profile(tuple(self._lift_order(o) for o in profile.orders))
-        winner = self.parent.evaluate(lifted)
-        if winner == self.removed:
-            raise AntagonismError(
-                f"parent rule elected removed alternative {winner.label}; it is antagonistic"
-            )
-        return self.domain.by_label(winner.label)
-
-    def config_text(self) -> str:
-        return f"rule: subrule\nremoved: {self.removed.label}\nparent:\n{self.parent.config_text()}"
-
-
-def subrule_minus(rule: Rule, x: Alternative) -> SubRule:
-    """The rule on the domain without x, obtained by appending x last."""
-    labels = [a.label for a in rule.domain if a.label != x.label]
-    return SubRule(rule, x, Domain.from_labels(labels))
-
-
-def two_voter_reduction(rule: Rule, part1: VoterSet, part2: VoterSet, n: int | None = None) -> TableRule:
-    """Collapse a rule to two block voters along a partition of the voters.
-
-    The reduced rule's value at (P, Q) is the parent's value when every
-    voter in part1 reports P and every voter in part2 reports Q.
-    """
-    n = resolve_n(rule, n)
-    if not part1 or not part2 or (part1 & part2) or (part1 | part2) != frozenset(range(n)):
-        raise ValueError(f"{sorted(part1)} / {sorted(part2)} is not a partition of 0..{n - 1}")
-    p1 = sorted(part1)
-
-    def blow_up(pair: Profile) -> Profile:
-        order1, order2 = pair.orders
-        orders = [order2] * n
-        for v in p1:
-            orders[v] = order1
-        return Profile(tuple(orders))
-
-    return TableRule.from_function(rule.domain, 2, lambda p: rule.evaluate(blow_up(p)))
 
 
 @dataclass(frozen=True)

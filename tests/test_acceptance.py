@@ -25,7 +25,6 @@ from safevote.rules import (
     k_approval,
     plurality,
     random_table_rule,
-    scores,
 )
 from safevote.strategy import (
     Certificate,
@@ -98,7 +97,7 @@ def test_criterion_1_four_voter_examples():
 
 def test_criterion_2_borda_94():
     started = time.monotonic()
-    got = {a.label: s for a, s in scores(BORDA_94, PROFILE_94).items()}
+    got = {a.label: s for a, s in BORDA_94.scores(PROFILE_94).items()}
     assert got == {"A": 96, "B": 99, "C": 87}
     assert BORDA_94.evaluate(PROFILE_94).label == "B"
     table = threshold_scan(BORDA_94, PROFILE_94, o("ABC"), o("ACB"))
@@ -116,7 +115,7 @@ def test_criterion_2_borda_94():
 
 def test_criterion_3_borda_41():
     started = time.monotonic()
-    got = {a.label: s for a, s in scores(BORDA_41, PROFILE_41).items()}
+    got = {a.label: s for a, s in BORDA_41.scores(PROFILE_41).items()}
     assert got == {"A": 59, "B": 102, "C": 110, "D": 30, "E": 109}
     assert BORDA_41.evaluate(PROFILE_41).label == "C"
     table = threshold_scan(BORDA_41, PROFILE_41, o("ABCDE", D5), o("BADCE", D5))
@@ -130,7 +129,7 @@ def test_criterion_3_borda_41():
 
 def test_criterion_4_two_approval_33():
     started = time.monotonic()
-    got = {a.label: s for a, s in scores(APPROVAL_33, PROFILE_33).items()}
+    got = {a.label: s for a, s in APPROVAL_33.scores(PROFILE_33).items()}
     assert got == {"A": 23, "B": 25, "C": 18}
     assert APPROVAL_33.evaluate(PROFILE_33).label == "B"
     table = threshold_scan(APPROVAL_33, PROFILE_33, o("ABC"), o("ACB"))
@@ -227,7 +226,7 @@ def test_criterion_8_geometry_consistency():
         profile = Profile.from_counts(
             [(order, rng.randint(0, 12)) for order in orders] + [(orders[0], 1)]
         )
-        point = embed(scores(rule, profile))
+        point = embed(rule.scores(profile))
         if sum(point.coords) != 1:
             violations += 1
         if region_of(point, rule.tiebreak) != rule.evaluate(profile):

@@ -11,7 +11,7 @@ import pytest
 
 from safevote import cli, fixtures, strategy
 from safevote.core import MAX_VOTERS, Domain, LinearOrder, all_orders, parse_profile, voters_of_type
-from safevote.rules import all_profiles, borda, random_table_rule
+from safevote.rules import all_profiles, borda, parse_rule, random_table_rule
 from safevote.strategy import NoIncentiveError, construct_safe_from_endup, has_incentive, verify_safely_manipulable
 
 from helpers import format_table_entries
@@ -86,6 +86,20 @@ class TestAnalyze:
         assert with_incentive == ["ABC", "BAC"]
         # Both losing types rank the winner last and can improve: two escapes.
         assert len(report["escapes"]) == 2
+
+    def test_escape_profile_keeps_voter_numbers(self, files, capsys):
+        # The C > A > B voters 1 and 4 are not one block, so the escape's
+        # profile lists every voter: count lines would renumber them.
+        interleaved = files["tmp"] / "interleaved.txt"
+        interleaved.write_text("alternatives: A B C\nvoter 1: C>A>B\nvoter 2: A>B>C\nvoter 3: B>C>A\nvoter 4: C>A>B\n")
+        argv = ["analyze", "--profile", str(interleaved), "--rule", files["plurality"], "--format", "json"]
+        assert run(argv) == 0
+        (escape,) = json.loads(capsys.readouterr().out)["escapes"]
+        assert (escape["voter"], escape["sets"]["coalition"], escape["strategic_order"]) == (2, [2], "B > A > C")
+        profile = parse_profile(escape["profile"])
+        assert profile.orders == parse_profile(interleaved.read_text()).orders
+        strategic = LinearOrder.from_string(escape["strategic_order"], profile.domain)
+        assert has_incentive(parse_rule(RULE_PLURALITY), profile, 1, strategic)
 
     @pytest.mark.parametrize("header", ["B A C", "C B A"])
     def test_header_order_does_not_matter(self, files, capsys, header):

@@ -363,6 +363,14 @@ class TestTableIndex:
         for index in range(36):
             self.assert_kept_index_is_the_encoding(rule, decode_profile(index, 2, all_orders(D3)))
 
+    def test_decode_rejects_an_index_outside_the_space(self):
+        orders = all_orders(D3)
+        for index in (0, 35):
+            assert decode_profile(index, 2, orders).index == index
+        for index in (-1, 36):
+            with pytest.raises(ValueError, match=r"outside 0\.\.35"):
+                decode_profile(index, 2, orders)
+
     def test_orders_built_directly(self):
         # Orders built from their rankings, not taken from the domain's
         # table, still derive the rule's domain and encode by its ids.

@@ -17,7 +17,7 @@ from safevote.geometry import (
     render_svg,
     trajectory,
 )
-from safevote.rules import ScoringRule, borda, plurality, scores
+from safevote.rules import ScoringRule, borda, plurality
 from safevote.core import SafevoteError
 
 from helpers import region_of
@@ -55,7 +55,7 @@ class TestBarycentricPoint:
 
 class TestEmbed:
     def test_94_scores(self):
-        point = embed(scores(BORDA_94, PROFILE_94))
+        point = embed(BORDA_94.scores(PROFILE_94))
         assert point.coords == (Fraction(96, 282), Fraction(99, 282), Fraction(87, 282))
 
     def test_equal_scores_center(self):
@@ -84,7 +84,7 @@ class TestEmbed:
 
 class TestRegionOf:
     def test_94_sincere_region(self):
-        point = embed(scores(BORDA_94, PROFILE_94))
+        point = embed(BORDA_94.scores(PROFILE_94))
         assert region_of(point, BORDA_94.tiebreak).label == "B"
 
     def test_center_goes_to_tiebreak_head(self):
@@ -98,14 +98,14 @@ class TestRegionOf:
 
         members = sorted(voters_of_type(PROFILE_94, o("ABC")))
         switched = switch_votes(PROFILE_94, frozenset(members[:10]), o("ACB"))
-        point = embed(scores(BORDA_94, switched))
+        point = embed(BORDA_94.scores(switched))
         assert region_of(point, BORDA_94.tiebreak).label == "C"
 
 
 def per_k_trajectory(rule, profile, type_order, strategic, k_max):
     """The oracle: the profile rebuilt and re-scored for every k."""
     members = sorted(voters_of_type(profile, type_order))
-    return [embed(scores(rule, switch_votes(profile, frozenset(members[:k]), strategic))) for k in range(k_max + 1)]
+    return [embed(rule.scores(switch_votes(profile, frozenset(members[:k]), strategic))) for k in range(k_max + 1)]
 
 
 class TestTrajectory:
@@ -120,7 +120,7 @@ class TestTrajectory:
 
     def test_starts_at_sincere_point(self):
         points = trajectory(BORDA_94, PROFILE_94, o("ABC"), o("ACB"), 5)
-        assert points[0] == embed(scores(BORDA_94, PROFILE_94))
+        assert points[0] == embed(BORDA_94.scores(PROFILE_94))
 
     def test_collinearity_exact(self):
         points = trajectory(BORDA_94, PROFILE_94, o("ABC"), o("ACB"), 17)
@@ -368,7 +368,7 @@ def random_elections(low: int):
 class TestGeometricAlgebraicAgreement:
     def test_region_matches_evaluate_on_random_profiles(self):
         for rule, profile in random_elections(0):
-            point = embed(scores(rule, profile))
+            point = embed(rule.scores(profile))
             assert point == figure_spec(rule, profile).base_point
             assert sum(point.coords) == 1
             assert region_of(point, rule.tiebreak) == rule.evaluate(profile)

@@ -19,6 +19,7 @@ from safevote.core import (
     ParseError,
     Profile,
     all_orders,
+    format_profile,
     parse_profile,
     switch_votes,
     voters_of_type,
@@ -34,7 +35,6 @@ from safevote.rules import (
     parse_rule,
     plurality,
     random_table_rule,
-    subrule_minus,
 )
 from safevote.strategy import (
     Certificate,
@@ -44,12 +44,12 @@ from safevote.strategy import (
     classify_safety,
     find_escapes,
     has_incentive,
+    _ObjectPath,
 )
 
 D3 = Domain.from_labels("ABC")
 D4 = Domain.from_labels("ABCD")
 ORDERS_3 = all_orders(D3)
-ORDERS_4 = all_orders(D4)
 
 
 def orders_for(domain: Domain):
@@ -222,9 +222,8 @@ def test_table_kernel_matches_object_path(n, seed, data):
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_default_kernel_matches_object_path(data):
-    # A subrule has no kernel of its own and takes the replaying default.
-    parent = data.draw(st.sampled_from([borda, plurality]))(data.draw(orders_for(D4)))
-    rule = subrule_minus(parent, D4.by_label("D"))
+    # The object path has no kernel of its own and takes the replaying default.
+    rule = _ObjectPath(data.draw(st.sampled_from([borda, plurality]))(data.draw(orders_for(D3))))
     profile = data.draw(profiles_for(rule.domain, max_n=5))
     type_order = data.draw(st.sampled_from(profile.types_present()))
     target = data.draw(orders_for(rule.domain).filter(lambda L: L != type_order))
@@ -340,7 +339,7 @@ def test_shared_tally_answers_as_a_fresh_profile(rules, data):
 KERNEL_RULES = {
     "scoring": borda(ORDERS_3[0]),
     "table": random_table_rule(3, 3, 0),
-    "default": subrule_minus(borda(ORDERS_4[0]), D4.by_label("D")),
+    "default": _ObjectPath(borda(ORDERS_3[0])),
 }
 
 
@@ -628,6 +627,21 @@ def test_parse_profile_gives_a_profile_or_a_parse_error(text):
     if profile is not None:
         assert isinstance(profile, Profile)
         assert 1 <= profile.n <= MAX_VOTERS
+
+
+@given(domain=domains(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_profile_text_keeps_every_voter(domain, data):
+    # Ballots from a pool of up to three types, so that types repeat and,
+    # in per-voter profiles, interleave.
+    pool = data.draw(st.lists(orders_for(domain), min_size=1, max_size=3, unique=True))
+    per_voter = Profile(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))))
+    counts = data.draw(st.lists(st.integers(1, 4), min_size=len(pool), max_size=len(pool)))
+    by_count = Profile.from_counts(list(zip(pool, counts)))
+    for profile in (per_voter, by_count):
+        assert parse_profile(format_profile(profile)).orders == profile.orders
+    # A count profile whose types repeat keeps the count style.
+    assert ("voter" in format_profile(by_count)) == (by_count.n == len(pool))
 
 
 @given(lines=RULE_LINES, entries=st.lists(ENTRY_LINES, max_size=8), full_table=st.booleans())

@@ -1,4 +1,4 @@
-"""Unit tests for scoring rules, table rules, predicates, and derived rules."""
+"""Unit tests for scoring rules, table rules and predicates."""
 
 import itertools
 import random
@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from safevote import rules
 from safevote.core import Domain, EditError, LinearOrder, Profile, all_orders, completely_agreed, voters_of_type
 from safevote.rules import (
-    AntagonismError,
     Rule,
     RulePredicateReport,
-    SubRule,
     BudgetExceededError,
     DomainMismatchError,
     ParseError,
@@ -29,9 +27,6 @@ from safevote.rules import (
     plurality,
     profile_space_size,
     random_table_rule,
-    scores,
-    subrule_minus,
-    two_voter_reduction,
 )
 from safevote.strategy import _ObjectPath
 
@@ -82,19 +77,19 @@ class TestScoringEvaluate:
 
     def test_borda_94(self):
         rule = borda(o("BAC"))
-        got = {a.label: s for a, s in scores(rule, PROFILE_94).items()}
+        got = {a.label: s for a, s in rule.scores(PROFILE_94).items()}
         assert got == {"A": 96, "B": 99, "C": 87}
         assert rule.evaluate(PROFILE_94).label == "B"
 
     def test_two_approval_33(self):
         rule = k_approval(2, o("ABC"))
-        got = {a.label: s for a, s in scores(rule, PROFILE_33).items()}
+        got = {a.label: s for a, s in rule.scores(PROFILE_33).items()}
         assert got == {"A": 23, "B": 25, "C": 18}
         assert rule.evaluate(PROFILE_33).label == "B"
 
     def test_borda_41_corrected_type(self):
         rule = borda(o("CEBAD", D5))
-        got = {a.label: s for a, s in scores(rule, PROFILE_41).items()}
+        got = {a.label: s for a, s in rule.scores(PROFILE_41).items()}
         assert got == {"A": 59, "B": 102, "C": 110, "D": 30, "E": 109}
         assert rule.evaluate(PROFILE_41).label == "C"
 
@@ -102,20 +97,20 @@ class TestScoringEvaluate:
         # Negative control: with the third block voting EBCAD instead of
         # EBCDA the A and D totals cannot match the documented values.
         wrong = counts_profile(D5, {"ABCDE": 10, "CEBAD": 15, "EBCAD": 14, "EDACB": 2})
-        got = {a.label: s for a, s in scores(borda(o("CEBAD", D5)), wrong).items()}
+        got = {a.label: s for a, s in borda(o("CEBAD", D5)).scores(wrong).items()}
         assert got["A"] == 73
         assert got["D"] == 16
 
     def test_agreed_profile_scores(self):
         rule = borda(o("ABC"))
-        got = scores(rule, completely_agreed(o("BCA"), 7))
+        got = rule.scores(completely_agreed(o("BCA"), 7))
         assert got[D3.by_label("B")] == 7 * 2
         assert got[D3.by_label("A")] == 0
 
     def test_score_conservation(self):
         rule = ScoringRule.from_ints([5, 2, 1], o("CAB"))
         for profile in (PROFILE_1, PROFILE_2, PROFILE_94):
-            assert sum(scores(rule, profile).values()) == profile.n * 8
+            assert sum(rule.scores(profile).values()) == profile.n * 8
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatchError):
@@ -356,9 +351,6 @@ class TestPredicateReportMatchesObjectPath:
         **{f"random-n{n}-m3-s{seed}": (lambda n=n, seed=seed: random_table_rule(n, 3, seed), n)
            for n in (2, 3) for seed in range(5)},
         **{f"random-n2-m4-s{seed}": (lambda seed=seed: random_table_rule(2, 4, seed), 2) for seed in range(3)},
-        "subrule-borda-n2": (lambda: subrule_minus(borda(o("ABC")), D3.by_label("C")), 2),
-        "subrule-borda-n3": (lambda: subrule_minus(borda(o("BCA")), D3.by_label("A")), 3),
-        "subrule-dictator": (lambda: subrule_minus(projection_rule(2, 1), D3.by_label("B")), 2),
         "borda-n2": (lambda: borda(o("ABC")), 2),
         "plurality-n3": (lambda: plurality(o("CBA")), 3),
     }
@@ -379,17 +371,27 @@ class TestPredicateReportMatchesObjectPath:
         assert check_predicates(TableRule.from_function(D3, 2, borda(o("ABC")).evaluate)).anonymous
 
     def test_antagonistic_subrule_raises_at_the_same_profile(self):
-        # The parent elects the removed A only at the subrule's third profile.
-        parent_table = TableRule.from_function(
-            D3, 2, lambda p: D3.by_label("A" if p.orders == (o("CBA"), o("BCA")) else "B")
-        )
+        # A rule undefined at one profile, as a subrule is where its parent
+        # elects the removed alternative: both walks evaluate in the same
+        # order and stop there.
+        stop = decode_profile(2, 2, all_orders(D3))
+
+        class Undefined(Exception):
+            pass
+
+        class UndefinedAtStop(RecordingRule):
+            def evaluate(self, profile):
+                winner = super().evaluate(profile)
+                if profile == stop:
+                    raise Undefined(profile)
+                return winner
+
         runs = []
         for check in (check_predicates, reference_predicates):
-            parent = RecordingRule(parent_table)
-            sub = SubRule(parent, D3.by_label("A"), Domain.from_labels("BC"))
-            with pytest.raises(AntagonismError):
-                check(sub, 2)
-            runs.append(parent.seen)
+            rule = UndefinedAtStop(borda(o("ABC")))
+            with pytest.raises(Undefined):
+                check(rule, 2)
+            runs.append(rule.seen)
         assert runs[0] == runs[1]
         assert len(runs[0]) == 3
 
@@ -459,78 +461,6 @@ class TestScoringSizeMemo:
         outsider = next((v for v in range(profile.n) if v not in members), profile.n)
         with pytest.raises(EditError):
             kernel(frozenset(members[1:]) | {outsider})
-
-
-class TestTwoVoterReduction:
-    def test_agreed_diagonal(self):
-        rule = borda(o("ABC"))
-        reduced = two_voter_reduction(rule, frozenset({0, 1}), frozenset({2, 3}), n=4)
-        for order in all_orders(D3):
-            pair = Profile((order, order))
-            assert reduced.evaluate(pair) == rule.evaluate(completely_agreed(order, 4))
-
-    def test_faithful_to_blow_up(self):
-        rule = borda(o("ABC"))
-        part1, part2 = frozenset({0, 1}), frozenset({2, 3})
-        reduced = two_voter_reduction(rule, part1, part2, n=4)
-        for p in all_orders(D3):
-            for q in all_orders(D3):
-                expanded = Profile((p, p, q, q))
-                assert reduced.evaluate(Profile((p, q))) == rule.evaluate(expanded)
-
-    def test_dictatorship_transfers(self):
-        parent = projection_rule(3)
-        reduced = two_voter_reduction(parent, frozenset({0}), frozenset({1, 2}))
-        assert check_predicates(reduced).dictatorial == 0
-
-    def test_invalid_partitions_rejected(self):
-        rule = borda(o("ABC"))
-        with pytest.raises(ValueError):
-            two_voter_reduction(rule, frozenset(), frozenset({0, 1}), n=2)
-        with pytest.raises(ValueError):
-            two_voter_reduction(rule, frozenset({0}), frozenset({0, 1}), n=2)
-        with pytest.raises(ValueError):
-            two_voter_reduction(rule, frozenset({0}), frozenset({1}), n=3)
-
-    def test_needs_n_for_scoring_rules(self):
-        with pytest.raises(ValueError):
-            two_voter_reduction(borda(o("ABC")), frozenset({0}), frozenset({1}))
-
-
-class TestSubrule:
-    def test_borda_minus_c_matches_lifted_parent(self):
-        parent = borda(o("ABC"))
-        sub = subrule_minus(parent, D3.by_label("C"))
-        assert sub.domain.labels == "AB"
-        c = D3.by_label("C")
-        for profile in all_profiles(sub.domain, 2):
-            lifted = Profile(
-                tuple(
-                    LinearOrder(tuple(D3.by_label(a.label) for a in x.ranking) + (c,))
-                    for x in profile.orders
-                )
-            )
-            assert sub.evaluate(profile).label == parent.evaluate(lifted).label
-            assert sub.evaluate(profile).label != "C"
-
-    def test_subrule_is_proper_for_borda(self):
-        sub = subrule_minus(borda(o("ABC")), D3.by_label("C"))
-        report = check_predicates(sub, n=2)
-        assert report.onto
-        assert report.dictatorial is None
-
-    def test_dictatorship_restricts(self):
-        sub = subrule_minus(projection_rule(2), D3.by_label("C"))
-        assert check_predicates(sub).dictatorial == 0
-
-    def test_antagonistic_parent_detected(self):
-        sub = subrule_minus(constant_rule(2, "A"), D3.by_label("A"))
-        with pytest.raises(AntagonismError):
-            sub.evaluate(next(all_profiles(sub.domain, 2)))
-
-    def test_removed_alternative_must_exist(self):
-        with pytest.raises(DomainMismatchError):
-            subrule_minus(borda(o("ABC")), D5.by_label("E"))
 
 
 class TestRandomTableRule:
