@@ -34,6 +34,12 @@ scoring rule's winner after k switchers is the first maximum of the lines
 `base + k * step`, which can change only where two lines cross, so it
 scores at most m(m-1)+1 switch counts, whatever the type's count.
 
+`Rule.vote_class` keys the strategic orders that every switch treats
+alike, so the strategy searches walk one order per key.  A scoring rule's
+key is the points an order gives each alternative: plurality has m keys,
+k-approval C(m, k) and Borda m!.  The default key, the order itself, walks
+every order and is the oracle.
+
 Table rules work on order ids: an order's position in the domain's
 `_orders`, read from the `Domain`'s order-to-id map.  There is one `Domain`
 per label set, so every order and profile over the rule's alternatives
@@ -55,7 +61,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from safevote.core import (
     MAX_ALTERNATIVES,
@@ -152,6 +158,12 @@ class Rule:
         winner = self.switched(profile, type_order, order)
         members = sorted(voters_of_type(profile, type_order))
         return _changes((k, winner(frozenset(members[:k]))) for k in range(len(members) + 1))
+
+    def vote_class(self, order: LinearOrder) -> Hashable:
+        """A key shared only by strategic orders that give every coalition
+        of a type the same winner, so the strategy searches find the same
+        moves for them.  This default is the order itself."""
+        return order
 
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]
@@ -304,6 +316,11 @@ class ScoringRule(Rule):
             step[new.index] += points
             step[old.index] -= points
         return base, step
+
+    def vote_class(self, order: LinearOrder) -> tuple[int, ...]:
+        """The points the order gives each alternative, by alternative
+        index: orders with equal points have equal `lines`."""
+        return tuple(self._points[r] for r in order.ranks)
 
     def _winner_after(self, base: Sequence[int], step: Sequence[int]) -> Callable[[int], Alternative]:
         """The winner after k switchers: the first maximum, in tie-break

@@ -9,6 +9,14 @@ type's improving moves, and `_certify` turns any move into the claim's
 gives the type's incentives and its escape.  Every search is
 deterministic and its witnesses are minimal under its enumeration order.
 
+`incentives` and `safety_verdicts` read one vote enumerator, `_votes`.  It
+skips a type whose favourite already wins, and it searches each voter's
+votes once per vote class (`Rule.vote_class`), relabelling what it finds
+for each order of the class.  A scoring rule's class is the points an
+order gives each alternative, so plurality walks m orders per type, not
+m! - 1.  Any other rule walks every order, which the tests use as the
+oracle.
+
 Each vote's searches (`has_incentive`, `classify_safety` and
 `lift_safe_pivotal`) read one move walk, `_moves`.  Under an anonymous rule
 it reads the runs kernel, `Rule.size_runs`: the switch counts at which the
@@ -36,11 +44,12 @@ certificate through `switch_votes` and `Rule.evaluate` only.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Hashable, Iterator, Mapping, TypeVar
 
 from safevote.core import (
     Alternative,
@@ -240,24 +249,53 @@ def has_incentive(
     return None
 
 
+#: What a per-vote search finds: a witness or a verdict.
+_Found = TypeVar("_Found")
+
+
 def _votes(
-    rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
-) -> Iterator[tuple[int, LinearOrder]]:
-    """A type's strategic votes, voter first, then order: for an anonymous
-    rule the type's first voter stands for all of them, else each member in turn."""
+    rule: Rule,
+    profile: Profile,
+    type_order: LinearOrder,
+    orders: list[LinearOrder],
+    search: Callable[[int, LinearOrder], _Found | None],
+) -> Iterator[tuple[LinearOrder, _Found]]:
+    """(order, found) for each of a type's strategic votes on which
+    `search(voter, order)` finds something, voter first, then order.
+
+    For an anonymous rule the type's first voter stands for all of them,
+    else each member in turn.  The search runs once per (voter,
+    `Rule.vote_class`), and each later order of a class gets what its first
+    order found, for the caller to relabel.  A type whose favourite already
+    wins cannot improve on it, so none of its votes is searched.
+    """
+    if type_order.top == rule.evaluate(profile):
+        return
     members = sorted(voters_of_type(profile, type_order))
-    voters = members[:1] if rule.anonymous else members
-    return ((voter, order) for voter in voters for order in orders if order != type_order)
+    for voter in members[:1] if rule.anonymous else members:
+        found: dict[Hashable, _Found | None] = {}
+        for order in orders:
+            if order != type_order:
+                key = rule.vote_class(order)
+                if key not in found:
+                    found[key] = search(voter, order)
+                if found[key] is not None:
+                    yield order, found[key]
+
+
+def _relabel(witness: IncentiveWitness, strategic_order: LinearOrder) -> IncentiveWitness:
+    """The witness of another order of the same vote class."""
+    return replace(witness, strategic_order=strategic_order)
 
 
 def incentives(
     rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
 ) -> Iterator[IncentiveWitness]:
-    """Every incentive witness of one type, in `_votes` order."""
-    for voter, strategic_order in _votes(rule, profile, type_order, orders):
-        witness = has_incentive(rule, profile, voter, strategic_order)
-        if witness is not None:
-            yield witness
+    """Every incentive witness of one type, in `_votes` order: one
+    `has_incentive` walk per vote class of each voter searched."""
+    search = functools.partial(has_incentive, rule, profile)
+    for strategic_order, witness in _votes(rule, profile, type_order, orders, search):
+        yield _relabel(witness, strategic_order)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +360,25 @@ def classify_safety(
 def safety_verdicts(
     rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
 ) -> Iterator[SafetyVerdict]:
-    """The verdict of every incentivized vote of one type, in `incentives` order."""
-    for voter, strategic_order in _votes(rule, profile, type_order, orders):
-        try:
-            verdict = classify_safety(rule, profile, voter, strategic_order)
-        except NoIncentiveError:
-            continue
-        yield verdict
+    """The verdict of every incentivized vote of one type, in `incentives`
+    order: one `classify_safety` walk per vote class of each voter searched."""
+    search = functools.partial(_verdict, rule, profile)
+    for strategic_order, verdict in _votes(rule, profile, type_order, orders, search):
+        yield replace(verdict, incentive=_relabel(verdict.incentive, strategic_order))
+
+
+def _verdict(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> SafetyVerdict | None:
+    """The vote's verdict, or None when it has no incentive."""
+    try:
+        return classify_safety(rule, profile, voter, strategic_order)
+    except NoIncentiveError:
+        return None
 
 
 def _is_safe(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> bool:
     """Whether the vote is a safe manipulation: incentivized, and safe."""
-    try:
-        return classify_safety(rule, profile, voter, strategic_order).status == SafetyStatus.SAFE
-    except NoIncentiveError:
-        return False
+    verdict = _verdict(rule, profile, voter, strategic_order)
+    return verdict is not None and verdict.status == SafetyStatus.SAFE
 
 
 def threshold_scan(
@@ -440,6 +482,17 @@ def find_L_inferior(
     return [subset for subset in subsets if full_rank < ranks[winner(subset).index]]
 
 
+def _maximal(sets: list[VoterSet]) -> list[VoterSet]:
+    """The sets strictly inside no other, largest first: one pass in
+    size-descending order that keeps each set strictly inside no kept one.
+    A set inside another is inside a kept one, which came before it."""
+    kept: list[VoterSet] = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(map(s.__lt__, kept)):
+            kept.append(s)
+    return kept
+
+
 def construct_safe_from_inferior(
     rule: Rule,
     profile: Profile,
@@ -455,8 +508,7 @@ def construct_safe_from_inferior(
     inferior = find_L_inferior(rule, profile, type_order, strategic_order)
     if not inferior:
         return None
-    maximal = [s for s in inferior if not any(s < t for t in inferior)]
-    chosen = min(maximal, key=lambda s: (-len(s), sorted(s)))
+    chosen = min(_maximal(inferior), key=lambda s: (-len(s), sorted(s)))
     members = voters_of_type(profile, type_order)
     shifted = switch_votes(profile, chosen, strategic_order)
     remaining = members - chosen

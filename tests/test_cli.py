@@ -34,6 +34,33 @@ voter 3: C > A > B
 voter 4: C > B > A
 """
 
+#: Four-alternative count profiles under plurality and 2-approval, where
+#: many orders give every alternative the same points; the `analyze`
+#: goldens pin their reports.
+PROFILE_PLURALITY_4 = """\
+alternatives: A B C D
+9: A > B > C > D
+3: A > D > C > B
+6: B > C > D > A
+5: B > A > D > C
+4: C > B > A > D
+2: C > D > B > A
+3: D > C > B > A
+1: D > A > B > C
+"""
+
+PROFILE_2APPROVAL_4 = """\
+alternatives: A B C D
+7: B > A > C > D
+4: D > C > A > B
+5: A > C > B > D
+7: C > B > D > A
+3: D > A > B > C
+3: D > A > C > B
+4: B > C > D > A
+3: B > D > C > A
+"""
+
 RULE_BORDA_94 = "rule: scoring\nscores: 2 1 0\ntiebreak: B > A > C\n"
 RULE_PLURALITY = "rule: scoring\nscores: 1 0 0\ntiebreak: A > B > C\n"
 
@@ -569,8 +596,9 @@ class TestSingleWalk:
 
     def test_analyze_scores_each_vote_once(self, files, capsys, monkeypatch):
         # The summary and the escapes come from one walk: one
-        # `has_incentive` per (type, strategic order), six types by five
-        # orders, though two types rank the winner B last and escape.
+        # `has_incentive` per (type, vote class), for the four types whose
+        # favourite is not the winner B by five orders, each its own class
+        # under Borda.  Two of those types rank B last and escape.
         calls = []
         has_incentive = strategy.has_incentive
 
@@ -581,7 +609,7 @@ class TestSingleWalk:
         monkeypatch.setattr(strategy, "has_incentive", counted)
         assert run(["analyze", "--profile", files["profile94"], "--rule", files["borda"], "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(calls) == len(set(calls)) == 6 * 5
+        assert len(calls) == len(set(calls)) == 4 * 5
         assert len(report["escapes"]) == 2
 
 
@@ -641,6 +669,23 @@ class TestGoldenOutputs:
     )
     def test_json_matches_golden(self, capsys, argv, golden):
         assert run(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "profile, scores, tiebreak, golden",
+        [
+            (PROFILE_PLURALITY_4, "1 0 0 0", "A > B > C > D", "analyze_plurality4.json"),
+            (PROFILE_2APPROVAL_4, "1 1 0 0", "B > A > D > C", "analyze_2approval4.json"),
+        ],
+        ids=["plurality-4", "2-approval-4"],
+    )
+    def test_analyze_matches_golden(self, files, capsys, profile, scores, tiebreak, golden):
+        # Types whose favourite wins, and strategic orders that share their
+        # points with others, beside incentives and escapes.
+        profile_path, rule_path = files["tmp"] / "profile.txt", files["tmp"] / "rule.txt"
+        profile_path.write_text(profile)
+        rule_path.write_text(f"rule: scoring\nscores: {scores}\ntiebreak: {tiebreak}\n")
+        assert run(["analyze", "--profile", str(profile_path), "--rule", str(rule_path), "--format", "json"]) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_figure_matches_golden(self, files, capsys):

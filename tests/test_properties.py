@@ -44,6 +44,8 @@ from safevote.strategy import (
     classify_safety,
     find_escapes,
     has_incentive,
+    incentives,
+    safety_verdicts,
     _ObjectPath,
 )
 
@@ -500,9 +502,19 @@ def assert_one_walk(rule: Rule, profile: Profile) -> None:
     assert [(t.type_order, t.count, list(t.strategic_orders)) for t in analysis.types] == summary
     assert [c.to_json_dict() for c in analysis.escapes] == escapes
     assert [c.to_json_dict() for c in find_escapes(rule, profile)] == escapes
-    # One `has_incentive` per strategic vote: per type and order under an
-    # anonymous rule, per member and order under a table rule.
-    votes = sum(1 if rule.anonymous else t.count for t in analysis.types) * (len(all_orders(profile.domain)) - 1)
+    # One `has_incentive` per vote class of each voter searched, for each
+    # type whose favourite is not the winner: per type under an anonymous
+    # rule, per member under a table rule.  A scoring rule's orders share a
+    # class when they give every alternative the same points; a table
+    # rule's orders are each their own.
+    def classes(type_order: LinearOrder) -> int:
+        strategic = [o for o in all_orders(profile.domain) if o != type_order]
+        if isinstance(rule, ScoringRule):
+            return len({tuple(rule.scores(Profile((o,))).values()) for o in strategic})
+        return len(strategic)
+
+    searched = (t for t in analysis.types if t.type_order.top != winner)
+    votes = sum((1 if rule.anonymous else t.count) * classes(t.type_order) for t in searched)
     assert counted.call_count == votes
 
 
@@ -530,6 +542,60 @@ def test_analyze_walks_each_vote_once_on_table_rules(seed, data):
     rule = random_table_rule(2, 3, seed)
     orders = all_orders(rule.domain)
     assert_one_walk(rule, Profile((data.draw(st.sampled_from(orders)), data.draw(st.sampled_from(orders)))))
+
+
+#: Score vectors whose orders fall into few vote classes: tied and negative weights.
+TIED_VECTORS = ((1, 1, 0, 0), (2, 1, 1, 0), (3, 1, 1, 0), (1, 0, 0, -1))
+
+
+@st.composite
+def tied_elections(draw):
+    """A scoring rule over 3 to 5 alternatives with ties or a negative
+    weight, and a count profile of up to five types."""
+    m = draw(st.integers(3, 5))
+    domain = Domain.of_size(m)
+    if m == 4 and draw(st.booleans()):
+        weights = draw(st.sampled_from(TIED_VECTORS))
+    else:
+        weights = sorted(draw(st.lists(st.integers(-1, 2), min_size=m, max_size=m)), reverse=True)
+    rule = ScoringRule.from_ints(weights, draw(orders_for(domain)))
+    types = draw(st.lists(orders_for(domain), min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(types), max_size=len(types)))
+    return rule, Profile.from_counts(list(zip(types, counts)))
+
+
+def per_order_walk(search, rule: Rule, profile: Profile, type_order: LinearOrder) -> list:
+    """What `search` finds on each strategic vote of the type's first voter,
+    order by order: no vote class, and no type skipped."""
+    voter = min(voters_of_type(profile, type_order))
+    found = (search(rule, profile, voter, order) for order in all_orders(profile.domain) if order != type_order)
+    return [x for x in found if x is not None]
+
+
+@given(tied_elections())
+@settings(max_examples=40, deadline=None)
+def test_vote_classes_match_the_per_order_walk(election):
+    # One walk per class, relabelled to each of its orders, against the
+    # per-order walk that replays every switch through `switch_votes`.
+    rule, profile = election
+    oracle = _ObjectPath(rule)
+    orders = all_orders(profile.domain)
+    for t in profile.types_present():
+        assert list(incentives(rule, profile, t, orders)) == per_order_walk(has_incentive, oracle, profile, t)
+        assert list(safety_verdicts(rule, profile, t, orders)) == per_order_walk(strategy._verdict, oracle, profile, t)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 4)), max_size=16))
+def test_maximal_sets_match_the_pairwise_filter(family):
+    # The pairwise filter `construct_safe_from_inferior` used before is the
+    # oracle: the same sets, largest first, so the same one is chosen.
+    pairwise = [s for s in family if not any(s < t for t in family)]
+    maximal = strategy._maximal(family)
+    assert sorted(map(sorted, maximal)) == sorted(map(sorted, pairwise))
+    assert [len(s) for s in maximal] == sorted(map(len, maximal), reverse=True)
+    if family:
+        key = lambda s: (-len(s), sorted(s))  # noqa: E731
+        assert min(maximal, key=key) == min(pairwise, key=key)
 
 
 # ---------------------------------------------------------------------------
