@@ -169,6 +169,16 @@ class LinearOrder:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # Orders are mostly the domain's interned instances, and two
+        # different ones almost always differ in hash, so the rankings are
+        # compared only on a hash match.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.ranking == other.ranking
+
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
         """Build an order from a compact label string like "ACB"."""

@@ -23,8 +23,13 @@ their membership check and one lookup.  A table rule adds each switcher's
 place value times the digit change to the sincere profile's table index.
 The default kernel, which `strategy._ObjectPath` reaches for any rule,
 replays the switch through `switch_votes` and `evaluate`: the oracle.
-`Rule.solo_switches` is the pivot kernel beside it: every single voter's
-switch to every other order, asked once per profile.
+`Rule.switches` sets the switch kernel up once per (profile, type) for
+every strategic order of the type.  A table rule reads the type's voters,
+the profile's table index and the type's order id there, so each order
+costs one id lookup, and its `switched` is `switches(...)(order)`: one
+kernel.  The default sets `switched` up per order.  `Rule.solo_switches` is
+the pivot kernel beside them: every single voter's switch to every other
+order, asked once per profile.
 
 `Rule.size_runs` is the runs kernel of anonymous rules, whose winner
 depends only on how many voters of the type switch: the switch counts k at
@@ -45,7 +50,8 @@ Table rules work on order ids: an order's position in the domain's
 per label set, so every order and profile over the rule's alternatives
 shares it and domain checks are identity tests.  A table rule reads a
 profile's winner at `Profile.index`, which the profile computes once, and
-the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`; the
+the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`, with the
+place values R^(n-1-v) computed once per rule (`TableRule._places`); the
 predicate report walks digit tuples beside the winner ids and decodes a
 `Profile` only for the antagonism witness it reports.
 """
@@ -60,7 +66,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from safevote.core import (
@@ -143,6 +149,17 @@ class Rule:
             return self.evaluate(switch_votes(profile, coalition, order))
 
         return winner
+
+    def switches(
+        self, profile: Profile, type_order: LinearOrder
+    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
+        """`switched` for every strategic order of one type, set up once:
+        the returned function maps an order to its coalition-to-winner
+        function, and raises at each order what `switched` raises at set-up.
+        This default sets `switched` up anew for each order; rules whose
+        set-up serves every order override it.
+        """
+        return partial(self.switched, profile, type_order)
 
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
@@ -434,24 +451,43 @@ class TableRule(Rule):
     def evaluate(self, profile: Profile) -> Alternative:
         return self.winners[self._checked_index(profile)]
 
+    @cached_property
+    def _places(self) -> tuple[int, ...]:
+        """Each voter's place value in `Profile.index`: voter v is the digit
+        of place value radix^(n-1-v)."""
+        radix, last = len(self.domain._orders), self.n - 1
+        return tuple(radix ** (last - v) for v in range(self.n))
+
     def switched(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
     ) -> Callable[[VoterSet], Alternative]:
-        members = _switch_check(profile, type_order, order)
+        return self.switches(profile, type_order)(order)
+
+    def switches(
+        self, profile: Profile, type_order: LinearOrder
+    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
+        members = voters_of_type(profile, type_order)
         base = self._checked_index(profile)
         ids = self.domain._order_ids
-        step = ids[order] - ids[type_order]
-        # Voter v is the digit of place value radix^(n-1-v).
-        radix, last = len(ids), self.n - 1
-        places = [radix ** (last - v) for v in range(self.n)]
-        winners = self.winners
+        digit = ids[type_order]
+        places, winners = self._places, self.winners
 
-        def winner(coalition: VoterSet) -> Alternative:
-            if not coalition <= members:
-                raise _stray(coalition, type_order)
-            return winners[base + step * sum(map(places.__getitem__, coalition))]
+        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
+            # The id lookup checks the order: an order over another domain
+            # has no id, and the type's own order no step, and
+            # `_switch_check` raises for both.
+            step = ids.get(order, digit) - digit
+            if not step:
+                _switch_check(profile, type_order, order)
 
-        return winner
+            def winner(coalition: VoterSet) -> Alternative:
+                if not coalition <= members:
+                    raise _stray(coalition, type_order)
+                return winners[base + step * sum(map(places.__getitem__, coalition))]
+
+            return winner
+
+        return switched
 
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]
@@ -463,10 +499,8 @@ class TableRule(Rule):
         except KeyError as exc:
             foreign = exc.args[0].compact
             raise DomainMismatchError(f"order {foreign} is not over domain {self.domain.labels}") from None
-        radix, winners = len(ids), self.winners
-        place = radix**self.n
-        for voter, voter_order in enumerate(profile.orders):
-            place //= radix
+        winners = self.winners
+        for voter, (voter_order, place) in enumerate(zip(profile.orders, self._places)):
             digit = ids[voter_order]
             for order, target in targets:
                 if target != digit:

@@ -18,33 +18,40 @@ m! - 1.  Any other rule walks every order, which the tests use as the
 oracle.
 
 Each vote's searches (`has_incentive`, `classify_safety` and
-`lift_safe_pivotal`) read one move walk, `_moves`.  Under an anonymous rule
-it reads the runs kernel, `Rule.size_runs`: the switch counts at which the
+`lift_safe_pivotal`) read one move walk, `_walk`, set up once per (profile,
+voter) and asked once per strategic order.  Under an anonymous rule it
+reads the runs kernel, `Rule.size_runs`: the switch counts at which the
 winner changes, and a coalition is built only for a witness, as the voter
 plus the first k-1 other members in sorted order.  Otherwise it walks every
 subset from `_coalitions`, by size then lexicographically
 (`force_subsets=True` takes it on any rule, which the tests use as an
-oracle).  A `SafetyVerdict` carries its incentive witness, so one pass
-settles both questions.  The three theorem verifiers share one profile
-scan, `_scan`, which certifies the first move that a per-claim generator
-yields.
+oracle).  A single vote (`_moves`) builds its walk for that vote alone and
+its coalitions as it goes; `_votes` and the safe-pivotal scan build one
+walk per voter, which lists the coalitions and reads the sincere winner
+once for all of the voter's orders.  The per-vote searches over a walk,
+`_incentive` and `_classify`, return None for a vote without an incentive;
+only the public `classify_safety` raises `NoIncentiveError`.  A
+`SafetyVerdict` carries its incentive witness, so one pass settles both
+questions.  The three theorem verifiers share one profile scan, `_scan`,
+which certifies the first move that a per-claim generator yields.
 
 Subset searches find each coalition's winner through the rule's switch
-kernel, `Rule.switched`, set up once per (profile, type, strategic order),
-which builds no `Profile`.  `_coalitions` builds each coalition in C
-(`itertools` and `frozenset.union`), and the searches compare outcomes by
-the type order's rank tuple, `LinearOrder.ranks`, so the kernel's `winner`
-is the one Python call per coalition.  The pivotal scan reads every
+kernel, which builds no `Profile`: `Rule.switched` for a single vote, and
+one `Rule.switches` set-up per walk over many orders.  `_coalitions`
+builds each coalition in C (`itertools` and `frozenset.union`), and the
+searches compare outcomes by the type order's rank tuple,
+`LinearOrder.ranks`, so the kernel's `winner` is the one Python call per
+coalition.  The pivotal scan reads every
 single-voter switch of a profile from one call to `Rule.solo_switches`,
 and compares its outcomes by the same rank tuples.
 `verify_certificate` is the independent check: it replays every
-certificate through `switch_votes` and `Rule.evaluate` only.
+certificate through `switch_votes` and `Rule.evaluate` only, and a solo
+move's switch once.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import json
 import operator
@@ -191,27 +198,36 @@ def _spans(runs: Iterator[tuple[int, Alternative]], count: int) -> list[tuple[ra
     return [(range(k, end), winner) for (k, winner), end in zip(runs, ends)]
 
 
-def _moves(
-    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, force_subsets: bool = False
-) -> tuple[Alternative, Iterator[tuple], Callable[..., VoterSet], bool]:
-    """The moves of one strategic vote, smallest coalition first: the
-    sincere winner, the (key, winner) pair of each move, the coalition of a
-    key, and whether the keys are switch counts.
+#: One strategic vote's moves, smallest coalition first: the sincere
+#: winner, the (key, winner) pair of each move, the coalition of a key, and
+#: whether the keys are switch counts.
+_Moves = tuple[Alternative, Iterator[tuple], Callable[..., VoterSet], bool]
+
+
+def _walk(
+    rule: Rule, profile: Profile, voter: int, force_subsets: bool = False, reused: bool = False
+) -> Callable[[LinearOrder], _Moves]:
+    """The moves of the voter's strategic votes from one set-up per
+    (profile, voter): the returned function maps a strategic order other
+    than the voter's own to its `_Moves`.
 
     Under an anonymous rule, unless `force_subsets`, a key is a switch count
     at which the winner changes (a run start of `Rule.size_runs`) and its
     coalition the voter and the first k-1 other members in sorted order,
     sorted only once a coalition is asked for.  Otherwise a key is each
-    coalition from `_coalitions`, scored by `Rule.switched`.  Keys nest as
-    their coalitions do.
+    coalition from `_coalitions`, scored by the order's switch kernel.  Keys
+    nest as their coalitions do.
+
+    A walk `reused` for many orders sets the kernel up once for all of them
+    (`Rule.switches`), lists its coalitions once and reads the sincere
+    winner once, from `evaluate`.  A single vote's walk sets up `switched`
+    for its order, builds its coalitions as it goes, since `has_incentive`
+    often stops at the first, and asks the kernel about the empty coalition
+    for the sincere winner.
     """
     type_order = profile.orders[voter]
-    if strategic_order == type_order:
-        raise ValueError("strategic order must differ from the voter's sincere order")
     members = voters_of_type(profile, type_order)
     if rule.anonymous and not force_subsets:
-        runs = rule.size_runs(profile, type_order, strategic_order)
-        _, sincere = next(runs)
         others: list[int] = []
 
         def prefix(k: int) -> VoterSet:
@@ -219,11 +235,38 @@ def _moves(
                 others.extend(sorted(members - {voter}))
             return frozenset((voter, *others[: k - 1]))
 
-        return sincere, runs, prefix, True
-    winner = rule.switched(profile, type_order, strategic_order)
-    moves = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
+        def runs(order: LinearOrder) -> _Moves:
+            changes = rule.size_runs(profile, type_order, order)
+            _, sincere = next(changes)
+            return sincere, changes, prefix, True
+
+        return runs
     # `frozenset` of a coalition is the coalition itself.
-    return winner(frozenset()), moves, frozenset, False
+    if reused:
+        switches = rule.switches(profile, type_order)
+        coalitions, sincere = list(_coalitions(voter, members)), rule.evaluate(profile)
+
+        def listed(order: LinearOrder) -> _Moves:
+            winner = switches(order)
+            return sincere, zip(coalitions, map(winner, coalitions)), frozenset, False
+
+        return listed
+
+    def lazy(order: LinearOrder) -> _Moves:
+        winner = rule.switched(profile, type_order, order)
+        walk = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
+        return winner(frozenset()), walk, frozenset, False
+
+    return lazy
+
+
+def _moves(
+    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, force_subsets: bool = False
+) -> _Moves:
+    """The moves of one strategic vote, from a `_walk` set up for it alone."""
+    if strategic_order == profile.orders[voter]:
+        raise ValueError("strategic order must differ from the voter's sincere order")
+    return _walk(rule, profile, voter, force_subsets)(strategic_order)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +283,19 @@ def has_incentive(
     force_subsets: bool = False,
 ) -> IncentiveWitness | None:
     """A minimal-coalition incentive witness, or None if there is none."""
+    moves = _moves(rule, profile, voter, strategic_order, force_subsets)
+    return _incentive(rule, profile, voter, strategic_order, moves)
+
+
+def _incentive(
+    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, moves: _Moves
+) -> IncentiveWitness | None:
+    """`has_incentive` over the vote's moves: the per-vote search of
+    `incentives`."""
     ranks = profile.orders[voter].ranks
-    sincere, moves, coalition, _ = _moves(rule, profile, voter, strategic_order, force_subsets)
+    sincere, walk, coalition, _ = moves
     sincere_rank = ranks[sincere.index]
-    for key, outcome in moves:
+    for key, outcome in walk:
         if ranks[outcome.index] < sincere_rank:
             return IncentiveWitness(voter, strategic_order, coalition(key), sincere, outcome)
     return None
@@ -258,13 +310,15 @@ def _votes(
     profile: Profile,
     type_order: LinearOrder,
     orders: list[LinearOrder],
-    search: Callable[[int, LinearOrder], _Found | None],
+    search: Callable[[Rule, Profile, int, LinearOrder, _Moves], _Found | None],
 ) -> Iterator[tuple[LinearOrder, _Found]]:
     """(order, found) for each of a type's strategic votes on which
-    `search(voter, order)` finds something, voter first, then order.
+    `search(rule, profile, voter, order, moves)` finds something, voter
+    first, then order.
 
     For an anonymous rule the type's first voter stands for all of them,
-    else each member in turn.  The search runs once per (voter,
+    else each member in turn, and one `_walk` per voter serves all of
+    the voter's orders.  The search runs once per (voter,
     `Rule.vote_class`), and each later order of a class gets what its first
     order found, for the caller to relabel.  A type whose favourite already
     wins cannot improve on it, so none of its votes is searched.
@@ -272,19 +326,25 @@ def _votes(
     if type_order.top == rule.evaluate(profile):
         return
     members = sorted(voters_of_type(profile, type_order))
+    strategic = [order for order in orders if order != type_order]
     for voter in members[:1] if rule.anonymous else members:
+        walk = _walk(rule, profile, voter, reused=True)
         found: dict[Hashable, _Found | None] = {}
-        for order in orders:
-            if order != type_order:
-                key = rule.vote_class(order)
-                if key not in found:
-                    found[key] = search(voter, order)
-                if found[key] is not None:
-                    yield order, found[key]
+        for order in strategic:
+            key = rule.vote_class(order)
+            if key in found:
+                result = found[key]
+            else:
+                result = found[key] = search(rule, profile, voter, order, walk(order))
+            if result is not None:
+                yield order, result
 
 
 def _relabel(witness: IncentiveWitness, strategic_order: LinearOrder) -> IncentiveWitness:
-    """The witness of another order of the same vote class."""
+    """The witness of another order of the same vote class; the witness
+    itself for the order it was found for."""
+    if witness.strategic_order == strategic_order:
+        return witness
     return replace(witness, strategic_order=strategic_order)
 
 
@@ -292,9 +352,8 @@ def incentives(
     rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
 ) -> Iterator[IncentiveWitness]:
     """Every incentive witness of one type, in `_votes` order: one
-    `has_incentive` walk per vote class of each voter searched."""
-    search = functools.partial(has_incentive, rule, profile)
-    for strategic_order, witness in _votes(rule, profile, type_order, orders, search):
+    `has_incentive` search per vote class of each voter searched."""
+    for strategic_order, witness in _votes(rule, profile, type_order, orders, _incentive):
         yield _relabel(witness, strategic_order)
 
 
@@ -316,11 +375,23 @@ def classify_safety(
     fails: safety is only defined for actual strategic opportunities.  The
     moves below are `has_incentive`'s, so it finds the same witness too.
     """
+    moves = _moves(rule, profile, voter, strategic_order, force_subsets)
+    verdict = _classify(rule, profile, voter, strategic_order, moves)
+    if verdict is None:
+        raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
+    return verdict
+
+
+def _classify(
+    rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, moves: _Moves
+) -> SafetyVerdict | None:
+    """`classify_safety` over the vote's moves, or None when the vote has
+    no incentive: the per-vote search of `safety_verdicts`."""
     ranks = profile.orders[voter].ranks
-    sincere, moves, coalition, by_size = _moves(rule, profile, voter, strategic_order, force_subsets)
+    sincere, walk, coalition, by_size = moves
     sincere_rank = ranks[sincere.index]
     improving, worsening = [], []
-    for key, outcome in moves:
+    for key, outcome in walk:
         # Rank 0 is the type's favourite: a lower rank improves the outcome.
         rank = ranks[outcome.index]
         if rank < sincere_rank:
@@ -330,7 +401,7 @@ def classify_safety(
         elif rank > sincere_rank:
             worsening.append(key)
     if not improving:
-        raise NoIncentiveError(f"voter {voter + 1} has no incentive to vote {strategic_order.compact}")
+        return None
     if worsening and not by_size:
         # The incentive clause of the unsafe definition is per member.  Every
         # member of an improving coalition has one already, so only the other
@@ -361,18 +432,16 @@ def safety_verdicts(
     rule: Rule, profile: Profile, type_order: LinearOrder, orders: list[LinearOrder]
 ) -> Iterator[SafetyVerdict]:
     """The verdict of every incentivized vote of one type, in `incentives`
-    order: one `classify_safety` walk per vote class of each voter searched."""
-    search = functools.partial(_verdict, rule, profile)
-    for strategic_order, verdict in _votes(rule, profile, type_order, orders, search):
-        yield replace(verdict, incentive=_relabel(verdict.incentive, strategic_order))
+    order: one `classify_safety` search per vote class of each voter
+    searched."""
+    for strategic_order, verdict in _votes(rule, profile, type_order, orders, _classify):
+        incentive = _relabel(verdict.incentive, strategic_order)
+        yield verdict if incentive is verdict.incentive else replace(verdict, incentive=incentive)
 
 
 def _verdict(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> SafetyVerdict | None:
     """The vote's verdict, or None when it has no incentive."""
-    try:
-        return classify_safety(rule, profile, voter, strategic_order)
-    except NoIncentiveError:
-        return None
+    return _classify(rule, profile, voter, strategic_order, _moves(rule, profile, voter, strategic_order))
 
 
 def _is_safe(rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder) -> bool:
@@ -620,9 +689,14 @@ def _safe_incentive_moves(
 def _safe_pivotal_moves(
     rule: Rule, profile: Profile, orders: list[LinearOrder]
 ) -> Iterator[IncentiveWitness]:
-    for move in _pivotal_moves(rule, profile, orders):
-        if _is_safe(rule, profile, move.voter, move.strategic_order):
-            yield move
+    """Pivotal moves whose vote is safe.  The moves come voter by voter, and
+    one `_walk` per voter serves all of that voter's votes."""
+    for voter, moves in itertools.groupby(_pivotal_moves(rule, profile, orders), operator.attrgetter("voter")):
+        walk = _walk(rule, profile, voter, reused=True)
+        for move in moves:
+            verdict = _classify(rule, profile, voter, move.strategic_order, walk(move.strategic_order))
+            if verdict is not None and verdict.status == SafetyStatus.SAFE:
+                yield move
 
 
 def verify_gs(rule: Rule, n: int | None = None, budget: int = DEFAULT_ENUMERATION_BOUND) -> Certificate | None:
@@ -754,7 +828,13 @@ def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
         if not _replays_record(rule, certificate, sincere):
             return False
         if certificate.claim in ("GS-manipulable", "SafePivotal"):
-            outcome = rule.evaluate(switch_votes(profile, frozenset({voter}), strategic_order))
+            solo = frozenset({voter})
+            # A recorded solo move was just replayed, and its outcome matched
+            # the recorded `after`.
+            if certificate.sets.get("coalition") == solo:
+                outcome = certificate.outcomes["after"]
+            else:
+                outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
             if not type_order.prefers(outcome, sincere):
                 return False
             return certificate.claim == "GS-manipulable" or _is_safe(oracle, profile, voter, strategic_order)

@@ -595,18 +595,18 @@ class TestSingleWalk:
         assert any(out and out.startswith("{") for out in expected[1:-1:2])
 
     def test_analyze_scores_each_vote_once(self, files, capsys, monkeypatch):
-        # The summary and the escapes come from one walk: one
-        # `has_incentive` per (type, vote class), for the four types whose
+        # The summary and the escapes come from one walk: one incentive
+        # search per (type, vote class), for the four types whose
         # favourite is not the winner B by five orders, each its own class
         # under Borda.  Two of those types rank B last and escape.
         calls = []
-        has_incentive = strategy.has_incentive
+        incentive = strategy._incentive
 
         def counted(*args, **kwargs):
             calls.append(args[2:4])
-            return has_incentive(*args, **kwargs)
+            return incentive(*args, **kwargs)
 
-        monkeypatch.setattr(strategy, "has_incentive", counted)
+        monkeypatch.setattr(strategy, "_incentive", counted)
         assert run(["analyze", "--profile", files["profile94"], "--rule", files["borda"], "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(calls) == len(set(calls)) == 4 * 5

@@ -222,6 +222,24 @@ class TestLinearOrder:
             assert hash(x) == hash(y)
         assert len({o("CAB"), LinearOrder(o("CAB").ranking), LinearOrder.from_string("C > A > B", D3)}) == 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_eq_and_hash_agree_over_every_order(self, m):
+        # Interned orders against equal ones built apart from fresh
+        # alternatives, and against orders over other labels with the
+        # same indices, whose hashes match but which are not equal.
+        interned = all_orders(Domain.of_size(m))
+        apart = [LinearOrder(tuple(Alternative(a.index, a.label) for a in x.ranking)) for x in interned]
+        foreign = all_orders(Domain.from_labels("VWXYZ"[:m]))
+        for i, x in enumerate(interned):
+            assert x == x and not x != x
+            assert x is not apart[i] and x == apart[i] == x and hash(x) == hash(apart[i])
+            assert hash(foreign[i]) == hash(x) and x != foreign[i] and not foreign[i] == x
+            for j, y in enumerate(apart):
+                assert (x == y) is (y == x) is (i == j)
+                assert (x != y) is (i != j)
+            assert x.__eq__(x.compact) is NotImplemented and x.__eq__(x.ranking) is NotImplemented
+            assert x != x.compact and x != x.ranking and x != None  # noqa: E711
+
     def test_hash_is_the_same_in_every_process(self):
         code = (
             "from safevote.core import Alternative, Domain, LinearOrder;"

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from helpers import perturbed_dictatorship
 from safevote import strategy
 from safevote.core import (
     MAX_VOTERS,
@@ -19,6 +20,7 @@ from safevote.core import (
     ParseError,
     Profile,
     all_orders,
+    all_profiles,
     format_profile,
     parse_profile,
     switch_votes,
@@ -46,6 +48,10 @@ from safevote.strategy import (
     has_incentive,
     incentives,
     safety_verdicts,
+    verify_certificate,
+    verify_gs,
+    verify_safe_pivotal,
+    verify_safely_manipulable,
     _ObjectPath,
 )
 
@@ -495,14 +501,14 @@ def separate_walks(rule: Rule, profile: Profile):
 
 
 def assert_one_walk(rule: Rule, profile: Profile) -> None:
-    with mock.patch.object(strategy, "has_incentive", wraps=strategy.has_incentive) as counted:
+    with mock.patch.object(strategy, "_incentive", wraps=strategy._incentive) as counted:
         analysis = analyze(rule, profile)
     winner, summary, escapes = separate_walks(rule, profile)
     assert analysis.winner == winner
     assert [(t.type_order, t.count, list(t.strategic_orders)) for t in analysis.types] == summary
     assert [c.to_json_dict() for c in analysis.escapes] == escapes
     assert [c.to_json_dict() for c in find_escapes(rule, profile)] == escapes
-    # One `has_incentive` per vote class of each voter searched, for each
+    # One incentive search per vote class of each voter searched, for each
     # type whose favourite is not the winner: per type under an anonymous
     # rule, per member under a table rule.  A scoring rule's orders share a
     # class when they give every alternative the same points; a table
@@ -565,10 +571,13 @@ def tied_elections(draw):
 
 
 def per_order_walk(search, rule: Rule, profile: Profile, type_order: LinearOrder) -> list:
-    """What `search` finds on each strategic vote of the type's first voter,
-    order by order: no vote class, and no type skipped."""
-    voter = min(voters_of_type(profile, type_order))
-    found = (search(rule, profile, voter, order) for order in all_orders(profile.domain) if order != type_order)
+    """What `search` finds on each strategic vote of the type, order by
+    order, each vote with a walk of its own: the first voter under an
+    anonymous rule, else each member in turn; no vote class, and no type
+    skipped."""
+    members = sorted(voters_of_type(profile, type_order))
+    votes = itertools.product(members[:1] if rule.anonymous else members, all_orders(profile.domain))
+    found = (search(rule, profile, voter, order) for voter, order in votes if order != type_order)
     return [x for x in found if x is not None]
 
 
@@ -583,6 +592,50 @@ def test_vote_classes_match_the_per_order_walk(election):
     for t in profile.types_present():
         assert list(incentives(rule, profile, t, orders)) == per_order_walk(has_incentive, oracle, profile, t)
         assert list(safety_verdicts(rule, profile, t, orders)) == per_order_walk(strategy._verdict, oracle, profile, t)
+
+
+TABLE_WALK_RULES = {
+    f"{kind}-{n}x3-{seed}": build(n, 3, seed)
+    for kind, build in (("uniform", random_table_rule), ("perturbed", perturbed_dictatorship))
+    for n in (2, 3)
+    for seed in (0, 1)
+}
+
+
+@pytest.mark.parametrize("name", TABLE_WALK_RULES)
+def test_table_walk_matches_the_per_order_walk(name):
+    # The per-voter walk over `TableRule.switches`, and over the default
+    # kernel, against the per-vote walk over the default kernel, at every
+    # profile of the table.
+    rule = TABLE_WALK_RULES[name]
+    oracle = _ObjectPath(rule)
+    orders = all_orders(rule.domain)
+    for profile in all_profiles(rule.domain, rule.n):
+        for t in profile.types_present():
+            witnesses = per_order_walk(has_incentive, oracle, profile, t)
+            assert list(incentives(rule, profile, t, orders)) == witnesses
+            assert list(incentives(oracle, profile, t, orders)) == witnesses
+            verdicts = per_order_walk(strategy._verdict, oracle, profile, t)
+            assert list(safety_verdicts(rule, profile, t, orders)) == verdicts
+            assert list(safety_verdicts(oracle, profile, t, orders)) == verdicts
+
+
+class ObjectPathWithFingerprint(_ObjectPath):
+    """The object path under the rule's fingerprint, so that its
+    certificates compare with the rule's byte for byte."""
+
+    def config_text(self):
+        return self.rule.config_text()
+
+
+@pytest.mark.parametrize("name", TABLE_WALK_RULES)
+def test_table_certificates_match_the_object_path(name):
+    rule = TABLE_WALK_RULES[name]
+    oracle = ObjectPathWithFingerprint(rule)
+    for search in (verify_gs, verify_safely_manipulable, verify_safe_pivotal):
+        cert = search(rule)
+        assert cert.to_json() == search(oracle).to_json()
+        assert verify_certificate(rule, cert)
 
 
 @given(st.lists(st.frozensets(st.integers(0, 4)), max_size=16))

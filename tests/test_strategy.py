@@ -1,6 +1,7 @@
 """Unit tests for incentives, safety classification, and certificate search."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import operator
@@ -9,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import perturbed_dictatorship
 from safevote import strategy
 from safevote.core import (
     Domain,
@@ -618,6 +620,21 @@ class TestVerifiers:
                 assert cert is not None
                 assert verify_certificate(rule, cert)
 
+    def test_safe_scans_at_depth_keep_their_certificates(self):
+        # Each certificate's JSON is pinned by its sha256.  All three scans
+        # walk 5,831 of the 13,824 profiles before the first move.
+        pinned = {
+            verify_gs: "7dcc513f8f329987c38e7933918ae8fa64eb3d8dc8eb5ffcbb7b5b5503c6eaea",
+            verify_safe_pivotal: "1140e1e621864eb86e5da6e4e9b14fb6b8e9d74c26bad9f65409daa5718392ee",
+            verify_safely_manipulable: "2f51c8683d9c8db16f367998c2361a4a7c7aae215ed4a2725957064225c64815",
+        }
+        rule = perturbed_dictatorship(3, 4, 0)
+        for search, digest in pinned.items():
+            cert = search(rule)
+            assert cert.profile.index == 5831
+            assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest, search.__name__
+            assert verify_certificate(rule, cert)
+
     def test_safe_pivotal_certificate_is_gs_certificate(self):
         rule = random_table_rule(2, 3, 11)
         cert = verify_safe_pivotal(rule)
@@ -857,3 +874,31 @@ class TestCertificateReplay:
     def test_outcomes_without_a_coalition_fail(self):
         for rule, cert in one_certificate_per_claim():
             assert not verify_certificate(rule, dataclasses.replace(cert, sets={})), cert.claim
+
+    def test_table_replays_set_up_no_kernel_and_switch_a_solo_move_once(self, monkeypatch):
+        # No replay asks the table's kernel, `switches` included.  A GS
+        # certificate records the voter alone, so the record's replay is
+        # the claim's solo switch: the sincere profile and the switched one
+        # are each evaluated once.
+        certificates = [(rule, cert) for rule, cert in one_certificate_per_claim() if isinstance(rule, TableRule)]
+        assert [cert.claim for _, cert in certificates] == ["GS-manipulable", "SafelyManipulable", "SafePivotal"]
+        evaluated = []
+        evaluate = TableRule.evaluate
+
+        def counted(self, profile):
+            evaluated.append(profile)
+            return evaluate(self, profile)
+
+        def kernel(*args):
+            raise AssertionError("verify_certificate called a switch kernel")
+
+        monkeypatch.setattr(TableRule, "evaluate", counted)
+        for name in ("switched", "switches", "solo_switches"):
+            monkeypatch.setattr(TableRule, name, kernel)
+        for rule, cert in certificates:
+            assert verify_certificate(rule, cert), cert.claim
+        rule, gs = certificates[0]
+        assert gs.sets == {"coalition": frozenset({gs.voter})}
+        evaluated.clear()
+        assert verify_certificate(rule, gs)
+        assert evaluated == [gs.profile, switch_votes(gs.profile, frozenset({gs.voter}), gs.strategic_order)]
