@@ -397,11 +397,6 @@ def all_orders(domain: Domain) -> list[LinearOrder]:
     return list(domain._orders)
 
 
-def completely_agreed(order: LinearOrder, n: int) -> Profile:
-    """The n-voter profile on which everyone reports `order`."""
-    return Profile((order,) * n)
-
-
 # ---------------------------------------------------------------------------
 # Profile text format
 #

@@ -13,28 +13,25 @@ profile (`evaluate`, `scores`, and the switch and runs kernels below) reads
 them, so rules with equal points share them whatever their tie-break or
 weight scale.
 
-`Rule.switched` is the switch kernel the strategy searches evaluate
-through: the winner once a coalition of one type votes another order,
-found as a delta from the sincere profile with no `Profile` built.  A
-scoring rule reads its integer lines (`ScoringRule.lines`): the sincere
-totals plus k times the per-alternative points change, and scores each
-coalition size once per set-up: later coalitions of a size it has met cost
-their membership check and one lookup.  A table rule adds each switcher's
-place value times the digit change to the sincere profile's table index.
+`Rule.switches` is the switch kernel the strategy searches evaluate
+through, set up once per (profile, type) and asked once per strategic
+order: the winner once a coalition of the type votes that order, found as
+a delta from the sincere profile with no `Profile` built.  A scoring rule
+reads its integer lines (`ScoringRule.lines`): the sincere totals plus k
+times the per-alternative points change, and scores each coalition size
+once per order: later coalitions of a size it has met cost their
+membership check and one lookup.  A table rule reads the type's voters and
+the profile's table index once, so each order costs one id lookup, and
+adds each switcher's place value times the digit change to that index.
 The default kernel, which `strategy._ObjectPath` reaches for any rule,
-replays the switch through `switch_votes` and `evaluate`: the oracle.
-`Rule.switches` sets the switch kernel up once per (profile, type) for
-every strategic order of the type.  A table rule reads the type's voters,
-the profile's table index and the type's order id there, so each order
-costs one id lookup, and its `switched` is `switches(...)(order)`: one
-kernel.  The default sets `switched` up per order.  `Rule.solo_switches` is
-the pivot kernel beside them: every single voter's switch to every other
-order, asked once per profile.
+replays each switch through `switch_votes` and `evaluate`: the oracle.
+`Rule.solo_switches` is the pivot kernel beside it: every single voter's
+switch to every other order, asked once per profile.
 
 `Rule.size_runs` is the runs kernel of anonymous rules, whose winner
 depends only on how many voters of the type switch: the switch counts k at
 which the winner changes, with the winner from there on.  The default walks
-the canonical prefixes through `switched`, lazily, and is the oracle.  A
+the canonical prefixes through `switches`, lazily, and is the oracle.  A
 scoring rule's winner after k switchers is the first maximum of the lines
 `base + k * step`, which can change only where two lines cross, so it
 scores at most m(m-1)+1 switch counts, whatever the type's count.
@@ -51,9 +48,11 @@ per label set, so every order and profile over the rule's alternatives
 shares it and domain checks are identity tests.  A table rule reads a
 profile's winner at `Profile.index`, which the profile computes once, and
 the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`, with the
-place values R^(n-1-v) computed once per rule (`TableRule._places`); the
-predicate report walks digit tuples beside the winner ids and decodes a
-`Profile` only for the antagonism witness it reports.
+place values R^(n-1-v) computed once per rule (`TableRule._places`).
+
+`check_predicates` reports only what the paper's theorems assume of a
+rule: that it is onto and not dictatorial.  It walks digit tuples beside
+the winner ids and stops once no voter is left to be a dictator.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from safevote.core import (
@@ -81,19 +80,17 @@ from safevote.core import (
     SafevoteError,
     VoterSet,
     _integer,
-    all_orders,
     all_profiles,
-    completely_agreed,
-    decode_profile,
+    decode_profile,  # noqa: F401 - bench/tracing.py traces rules.decode_profile
     profile_space_size,
     read_text,
     switch_votes,
     voters_of_type,
 )
 
-#: The one profile-space limit: the largest `(m!)^n` that table
-#: constructions, rule sampling, exhaustive predicate checks and table rule
-#: files may walk.  `enumerable_size` reads it at call time.
+#: The one profile-space limit: the largest `(m!)^n` that rule sampling,
+#: exhaustive predicate checks and table rule files may walk.
+#: `enumerable_size` reads it at call time.
 DEFAULT_ENUMERATION_BOUND = 2_000_000
 
 #: Most digits a score weight's numerator or denominator may have: the
@@ -130,36 +127,32 @@ class Rule:
     def evaluate(self, profile: Profile) -> Alternative:
         raise NotImplementedError
 
-    def switched(
-        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> Callable[[VoterSet], Alternative]:
-        """The winner once a coalition of `type_order` voters all vote `order`.
-
-        Set-up raises what `switch_votes` would for the switch.  The returned
-        function takes any subset of the type's voters (the empty one gives
-        the sincere winner) and raises EditError for anything else.  This
-        default replays every coalition through `switch_votes` and
-        `evaluate`; rules with a delta kernel override it.
-        """
-        members = _switch_check(profile, type_order, order)
-
-        def winner(coalition: VoterSet) -> Alternative:
-            if not coalition <= members:
-                raise _stray(coalition, type_order)
-            return self.evaluate(switch_votes(profile, coalition, order))
-
-        return winner
-
     def switches(
         self, profile: Profile, type_order: LinearOrder
     ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
-        """`switched` for every strategic order of one type, set up once:
-        the returned function maps an order to its coalition-to-winner
-        function, and raises at each order what `switched` raises at set-up.
-        This default sets `switched` up anew for each order; rules whose
-        set-up serves every order override it.
+        """The switch kernel, set up once per (profile, type): the returned
+        function maps a strategic order to the winner once a coalition of
+        `type_order` voters all vote that order.
+
+        Asked for an order, it raises what `switch_votes` would for the
+        switch.  The coalition-to-winner function it returns takes any subset
+        of the type's voters (the empty one gives the sincere winner) and
+        raises EditError for anything else.  This default replays every
+        coalition through `switch_votes` and `evaluate`; rules with a delta
+        kernel override it.
         """
-        return partial(self.switched, profile, type_order)
+
+        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
+            members = _switch_check(profile, type_order, order)
+
+            def winner(coalition: VoterSet) -> Alternative:
+                if not coalition <= members:
+                    raise _stray(coalition, type_order)
+                return self.evaluate(switch_votes(profile, coalition, order))
+
+            return winner
+
+        return switched
 
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
@@ -168,11 +161,11 @@ class Rule:
         count where the winner changes, k ascending: the winner once any k
         `type_order` voters vote `order`, for an anonymous rule.
 
-        Set-up raises what `switched` raises.  This default asks `switched`
-        about each canonical prefix in turn, lazily, so a caller that stops
-        at the first run it wants scores no further.
+        Set-up raises what `switches` raises for the order.  This default
+        asks the switch kernel about each canonical prefix in turn, lazily,
+        so a caller that stops at the first run it wants scores no further.
         """
-        winner = self.switched(profile, type_order, order)
+        winner = self.switches(profile, type_order)(order)
         members = sorted(voters_of_type(profile, type_order))
         return _changes((k, winner(frozenset(members[:k]))) for k in range(len(members) + 1))
 
@@ -189,14 +182,14 @@ class Rule:
         each of `orders` other than their own, voter first, then `orders`.
 
         The pivot kernel: one call per profile.  This default asks
-        `switched` once per (voter, order); rules with an id kernel
+        `switches` once per (voter, order); rules with an id kernel
         override it.
         """
         for voter, voter_order in enumerate(profile.orders):
             solo = frozenset({voter})
             for order in orders:
                 if order != voter_order:
-                    yield voter, order, self.switched(profile, voter_order, order)(solo)
+                    yield voter, order, self.switches(profile, voter_order)(order)(solo)
 
     def config_text(self) -> str:
         """Canonical description used for fingerprints and rule files."""
@@ -351,25 +344,28 @@ class ScoringRule(Rule):
 
         return winner
 
-    def switched(
-        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> Callable[[VoterSet], Alternative]:
-        members = _switch_check(profile, type_order, order)
-        winner_after = self._winner_after(*self._lines(profile, type_order, order))
-        # Coalition size to winner, filled as sizes come up: a subset walk
-        # scores each size once, and a walk that asks few sizes scores few.
-        by_size: dict[int, Alternative] = {}
+    def switches(
+        self, profile: Profile, type_order: LinearOrder
+    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
+        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
+            members = _switch_check(profile, type_order, order)
+            winner_after = self._winner_after(*self._lines(profile, type_order, order))
+            # Coalition size to winner, filled as sizes come up: a subset walk
+            # scores each size once, and a walk that asks few sizes scores few.
+            by_size: dict[int, Alternative] = {}
 
-        def winner(coalition: VoterSet) -> Alternative:
-            if not coalition <= members:
-                raise _stray(coalition, type_order)
-            k = len(coalition)
-            found = by_size.get(k)
-            if found is None:
-                found = by_size[k] = winner_after(k)
-            return found
+            def winner(coalition: VoterSet) -> Alternative:
+                if not coalition <= members:
+                    raise _stray(coalition, type_order)
+                k = len(coalition)
+                found = by_size.get(k)
+                if found is None:
+                    found = by_size[k] = winner_after(k)
+                return found
 
-        return winner
+            return winner
+
+        return switched
 
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
@@ -458,11 +454,6 @@ class TableRule(Rule):
         radix, last = len(self.domain._orders), self.n - 1
         return tuple(radix ** (last - v) for v in range(self.n))
 
-    def switched(
-        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> Callable[[VoterSet], Alternative]:
-        return self.switches(profile, type_order)(order)
-
     def switches(
         self, profile: Profile, type_order: LinearOrder
     ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
@@ -510,62 +501,42 @@ class TableRule(Rule):
         body = "".join(w.label for w in self.winners)
         return f"rule: table\nn: {self.n}\nm: {len(self.domain)}\nwinners: {body}\n"
 
-    @classmethod
-    def from_function(cls, domain: Domain, n: int, fn) -> "TableRule":
-        """Tabulate `fn(profile) -> Alternative` over the whole profile space."""
-        enumerable_size(len(domain), n)
-        return cls(domain, n, tuple(fn(p) for p in all_profiles(domain, n)))
-
 
 @dataclass(frozen=True)
 class RulePredicateReport:
-    """Structural facts about one rule, each exhaustive within its scope."""
+    """Whether a rule meets the hypotheses of the paper's theorems: onto,
+    and not dictatorial."""
 
     onto: bool
+    #: The first voter whose favourite wins at every profile, if any.
     dictatorial: int | None
-    anonymous: bool
-    weakly_unanimous: bool
-    antagonistic: Profile | None
-    agreed_image: frozenset[Alternative]
-    #: True when every negative finding came from a full profile-space scan.
+    #: True when both findings came from a full profile-space scan.
     exhaustive: bool = field(default=True, compare=False)
 
 
-def _agreed_report(rule: Rule, n: int) -> tuple[frozenset[Alternative], bool]:
-    image = set()
-    weakly_unanimous = True
-    for order in all_orders(rule.domain):
-        winner = rule.evaluate(completely_agreed(order, n))
-        image.add(winner)
-        if winner != order.top:
-            weakly_unanimous = False
-    return frozenset(image), weakly_unanimous
-
-
 def check_predicates(rule: Rule, n: int | None = None) -> RulePredicateReport:
-    """Onto / dictatorship / anonymity / unanimity / antagonism report.
+    """Onto and dictatorship report.
 
-    Exhaustive whenever the profile space fits in DEFAULT_ENUMERATION_BOUND;
-    otherwise falls back to analytic shortcuts, which exist only for
-    scoring rules.
+    Exhaustive whenever the profile space fits in DEFAULT_ENUMERATION_BOUND.
+    Past it only a scoring rule has an answer: a non-constant score vector
+    with n >= 2 is onto and not dictatorial.
     """
     n = resolve_n(rule, n)
     try:
         enumerable_size(len(rule.domain), n)
     except BudgetExceededError:
-        if isinstance(rule, ScoringRule):
-            return _check_predicates_scoring(rule, n)
+        if isinstance(rule, ScoringRule) and not rule.is_constant_vector and n >= 2:
+            return RulePredicateReport(onto=True, dictatorial=None, exhaustive=False)
         raise
     return _check_predicates_exhaustive(rule, n)
 
 
 def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
-    """The report from one walk over every profile's order ids.
+    """The report from every profile's winner id.
 
-    The walk visits digit tuples in encoding order, beside each profile's
-    winner id: a table rule's own entries, or any other rule's `evaluate`
-    over `all_profiles`.  Only an antagonism witness is decoded to a
-    `Profile`.
+    A table rule's ids are its entries; any other rule evaluates every
+    profile of `all_profiles`.  The dictator candidates are walked over the
+    digit tuples beside the ids, in encoding order, until none is left.
     """
     domain = rule.domain
     orders = domain._orders
@@ -575,49 +546,15 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
         # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
         winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))
     tops = [order.top.index for order in orders]
-    bottoms = [order.bottom.index for order in orders]
-    dictator_candidates = set(range(n))
-    antagonistic_witness: int | None = None
-    anonymous = True
-    winners_by_multiset: dict[tuple[int, ...], int] = {}
+    candidates = range(n)
     profiles = itertools.product(range(len(orders)), repeat=n)
-    for index, (digits, winner) in enumerate(zip(profiles, winners)):
-        if dictator_candidates:
-            dictator_candidates = {i for i in dictator_candidates if tops[digits[i]] == winner}
-        if antagonistic_witness is None and all(bottoms[d] == winner for d in digits):
-            antagonistic_witness = index
-        if anonymous and winners_by_multiset.setdefault(tuple(sorted(digits)), winner) != winner:
-            anonymous = False
-    # Everyone votes order i at index i * (1 + R + ... + R^(n-1)).
-    agreed_step = sum(len(orders) ** k for k in range(n))
-    agreed = [winners[i * agreed_step] for i in range(len(orders))]
+    for digits, winner in zip(profiles, winners):
+        candidates = [i for i in candidates if tops[digits[i]] == winner]
+        if not candidates:
+            break
     return RulePredicateReport(
         onto=set(winners) == set(range(len(domain))),
-        dictatorial=min(dictator_candidates) if dictator_candidates else None,
-        anonymous=anonymous,
-        weakly_unanimous=tops == agreed,
-        antagonistic=None if antagonistic_witness is None else decode_profile(antagonistic_witness, n, orders),
-        agreed_image=frozenset(domain.alternatives[w] for w in agreed),
-    )
-
-
-def _check_predicates_scoring(rule: ScoringRule, n: int) -> RulePredicateReport:
-    # Non-constant score vectors with n >= 2 are onto and non-dictatorial;
-    # they are never antagonistic because the everyone-ranks-X-last score
-    # n*w_min is strictly below some other alternative's total.
-    if rule.is_constant_vector or n < 2:
-        raise BudgetExceededError(
-            "analytic predicate shortcuts need a non-constant score vector and n >= 2"
-        )
-    agreed_image, weakly_unanimous = _agreed_report(rule, n)
-    return RulePredicateReport(
-        onto=True,
-        dictatorial=None,
-        anonymous=True,
-        weakly_unanimous=weakly_unanimous,
-        antagonistic=None,
-        agreed_image=agreed_image,
-        exhaustive=False,
+        dictatorial=candidates[0] if candidates else None,
     )
 
 

@@ -36,14 +36,14 @@ questions.  The three theorem verifiers share one profile scan, `_scan`,
 which certifies the first move that a per-claim generator yields.
 
 Subset searches find each coalition's winner through the rule's switch
-kernel, which builds no `Profile`: `Rule.switched` for a single vote, and
-one `Rule.switches` set-up per walk over many orders.  `_coalitions`
-builds each coalition in C (`itertools` and `frozenset.union`), and the
-searches compare outcomes by the type order's rank tuple,
-`LinearOrder.ranks`, so the kernel's `winner` is the one Python call per
-coalition.  The pivotal scan reads every
-single-voter switch of a profile from one call to `Rule.solo_switches`,
-and compares its outcomes by the same rank tuples.
+kernel, `Rule.switches`, which builds no `Profile`: one set-up per walk,
+asked once per strategic order, whether the walk serves one vote or all
+of a voter's.  `_coalitions` builds each coalition in C (`itertools` and
+`frozenset.union`), and the searches compare outcomes by the type order's
+rank tuple, `LinearOrder.ranks`, so the kernel's `winner` is the one
+Python call per coalition.  The pivotal scan reads every single-voter
+switch of a profile from one call to `Rule.solo_switches`, and compares
+its outcomes by the same rank tuples.
 `verify_certificate` is the independent check: it replays every
 certificate through `switch_votes` and `Rule.evaluate` only, and a solo
 move's switch once.
@@ -218,12 +218,11 @@ def _walk(
     coalition from `_coalitions`, scored by the order's switch kernel.  Keys
     nest as their coalitions do.
 
-    A walk `reused` for many orders sets the kernel up once for all of them
-    (`Rule.switches`), lists its coalitions once and reads the sincere
-    winner once, from `evaluate`.  A single vote's walk sets up `switched`
-    for its order, builds its coalitions as it goes, since `has_incentive`
-    often stops at the first, and asks the kernel about the empty coalition
-    for the sincere winner.
+    Either way the switch kernel (`Rule.switches`) is set up once per walk.
+    A walk `reused` for many orders lists its coalitions once and reads the
+    sincere winner once, from `evaluate`.  A single vote's walk builds its
+    coalitions as it goes, since `has_incentive` often stops at the first,
+    and asks the kernel about the empty coalition for the sincere winner.
     """
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
@@ -242,8 +241,8 @@ def _walk(
 
         return runs
     # `frozenset` of a coalition is the coalition itself.
+    switches = rule.switches(profile, type_order)
     if reused:
-        switches = rule.switches(profile, type_order)
         coalitions, sincere = list(_coalitions(voter, members)), rule.evaluate(profile)
 
         def listed(order: LinearOrder) -> _Moves:
@@ -253,7 +252,7 @@ def _walk(
         return listed
 
     def lazy(order: LinearOrder) -> _Moves:
-        winner = rule.switched(profile, type_order, order)
+        winner = switches(order)
         walk = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
         return winner(frozenset()), walk, frozenset, False
 
@@ -544,7 +543,7 @@ def find_L_inferior(
         full_outcome, ordered = spans[-1][1], sorted(members)
         inferior = (sizes for sizes, outcome in spans if type_order.prefers(full_outcome, outcome))
         return [frozenset(ordered[:k]) for sizes in inferior for k in sizes]
-    winner = rule.switched(profile, type_order, strategic_order)
+    winner = rule.switches(profile, type_order)(strategic_order)
     ranks = type_order.ranks
     full_rank = ranks[winner(members).index]
     subsets = _subsets(frozenset(), sorted(members), range(len(members)))
@@ -604,7 +603,7 @@ def construct_safe_from_endup(
     verdict = classify_safety(rule, profile, voter, strategic_order)
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
-    full_outcome = rule.switched(profile, type_order, strategic_order)(members)
+    full_outcome = rule.switches(profile, type_order)(strategic_order)(members)
     if type_order.prefers(verdict.incentive.outcome_before, full_outcome):
         return None
     if verdict.status == SafetyStatus.SAFE:
@@ -782,7 +781,7 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
 
 
 class _ObjectPath(Rule):
-    """A rule seen only through its `evaluate`: the default `Rule.switched`
+    """A rule seen only through its `evaluate`: the default `Rule.switches`
     replays every switch through `switch_votes`, never the rule's kernel."""
 
     def __init__(self, rule: Rule):

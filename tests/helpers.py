@@ -1,12 +1,13 @@
 """Test-only helpers shared by several test modules: the score-point
 classifier that figure tests compare with `evaluate`, the writer of
-table-rule entries files, and the perturbed-dictatorship table builder."""
+table-rule entries files, and two table builders: any function tabulated
+over the profile space, and the perturbed dictatorship."""
 
 import random
 
-from safevote.core import Alternative, Domain, LinearOrder, profile_space_size
+from safevote.core import Alternative, Domain, LinearOrder, all_profiles, profile_space_size
 from safevote.geometry import BarycentricPoint
-from safevote.rules import TableRule
+from safevote.rules import TableRule, enumerable_size
 
 
 def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
@@ -22,6 +23,13 @@ def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
 def format_table_entries(rule: TableRule) -> str:
     """The rule's winners as an entries file, one `<index>: <label>` line each."""
     return "".join(f"{i}: {w.label}\n" for i, w in enumerate(rule.winners))
+
+
+def table_from_function(domain: Domain, n: int, fn) -> TableRule:
+    """Tabulate `fn(profile) -> Alternative` over the whole profile space,
+    or BudgetExceededError when it passes the enumeration bound."""
+    enumerable_size(len(domain), n)
+    return TableRule(domain, n, tuple(fn(p) for p in all_profiles(domain, n)))
 
 
 def perturbed_dictatorship(n: int, m: int, seed: int) -> TableRule:

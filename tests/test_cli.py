@@ -663,9 +663,13 @@ class TestGoldenOutputs:
         "argv, golden",
         [
             (["verify", "--samples", "200", "--seed", "7", "--format", "json"], "verify_samples200_seed7.json"),
+            (
+                ["verify", "--n", "3", "--samples", "100", "--seed", "7", "--format", "json"],
+                "verify_n3_samples100_seed7.json",
+            ),
             (["examples", "--format", "json"], "examples.json"),
         ],
-        ids=["verify-200-seed-7", "examples"],
+        ids=["verify-200-seed-7", "verify-n3-100-seed-7", "examples"],
     )
     def test_json_matches_golden(self, capsys, argv, golden):
         assert run(argv) == 0

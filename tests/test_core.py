@@ -19,7 +19,6 @@ from safevote.core import (
     Profile,
     all_orders,
     all_profiles,
-    completely_agreed,
     decode_profile,
     format_profile,
     parse_profile,
@@ -307,11 +306,6 @@ class TestProfile:
 
     def test_types_present_first_appearance_order(self):
         assert [t.compact for t in PROFILE_2.types_present()] == ["ABC", "BCA", "CBA"]
-
-    def test_completely_agreed(self):
-        p = completely_agreed(o("BCA"), 5)
-        assert p.n == 5
-        assert p.counts == {o("BCA"): 5}
 
 
 class TestSwitchVotes:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -29,9 +30,7 @@ from safevote.core import (
 from safevote.rules import (
     Rule,
     ScoringRule,
-    TableRule,
     borda,
-    check_predicates,
     decode_profile,
     k_approval,
     parse_rule,
@@ -191,7 +190,7 @@ def test_integer_scores_match_fraction_reference(data):
 
 def assert_kernel_matches_oracle(rule, profile, type_order, target, coalitions):
     """The switch kernel's winner is the object path's on every coalition."""
-    winner = rule.switched(profile, type_order, target)
+    winner = rule.switches(profile, type_order)(target)
     for coalition in coalitions:
         assert winner(coalition) == rule.evaluate(switch_votes(profile, coalition, target))
 
@@ -292,7 +291,7 @@ def tied_crossings(draw):
 @settings(max_examples=400, deadline=None)
 def test_scoring_runs_match_the_prefix_walk(case):
     # The crossing-point runs against the default kernel's walk over every
-    # switch count through `switched`.
+    # switch count through `switches`.
     rule, profile, type_order, target = case
     assert list(rule.size_runs(profile, type_order, target)) == list(Rule.size_runs(rule, profile, type_order, target))
 
@@ -328,7 +327,7 @@ def test_shared_tally_answers_as_a_fresh_profile(rules, data):
     shared = Profile(ballots)
     for _ in range(data.draw(st.integers(2, 10))):
         rule = data.draw(st.sampled_from(rules))
-        question = data.draw(st.sampled_from(["evaluate", "scores", "size_runs", "switched"]))
+        question = data.draw(st.sampled_from(["evaluate", "scores", "size_runs", "switches"]))
         type_order = data.draw(st.sampled_from(shared.types_present()))
         target = data.draw(st.sampled_from([L for L in orders if L != type_order]))
         members = sorted(voters_of_type(shared, type_order))
@@ -338,7 +337,7 @@ def test_shared_tally_answers_as_a_fresh_profile(rules, data):
                 return getattr(rule, question)(profile)
             if question == "size_runs":
                 return list(rule.size_runs(profile, type_order, target))
-            winner = rule.switched(profile, type_order, target)
+            winner = rule.switches(profile, type_order)(target)
             return [winner(frozenset(members[:k])) for k in range(len(members) + 1)]
 
         assert ask(shared) == ask(Profile(ballots)), (question, rule)
@@ -361,20 +360,20 @@ def test_kernel_errors_match_switch_votes(kind):
         with pytest.raises(error):
             switch_votes(profile, coalition, target)
         with pytest.raises(error):
-            rule.switched(profile, type_order, target)(coalition)
+            rule.switches(profile, type_order)(target)(coalition)
 
     both_raise(EditError, abc, frozenset({0, 3}), acb)  # out-of-range voter
     both_raise(EditError, abc, frozenset({0, 2}), acb)  # mixed-type coalition
     both_raise(EditError, abc, frozenset({0}), abc)  # L == T
     foreign = LinearOrder.from_labels("XYZ", Domain.from_labels("XYZ"))
     both_raise(DomainMismatchError, abc, frozenset({0}), foreign)
-    # Both L == T and a foreign order fail at set-up, before any coalition,
-    # and the runs kernel fails the same way.
-    for kernel in (rule.switched, rule.size_runs):
+    # Both L == T and a foreign order fail once the order is given, before
+    # any coalition, and the runs kernel fails the same way.
+    for kernel in (lambda order: rule.switches(profile, abc)(order), partial(rule.size_runs, profile, abc)):
         with pytest.raises(EditError):
-            kernel(profile, abc, abc)
+            kernel(abc)
         with pytest.raises(DomainMismatchError):
-            kernel(profile, abc, foreign)
+            kernel(foreign)
 
 
 @given(st.integers(0, 6**3 - 1))
@@ -382,19 +381,6 @@ def test_profile_encoding_round_trips(index):
     profile = decode_profile(index, 3, ORDERS_3)
     assert profile.index == index
     assert decode_profile(profile.index, 3, ORDERS_3) == profile
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_weak_unanimity_implies_onto(seed):
-    # A uniform table, as `random_table_rule` draws it before its checks.
-    rng = random.Random(seed)
-    rule = TableRule(D3, 2, tuple(D3.alternatives[rng.randrange(3)] for _ in range(36)))
-    report = check_predicates(rule)
-    if report.weakly_unanimous:
-        assert report.onto
-    # The completely agreed image is always inside the full image.
-    assert report.agreed_image <= set(rule.domain) if report.onto else True
 
 
 @given(data=st.data())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safevote import rules
-from safevote.core import Domain, EditError, LinearOrder, Profile, all_orders, completely_agreed, voters_of_type
+from safevote.core import Domain, EditError, LinearOrder, Profile, all_orders, voters_of_type
 from safevote.rules import (
     Rule,
     RulePredicateReport,
@@ -30,7 +30,7 @@ from safevote.rules import (
 )
 from safevote.strategy import _ObjectPath
 
-from helpers import format_table_entries
+from helpers import format_table_entries, table_from_function
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -53,19 +53,12 @@ PROFILE_33 = counts_profile(D3, {"ABC": 8, "ACB": 4, "BAC": 7, "BCA": 5, "CAB": 
 
 def projection_rule(n: int, voter: int = 0) -> TableRule:
     """Table rule electing one fixed voter's top choice."""
-    return TableRule.from_function(D3, n, lambda p: p.orders[voter].top)
+    return table_from_function(D3, n, lambda p: p.orders[voter].top)
 
 
 def constant_rule(n: int, label: str = "A") -> TableRule:
     alt = D3.by_label(label)
     return TableRule(D3, n, (alt,) * profile_space_size(3, n))
-
-
-def uniform_table(n: int, seed: int) -> TableRule:
-    """The first table `random_table_rule(n, 3, seed)` draws, before its
-    onto and non-dictatorial checks."""
-    rng = random.Random(seed)
-    return TableRule(D3, n, tuple(D3.alternatives[rng.randrange(3)] for _ in range(profile_space_size(3, n))))
 
 
 class TestScoringEvaluate:
@@ -103,7 +96,7 @@ class TestScoringEvaluate:
 
     def test_agreed_profile_scores(self):
         rule = borda(o("ABC"))
-        got = rule.scores(completely_agreed(o("BCA"), 7))
+        got = rule.scores(Profile((o("BCA"),) * 7))
         assert got[D3.by_label("B")] == 7 * 2
         assert got[D3.by_label("A")] == 0
 
@@ -193,7 +186,7 @@ class TestProfileEncoding:
 
 class TestTableRule:
     def test_lookup_matches_encoding(self):
-        rule = TableRule.from_function(D3, 2, borda(o("ABC")).evaluate)
+        rule = table_from_function(D3, 2, borda(o("ABC")).evaluate)
         for profile in all_profiles(D3, 2):
             assert rule.evaluate(profile) == borda(o("ABC")).evaluate(profile)
 
@@ -208,7 +201,7 @@ class TestTableRule:
 
     def test_from_function_budget(self):
         with pytest.raises(BudgetExceededError):
-            TableRule.from_function(D3, 9, lambda p: p.orders[0].top)
+            table_from_function(D3, 9, lambda p: p.orders[0].top)
 
     def test_fingerprint_distinguishes_rules(self):
         assert constant_rule(2).fingerprint() != projection_rule(2).fingerprint()
@@ -220,26 +213,16 @@ class TestCheckPredicates:
         report = check_predicates(constant_rule(2))
         assert not report.onto
         assert report.dictatorial is None
-        assert report.anonymous
-        assert not report.weakly_unanimous
-        # Everyone-ranks-A-last profiles still elect A.
-        assert report.antagonistic is not None
-        assert report.agreed_image == {D3.by_label("A")}
 
     def test_projection_rule_is_dictatorial(self):
         report = check_predicates(projection_rule(2))
         assert report.dictatorial == 0
         assert report.onto
-        assert not report.anonymous
 
     def test_borda_two_voters_exhaustive(self):
         report = check_predicates(borda(o("ABC")), n=2)
         assert report.onto
         assert report.dictatorial is None
-        assert report.anonymous
-        assert report.weakly_unanimous
-        assert report.antagonistic is None
-        assert report.agreed_image == set(D3)
         assert report.exhaustive
 
     def test_analytic_shortcut_agrees_with_exhaustive(self, monkeypatch):
@@ -254,10 +237,6 @@ class TestCheckPredicates:
             analytic = check_predicates(rule, n=n)
             assert analytic.onto == exhaustive.onto
             assert analytic.dictatorial == exhaustive.dictatorial
-            assert analytic.anonymous == exhaustive.anonymous
-            assert analytic.weakly_unanimous == exhaustive.weakly_unanimous
-            assert (analytic.antagonistic is None) == (exhaustive.antagonistic is None)
-            assert analytic.agreed_image == exhaustive.agreed_image
             assert not analytic.exhaustive
 
     def test_space_past_the_bound_takes_the_analytic_path(self):
@@ -278,13 +257,6 @@ class TestCheckPredicates:
         with pytest.raises(BudgetExceededError):
             check_predicates(rule)
 
-    def test_weakly_unanimous_implies_onto(self):
-        for seed in range(30):
-            rule = uniform_table(2, seed)
-            report = check_predicates(rule)
-            if report.weakly_unanimous:
-                assert report.onto
-
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
             check_predicates(borda(o("ABC")))
@@ -292,28 +264,16 @@ class TestCheckPredicates:
 
 def reference_predicates(rule: Rule, n: int) -> RulePredicateReport:
     """The predicate report walked over decoded `Profile` objects: every
-    profile evaluated, every predicate read off the objects."""
+    profile evaluated, both predicates read off the objects."""
     image = set()
     dictator_candidates = set(range(n))
-    antagonistic = None
-    anonymous = True
-    winners_by_multiset = {}
     for profile in all_profiles(rule.domain, n):
         winner = rule.evaluate(profile)
         image.add(winner)
         dictator_candidates = {i for i in dictator_candidates if profile.orders[i].top == winner}
-        if antagonistic is None and all(x.bottom == winner for x in profile.orders):
-            antagonistic = profile
-        if anonymous and winners_by_multiset.setdefault(frozenset(profile.counts.items()), winner) != winner:
-            anonymous = False
-    agreed = {order: rule.evaluate(completely_agreed(order, n)) for order in all_orders(rule.domain)}
     return RulePredicateReport(
         onto=image == set(rule.domain),
         dictatorial=min(dictator_candidates) if dictator_candidates else None,
-        anonymous=anonymous,
-        weakly_unanimous=all(winner == order.top for order, winner in agreed.items()),
-        antagonistic=antagonistic,
-        agreed_image=frozenset(agreed.values()),
     )
 
 
@@ -346,8 +306,8 @@ class TestPredicateReportMatchesObjectPath:
         "dictator-1": (lambda: projection_rule(2, 0), 2),
         "dictator-2": (lambda: projection_rule(2, 1), 2),
         "dictator-2-of-3": (lambda: projection_rule(3, 1), 3),
-        "borda-table-n2": (lambda: TableRule.from_function(D3, 2, borda(o("ABC")).evaluate), 2),
-        "borda-table-n3": (lambda: TableRule.from_function(D3, 3, borda(o("CAB")).evaluate), 3),
+        "borda-table-n2": (lambda: table_from_function(D3, 2, borda(o("ABC")).evaluate), 2),
+        "borda-table-n3": (lambda: table_from_function(D3, 3, borda(o("CAB")).evaluate), 3),
         **{f"random-n{n}-m3-s{seed}": (lambda n=n, seed=seed: random_table_rule(n, 3, seed), n)
            for n in (2, 3) for seed in range(5)},
         **{f"random-n2-m4-s{seed}": (lambda seed=seed: random_table_rule(2, 4, seed), 2) for seed in range(3)},
@@ -366,14 +326,11 @@ class TestPredicateReportMatchesObjectPath:
     def test_reports_cover_every_branch(self):
         reports = [check_predicates(labels_table(2, k, 0)) for k in (1, 2, 3)]
         assert [r.onto for r in reports] == [False, False, True]
-        assert all(r.antagonistic is not None for r in reports[:2])
         assert check_predicates(projection_rule(2, 1)).dictatorial == 1
-        assert check_predicates(TableRule.from_function(D3, 2, borda(o("ABC")).evaluate)).anonymous
 
-    def test_antagonistic_subrule_raises_at_the_same_profile(self):
-        # A rule undefined at one profile, as a subrule is where its parent
-        # elects the removed alternative: both walks evaluate in the same
-        # order and stop there.
+    def test_both_walks_stop_at_the_same_profile(self):
+        # A rule undefined at one profile: both walks evaluate profiles in
+        # the same order and stop there.
         stop = decode_profile(2, 2, all_orders(D3))
 
         class Undefined(Exception):
@@ -404,7 +361,7 @@ class TestPredicateReportMatchesObjectPath:
 
 class TestPivotKernel:
     """`TableRule.solo_switches` yields what the default built on
-    `switched` yields, in the same order."""
+    `switches` yields, in the same order."""
 
     @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
     def test_random_table_rules(self, n, seed):
@@ -414,7 +371,7 @@ class TestPivotKernel:
             assert list(rule.solo_switches(profile, orders)) == list(Rule.solo_switches(rule, profile, orders))
 
     def test_tabulated_plurality_four_voters(self):
-        rule = TableRule.from_function(D3, 4, plurality(o("BCA")).evaluate)
+        rule = table_from_function(D3, 4, plurality(o("BCA")).evaluate)
         orders = all_orders(D3)
         for profile in all_profiles(D3, 4):
             assert list(rule.solo_switches(profile, orders)) == list(Rule.solo_switches(rule, profile, orders))
@@ -442,8 +399,8 @@ def scoring_switch_setups(draw):
 
 
 class TestScoringSizeMemo:
-    """`ScoringRule.switched` scores each coalition size once per set-up
-    and still checks every coalition it is given."""
+    """`ScoringRule.switches` scores each coalition size once per strategic
+    order and still checks every coalition it is given."""
 
     @given(setup=scoring_switch_setups(), rng=st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -452,8 +409,8 @@ class TestScoringSizeMemo:
         members = sorted(voters_of_type(profile, type_order))
         walk = [frozenset(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)]
         rng.shuffle(walk)
-        kernel = rule.switched(profile, type_order, target)
-        oracle = _ObjectPath(rule).switched(profile, type_order, target)
+        kernel = rule.switches(profile, type_order)(target)
+        oracle = _ObjectPath(rule).switches(profile, type_order)(target)
         for coalition in walk:
             assert kernel(coalition) == oracle(coalition)
         # Every size is known now; a coalition of a known size that reaches

@@ -10,14 +10,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import perturbed_dictatorship
+from helpers import perturbed_dictatorship, table_from_function
 from safevote import strategy
 from safevote.core import (
     Domain,
     LinearOrder,
     Profile,
     all_orders,
-    completely_agreed,
     switch_votes,
     voters_of_type,
 )
@@ -82,7 +81,7 @@ APPROVAL_33 = k_approval(2, o("ABC"))
 
 
 def dictatorial_rule(n: int = 2) -> TableRule:
-    return TableRule.from_function(D3, n, lambda p: p.orders[0].top)
+    return table_from_function(D3, n, lambda p: p.orders[0].top)
 
 
 def reference_coalitions(voter, members):
@@ -196,18 +195,23 @@ class TestHasIncentive:
     def test_subset_path_evaluates_every_coalition(self, monkeypatch):
         # The oracle path asks the kernel about each coalition in turn.
         asked = []
-        kernel = ScoringRule.switched
+        kernel = ScoringRule.switches
 
-        def recording(rule, profile, type_order, order):
-            winner = kernel(rule, profile, type_order, order)
+        def recording(rule, profile, type_order):
+            switched = kernel(rule, profile, type_order)
 
-            def ask(coalition):
-                asked.append(coalition)
-                return winner(coalition)
+            def asking(order):
+                winner = switched(order)
 
-            return ask
+                def ask(coalition):
+                    asked.append(coalition)
+                    return winner(coalition)
 
-        monkeypatch.setattr(ScoringRule, "switched", recording)
+                return ask
+
+            return asking
+
+        monkeypatch.setattr(ScoringRule, "switches", recording)
         members = voters_of_type(PROFILE_33, o("BAC"))
         voter = min(members)
         assert has_incentive(APPROVAL_33, PROFILE_33, voter, o("ABC"), force_subsets=True) is None
@@ -378,7 +382,7 @@ class TestFindEscapes:
         assert find_escapes(rule, profile) == []
 
     def test_agreed_profile_gives_empty(self):
-        assert find_escapes(borda(o("ABC")), completely_agreed(o("BCA"), 4)) == []
+        assert find_escapes(borda(o("ABC")), Profile((o("BCA"),) * 4)) == []
 
 
 class TestLInferior:
@@ -420,7 +424,7 @@ ENDUP_94 = construct_safe_from_endup(BORDA_94, PROFILE_94, min(voters_of_type(PR
 
 class TestSizePathReadsRuns:
     """Under an anonymous rule the searches read the rule's runs kernel and
-    never score a coalition through `switched`."""
+    never score a coalition through `switches`."""
 
     SEARCHES = {
         "has_incentive": lambda: [has_incentive(BORDA_94, PROFILE_94, 0, o(s)) for s in ("ACB", "BAC", "CAB")],
@@ -459,7 +463,7 @@ class TestSizePathReadsRuns:
         def kernel(*args):
             raise AssertionError("the size path asked the switch kernel or walked subsets")
 
-        monkeypatch.setattr(ScoringRule, "switched", kernel)
+        monkeypatch.setattr(ScoringRule, "switches", kernel)
         monkeypatch.setattr(strategy, "_coalitions", kernel)
         for name, search in self.SEARCHES.items():
             assert search() == pinned[name], name
@@ -497,8 +501,8 @@ class SubsetWalk(Rule):
     def evaluate(self, profile):
         return self.rule.evaluate(profile)
 
-    def switched(self, profile, type_order, order):
-        return self.rule.switched(profile, type_order, order)
+    def switches(self, profile, type_order):
+        return self.rule.switches(profile, type_order)
 
     def config_text(self):
         return self.rule.config_text()
@@ -571,7 +575,7 @@ class TestConstructSafe:
         # profile but the full type switch weakly improves: the emitted
         # certificate lives at a shifted profile yet still verifies.
         rule = random_table_rule(3, 3, 0)
-        profile = completely_agreed(o("ABC"), 3)
+        profile = Profile((o("ABC"),) * 3)
         verdict = classify_safety(rule, profile, 0, o("ACB"))
         assert verdict.status == SafetyStatus.UNSAFE
         cert = construct_safe_from_endup(rule, profile, 0, o("ACB"))
@@ -691,7 +695,7 @@ class TestVerifiers:
             def evaluate(self, profile):
                 raise AssertionError("a move was tried")
 
-            switched = solo_switches = evaluate
+            switches = solo_switches = evaluate
 
         with pytest.raises(InconclusiveError) as exc:
             search(Untouchable(), budget=budget)
@@ -739,7 +743,7 @@ class TestCertificateRecords:
 
     def test_from_endup_at_shifted_profile(self):
         rule = random_table_rule(3, 3, 0)
-        cert = construct_safe_from_endup(rule, completely_agreed(o("ABC"), 3), 0, o("ACB"))
+        cert = construct_safe_from_endup(rule, Profile((o("ABC"),) * 3), 0, o("ACB"))
         assert "inferior" in cert.sets
         assert_replays_own_record(rule, cert)
 
@@ -827,7 +831,7 @@ class TestCertificateReplay:
             raise AssertionError("verify_certificate called a switch kernel")
 
         for cls in (ScoringRule, TableRule):
-            monkeypatch.setattr(cls, "switched", kernel)
+            monkeypatch.setattr(cls, "switches", kernel)
         monkeypatch.setattr(ScoringRule, "size_runs", kernel)
         for rule, cert in certificates:
             assert verify_certificate(rule, cert), cert.claim
@@ -876,7 +880,7 @@ class TestCertificateReplay:
             assert not verify_certificate(rule, dataclasses.replace(cert, sets={})), cert.claim
 
     def test_table_replays_set_up_no_kernel_and_switch_a_solo_move_once(self, monkeypatch):
-        # No replay asks the table's kernel, `switches` included.  A GS
+        # No replay asks either of the table's kernels.  A GS
         # certificate records the voter alone, so the record's replay is
         # the claim's solo switch: the sincere profile and the switched one
         # are each evaluated once.
@@ -893,7 +897,7 @@ class TestCertificateReplay:
             raise AssertionError("verify_certificate called a switch kernel")
 
         monkeypatch.setattr(TableRule, "evaluate", counted)
-        for name in ("switched", "switches", "solo_switches"):
+        for name in ("switches", "solo_switches"):
             monkeypatch.setattr(TableRule, name, kernel)
         for rule, cert in certificates:
             assert verify_certificate(rule, cert), cert.claim
