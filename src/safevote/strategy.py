@@ -8,6 +8,8 @@ type's improving moves, and `_certify` turns any move into the claim's
 `analyze` walks `incentives` once per type present, and that one walk
 gives the type's incentives and its escape.  Every search is
 deterministic and its witnesses are minimal under its enumeration order.
+`construct_safe_from_inferior` shifts the largest inferior subset, first in
+sorted order: inside no other set, it is maximal, as the paper asks.
 
 `incentives` and `safety_verdicts` read one vote enumerator, `_votes`.  It
 skips a type whose favourite already wins, and it searches each voter's
@@ -190,10 +192,21 @@ def _coalitions(voter: int, members: VoterSet) -> Iterator[VoterSet]:
     return _subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members)))
 
 
-def _spans(runs: Iterator[tuple[int, Alternative]], count: int) -> list[tuple[range, Alternative]]:
-    """Each run of `Rule.size_runs` as its switch counts, up to `count`, and
-    its winner."""
-    runs = list(runs)
+def _members(profile: Profile, type_order: LinearOrder) -> VoterSet:
+    """The type's voters; raises when the type is not present."""
+    members = voters_of_type(profile, type_order)
+    if not members:
+        raise SafevoteError(f"type {type_order.compact} not present in the profile")
+    return members
+
+
+def _spans(
+    rule: Rule, profile: Profile, type_order: LinearOrder, order: LinearOrder
+) -> list[tuple[range, Alternative]]:
+    """Each run of `Rule.size_runs` as its switch counts, up to the type's
+    count, and its winner."""
+    count = len(_members(profile, type_order))
+    runs = list(rule.size_runs(profile, type_order, order))
     ends = [k for k, _ in runs[1:]] + [count + 1]
     return [(range(k, end), winner) for (k, winner), end in zip(runs, ends)]
 
@@ -462,10 +475,7 @@ def threshold_scan(
     """
     if not rule.anonymous:
         raise SafevoteError("threshold_scan requires an anonymous rule")
-    members = voters_of_type(profile, type_order)
-    if not members:
-        raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    spans = _spans(rule.size_runs(profile, type_order, strategic_order), len(members))
+    spans = _spans(rule, profile, type_order, strategic_order)
     return {k: winner for sizes, winner in spans for k in sizes}
 
 
@@ -527,38 +537,37 @@ def find_L_inferior(
     force_subsets: bool = False,
 ) -> list[VoterSet]:
     """Proper subsets of the type class whose partial switch leaves the
-    type strictly worse off than the full switch.
+    type strictly worse off than the full switch, smallest first.
 
     For anonymous rules one canonical subset per qualifying size, the
     first members in sorted order, is read from the rule's runs; the general
-    path returns every qualifying subset.
+    path returns every qualifying subset, lexicographically within a size.
     """
+    # A stable sort of the largest-first walk keeps each size's sets in order.
+    return sorted(_inferior(rule, profile, type_order, strategic_order, force_subsets), key=len)
+
+
+def _inferior(
+    rule: Rule, profile: Profile, type_order: LinearOrder, strategic_order: LinearOrder, force_subsets: bool = False
+) -> Iterator[VoterSet]:
+    """The subsets of `find_L_inferior`, largest size first and, within a
+    size, lexicographically, each built only when the walk is asked for it."""
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the type order")
-    members = voters_of_type(profile, type_order)
-    if not members:
-        raise SafevoteError(f"type {type_order.compact} not present in the profile")
     if rule.anonymous and not force_subsets:
-        spans = _spans(rule.size_runs(profile, type_order, strategic_order), len(members))
-        full_outcome, ordered = spans[-1][1], sorted(members)
-        inferior = (sizes for sizes, outcome in spans if type_order.prefers(full_outcome, outcome))
-        return [frozenset(ordered[:k]) for sizes in inferior for k in sizes]
+        spans = _spans(rule, profile, type_order, strategic_order)
+        full_outcome, ordered = spans[-1][1], sorted(voters_of_type(profile, type_order))
+        for sizes, outcome in reversed(spans):
+            if type_order.prefers(full_outcome, outcome):
+                yield from (frozenset(ordered[:k]) for k in reversed(sizes))
+        return
+    members = _members(profile, type_order)
     winner = rule.switches(profile, type_order)(strategic_order)
     ranks = type_order.ranks
     full_rank = ranks[winner(members).index]
-    subsets = _subsets(frozenset(), sorted(members), range(len(members)))
-    return [subset for subset in subsets if full_rank < ranks[winner(subset).index]]
-
-
-def _maximal(sets: list[VoterSet]) -> list[VoterSet]:
-    """The sets strictly inside no other, largest first: one pass in
-    size-descending order that keeps each set strictly inside no kept one.
-    A set inside another is inside a kept one, which came before it."""
-    kept: list[VoterSet] = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(map(s.__lt__, kept)):
-            kept.append(s)
-    return kept
+    for subset in _subsets(frozenset(), sorted(members), range(len(members) - 1, -1, -1)):
+        if full_rank < ranks[winner(subset).index]:
+            yield subset
 
 
 def construct_safe_from_inferior(
@@ -567,19 +576,18 @@ def construct_safe_from_inferior(
     type_order: LinearOrder,
     strategic_order: LinearOrder,
 ) -> Certificate | None:
-    """Safe-manipulation certificate built from a maximal inferior subset.
+    """Safe-manipulation certificate built from the largest inferior subset,
+    first in sorted order, which is inside no other and so is maximal.
 
     Shifting a maximal inferior subset onto the strategic order leaves the
     remaining type members with a safe incentive to follow; the emitted
     certificate lives at that shifted profile and is re-verified here.
     """
-    inferior = find_L_inferior(rule, profile, type_order, strategic_order)
-    if not inferior:
+    chosen = next(_inferior(rule, profile, type_order, strategic_order), None)
+    if chosen is None:
         return None
-    chosen = min(_maximal(inferior), key=lambda s: (-len(s), sorted(s)))
-    members = voters_of_type(profile, type_order)
     shifted = switch_votes(profile, chosen, strategic_order)
-    remaining = members - chosen
+    remaining = voters_of_type(profile, type_order) - chosen
     voter = min(remaining)
     verified = _is_safe(rule, shifted, voter, strategic_order)
     after = rule.evaluate(switch_votes(shifted, remaining, strategic_order))
@@ -598,7 +606,7 @@ def construct_safe_from_endup(
     Requires an incentive; returns None when the full switch strictly
     worsens the outcome (the construction does not apply).  Otherwise the
     certificate is at the profile itself when the vote is already safe,
-    or at a shifted profile via the maximal-inferior-subset construction.
+    or at a shifted profile via `construct_safe_from_inferior`.
     """
     verdict = classify_safety(rule, profile, voter, strategic_order)
     type_order = profile.orders[voter]
@@ -609,7 +617,7 @@ def construct_safe_from_endup(
     if verdict.status == SafetyStatus.SAFE:
         return _certify(rule, "SafelyManipulable", profile, verdict.incentive)
     # The bad coalition strictly worsens the outcome, so it is inferior to
-    # the full switch and the maximal-inferior construction must succeed.
+    # the full switch and the largest-inferior construction must succeed.
     certificate = construct_safe_from_inferior(rule, profile, type_order, strategic_order)
     assert certificate is not None
     return certificate

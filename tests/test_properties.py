@@ -625,16 +625,13 @@ def test_table_certificates_match_the_object_path(name):
 
 
 @given(st.lists(st.frozensets(st.integers(0, 4)), max_size=16))
-def test_maximal_sets_match_the_pairwise_filter(family):
-    # The pairwise filter `construct_safe_from_inferior` used before is the
-    # oracle: the same sets, largest first, so the same one is chosen.
+def test_the_key_minimum_is_pairwise_maximal(family):
+    # `construct_safe_from_inferior` takes the largest inferior set, first in
+    # sorted order, from all of them, not from the maximal ones: the lemma is
+    # that both give the same set.  The pairwise filter is the oracle.
     pairwise = [s for s in family if not any(s < t for t in family)]
-    maximal = strategy._maximal(family)
-    assert sorted(map(sorted, maximal)) == sorted(map(sorted, pairwise))
-    assert [len(s) for s in maximal] == sorted(map(len, maximal), reverse=True)
-    if family:
-        key = lambda s: (-len(s), sorted(s))  # noqa: E731
-        assert min(maximal, key=key) == min(pairwise, key=key)
+    key = lambda s: (-len(s), sorted(s))  # noqa: E731
+    assert min(family, key=key, default=None) == min(pairwise, key=key, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from safevote.core import (
     Domain,
     LinearOrder,
     Profile,
+    SafevoteError,
     all_orders,
     switch_votes,
     voters_of_type,
@@ -350,11 +351,11 @@ class TestThresholdScan:
 
     def test_non_anonymous_rule_rejected(self):
         rule = random_table_rule(2, 3, 0)
-        with pytest.raises(Exception):
+        with pytest.raises(SafevoteError, match="requires an anonymous rule"):
             threshold_scan(rule, next(all_profiles(D3, 2)), o("ABC"), o("ACB"))
 
     def test_absent_type_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SafevoteError, match="type ACB not present in the profile"):
             threshold_scan(BORDA_94, PROFILE_2, o("ACB"), o("CAB"))
 
 
@@ -405,8 +406,13 @@ class TestLInferior:
         assert find_L_inferior(rule, PROFILE_94, o("ABC"), o("ACB")) == []
 
     def test_absent_type_rejected(self):
-        with pytest.raises(Exception):
-            find_L_inferior(BORDA_94, PROFILE_2, o("CAB"), o("ABC"))
+        # Both walks check the type, and so does the construction.
+        for force_subsets in (False, True):
+            with pytest.raises(SafevoteError, match="type CAB not present in the profile"):
+                find_L_inferior(BORDA_94, PROFILE_2, o("CAB"), o("ABC"), force_subsets=force_subsets)
+        for rule in (BORDA_94, SubsetWalk(BORDA_94)):
+            with pytest.raises(SafevoteError, match="type CAB not present in the profile"):
+                construct_safe_from_inferior(rule, PROFILE_2, o("CAB"), o("ABC"))
 
     def test_same_order_rejected(self):
         with pytest.raises(ValueError):
@@ -539,6 +545,59 @@ class TestLiftReadsRuns:
         assert lifts > 100 and 0 < peeled < lifts
 
 
+def key_minimum_of_maximal(rule, profile, type_order, strategic):
+    """The largest inferior subset, first in sorted order, among the
+    pairwise-maximal ones, from every subset replayed through `evaluate`."""
+    members = sorted(voters_of_type(profile, type_order))
+    full = rule.evaluate(switch_votes(profile, frozenset(members), strategic))
+    family = [
+        frozenset(subset)
+        for size in range(len(members))
+        for subset in itertools.combinations(members, size)
+        if type_order.prefers(full, rule.evaluate(switch_votes(profile, frozenset(subset), strategic)))
+    ]
+    maximal = [s for s in family if not any(s < t for t in family)]
+    return min(maximal, key=lambda s: (-len(s), sorted(s)), default=None)
+
+
+class TestInferiorWalk:
+    def test_runs_and_subset_walk_construct_alike(self):
+        # Count profiles of at most 12 voters: the runs give one prefix per
+        # inferior size, the subset walk every subset, largest first.
+        rng = random.Random(23)
+        built = 0
+        for trial in range(150):
+            domain = (D3, D4)[trial % 4 == 3]
+            tiebreak = rng.choice(all_orders(domain))
+            rule = (borda(tiebreak), plurality(tiebreak), k_approval(2, tiebreak))[trial % 3]
+            ballots = rng.choices(rng.sample(all_orders(domain), rng.randint(1, 4)), k=rng.randint(2, 12))
+            profile = Profile.from_counts(list(Counter(ballots).items()))
+            for type_order in profile.types_present():
+                for strategic in all_orders(domain):
+                    if strategic == type_order:
+                        continue
+                    cert = construct_safe_from_inferior(rule, profile, type_order, strategic)
+                    walked = construct_safe_from_inferior(SubsetWalk(rule), profile, type_order, strategic)
+                    assert (cert and cert.to_json()) == (walked and walked.to_json())
+                    built += cert is not None
+        assert built > 100
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_table_rules_shift_the_key_minimum_of_the_maximal_sets(self, n):
+        built = 0
+        for rule in [family(n, 3, seed) for family in (random_table_rule, perturbed_dictatorship) for seed in range(3)]:
+            for profile in all_profiles(rule.domain, n):
+                for type_order in profile.types_present():
+                    for strategic in all_orders(rule.domain):
+                        if strategic == type_order:
+                            continue
+                        cert = construct_safe_from_inferior(rule, profile, type_order, strategic)
+                        expected = key_minimum_of_maximal(rule, profile, type_order, strategic)
+                        assert (cert and cert.sets["inferior"]) == expected
+                        built += cert is not None
+        assert built > 0
+
+
 class TestConstructSafe:
     def test_from_inferior_94(self):
         cert = construct_safe_from_inferior(BORDA_94, PROFILE_94, o("ACB"), o("CAB"))
@@ -558,6 +617,15 @@ class TestConstructSafe:
         joint = BORDA_94.evaluate(switch_votes(PROFILE_94, inferior | coalition, o("CAB")))
         assert o("ACB").prefers(full, partial)
         assert not o("ACB").prefers(full, joint)
+
+    def test_from_inferior_scaled_94(self):
+        # The 94-voter fixture scaled by 1,000: the construction builds the
+        # one prefix it shifts, and its certificate stays byte-identical.
+        profile = Profile.from_counts([(order, 1000 * count) for order, count in PROFILE_94.counts.items()])
+        cert = construct_safe_from_inferior(BORDA_94, profile, o("ACB"), o("CAB"))
+        assert (cert.verified, len(cert.sets["inferior"]), len(cert.sets["coalition"])) == (True, 12000, 3000)
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == "fe96e725986751f846240419b25dbd202f515e5f380095112e6293a3ccd2738b"
 
     def test_from_inferior_none_without_subsets(self):
         assert construct_safe_from_inferior(borda(o("ABC")), PROFILE_2, o("ABC"), o("ACB")) is None
