@@ -26,7 +26,7 @@ import time
 
 from safevote.core import (
     MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, parse_profile, read_text,
-    voters_of_type,
+    voters_of_present_type, voters_of_type,
 )
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
@@ -165,9 +165,7 @@ def cmd_safety(args) -> int:
     strategic = _order(args.strategic, profile.domain, "--strategic")
     if strategic == type_order:
         raise UsageError("--strategic must differ from --type")
-    members = voters_of_type(profile, type_order)
-    if not members:
-        raise SafevoteError(f"type {type_order.compact} not present in the profile")
+    members = voters_of_present_type(profile, type_order)
     report: dict = {
         "type": type_order.compact,
         "strategic_order": str(strategic),

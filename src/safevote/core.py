@@ -365,6 +365,14 @@ def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
     return profile.grouped_view.get(order, frozenset())
 
 
+def voters_of_present_type(profile: Profile, order: LinearOrder) -> VoterSet:
+    """`voters_of_type`, raising SafevoteError when the type is not present."""
+    members = voters_of_type(profile, order)
+    if not members:
+        raise SafevoteError(f"type {order.compact} not present in the profile")
+    return members
+
+
 def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Profile:
     """The profile with every listed voter's ballot replaced by `order`.
 

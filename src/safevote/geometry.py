@@ -30,7 +30,7 @@ from safevote.core import (
     LinearOrder,
     Profile,
     SafevoteError,
-    voters_of_type,
+    voters_of_present_type,
 )
 from safevote.rules import ScoringRule
 
@@ -110,9 +110,7 @@ def trajectory(
     """
     if len(rule.domain) != 3:
         raise SafevoteError("trajectories are defined for three alternatives")
-    count = len(voters_of_type(profile, type_order))
-    if not count:
-        raise SafevoteError(f"type {type_order.compact} not present in the profile")
+    count = len(voters_of_present_type(profile, type_order))
     if not 0 <= k_max <= count:
         raise SafevoteError(f"k_max={k_max} is outside 0..{count}, the type count")
     base, step = _nonnegative(rule).lines(profile, type_order, strategic_order)

@@ -314,12 +314,6 @@ class ScoringRule(Rule):
         Set-up raises what `switch_votes` would for the switch.
         """
         _switch_check(profile, type_order, order)
-        return self._lines(profile, type_order, order)
-
-    def _lines(
-        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
-    ) -> tuple[tuple[int, ...], list[int]]:
-        """`lines` once the switch is checked."""
         base = self._totals(profile)
         step = [0] * len(base)
         for points, new, old in zip(self._points, order.ranking, type_order.ranking):
@@ -347,9 +341,10 @@ class ScoringRule(Rule):
     def switches(
         self, profile: Profile, type_order: LinearOrder
     ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
+        members = voters_of_type(profile, type_order)
+
         def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
-            members = _switch_check(profile, type_order, order)
-            winner_after = self._winner_after(*self._lines(profile, type_order, order))
+            winner_after = self._winner_after(*self.lines(profile, type_order, order))
             # Coalition size to winner, filled as sizes come up: a subset walk
             # scores each size once, and a walk that asks few sizes scores few.
             by_size: dict[int, Alternative] = {}

@@ -25,27 +25,28 @@ voter) and asked once per strategic order.  Under an anonymous rule it
 reads the runs kernel, `Rule.size_runs`: the switch counts at which the
 winner changes, and a coalition is built only for a witness, as the voter
 plus the first k-1 other members in sorted order.  Otherwise it walks every
-subset from `_coalitions`, by size then lexicographically
+coalition containing the voter, by size then lexicographically
 (`force_subsets=True` takes it on any rule, which the tests use as an
-oracle).  A single vote (`_moves`) builds its walk for that vote alone and
-its coalitions as it goes; `_votes` and the safe-pivotal scan build one
-walk per voter, which lists the coalitions and reads the sincere winner
-once for all of the voter's orders.  The per-vote searches over a walk,
-`_incentive` and `_classify`, return None for a vote without an incentive;
-only the public `classify_safety` raises `NoIncentiveError`.  A
-`SafetyVerdict` carries its incentive witness, so one pass settles both
-questions.  The three theorem verifiers share one profile scan, `_scan`,
-which certifies the first move that a per-claim generator yields.
+oracle).  A single vote (`_moves`) builds its walk for that vote alone;
+`_votes` and the safe-pivotal scan build one per voter for all of the
+voter's orders.  Where any members may form a coalition, the per-member
+clause of the unsafe definition and of the lift is one check,
+`_incentivized`.  The per-vote searches over a walk, `_incentive` and
+`_classify`, return None for a vote without an incentive; only the public
+`classify_safety` raises `NoIncentiveError`.  A `SafetyVerdict` carries
+its incentive witness, so one pass settles both questions.  The three
+theorem verifiers share one profile scan, `_scan`, which certifies the
+first move that a per-claim generator yields.
 
 Subset searches find each coalition's winner through the rule's switch
 kernel, `Rule.switches`, which builds no `Profile`: one set-up per walk,
-asked once per strategic order, whether the walk serves one vote or all
-of a voter's.  `_coalitions` builds each coalition in C (`itertools` and
-`frozenset.union`), and the searches compare outcomes by the type order's
-rank tuple, `LinearOrder.ranks`, so the kernel's `winner` is the one
-Python call per coalition.  The pivotal scan reads every single-voter
-switch of a profile from one call to `Rule.solo_switches`, and compares
-its outcomes by the same rank tuples.
+asked once per strategic order.  `_subsets` builds each coalition in C
+(`itertools` and `frozenset.union`) once per walk, the walk pairs it with
+its winner in C (`zip`, `map` and `itertools.tee`), and the searches
+compare outcomes by the type order's rank tuple, `LinearOrder.ranks`, so
+the kernel's `winner` is the one Python call per coalition.  The pivotal
+scan reads every single-voter switch of a profile from one call to
+`Rule.solo_switches`, and compares its outcomes by the same rank tuples.
 `verify_certificate` is the independent check: it replays every
 certificate through `switch_votes` and `Rule.evaluate` only, and a solo
 move's switch once.
@@ -70,6 +71,7 @@ from safevote.core import (
     all_profiles,
     format_profile,
     switch_votes,
+    voters_of_present_type,
     voters_of_type,
 )
 from safevote.rules import DEFAULT_ENUMERATION_BOUND, Rule, resolve_n
@@ -183,21 +185,9 @@ class Certificate:
 def _subsets(base: VoterSet, pool: list[int], sizes: range) -> Iterator[VoterSet]:
     """`base` joined with every subset of a sorted pool of the given sizes,
     size by size, then lexicographically.  Each set is built in C, with no
-    Python frame per set."""
-    return itertools.chain.from_iterable(map(base.union, itertools.combinations(pool, size)) for size in sizes)
-
-
-def _coalitions(voter: int, members: VoterSet) -> Iterator[VoterSet]:
-    """Coalitions of members containing the voter, smallest first."""
-    return _subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members)))
-
-
-def _members(profile: Profile, type_order: LinearOrder) -> VoterSet:
-    """The type's voters; raises when the type is not present."""
-    members = voters_of_type(profile, type_order)
-    if not members:
-        raise SafevoteError(f"type {type_order.compact} not present in the profile")
-    return members
+    Python frame per set or per size."""
+    combinations = map(itertools.combinations, itertools.repeat(pool), sizes)
+    return map(base.union, itertools.chain.from_iterable(combinations))
 
 
 def _spans(
@@ -205,7 +195,7 @@ def _spans(
 ) -> list[tuple[range, Alternative]]:
     """Each run of `Rule.size_runs` as its switch counts, up to the type's
     count, and its winner."""
-    count = len(_members(profile, type_order))
+    count = len(voters_of_present_type(profile, type_order))
     runs = list(rule.size_runs(profile, type_order, order))
     ends = [k for k, _ in runs[1:]] + [count + 1]
     return [(range(k, end), winner) for (k, winner), end in zip(runs, ends)]
@@ -217,9 +207,7 @@ def _spans(
 _Moves = tuple[Alternative, Iterator[tuple], Callable[..., VoterSet], bool]
 
 
-def _walk(
-    rule: Rule, profile: Profile, voter: int, force_subsets: bool = False, reused: bool = False
-) -> Callable[[LinearOrder], _Moves]:
+def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False) -> Callable[[LinearOrder], _Moves]:
     """The moves of the voter's strategic votes from one set-up per
     (profile, voter): the returned function maps a strategic order other
     than the voter's own to its `_Moves`.
@@ -228,14 +216,15 @@ def _walk(
     at which the winner changes (a run start of `Rule.size_runs`) and its
     coalition the voter and the first k-1 other members in sorted order,
     sorted only once a coalition is asked for.  Otherwise a key is each
-    coalition from `_coalitions`, scored by the order's switch kernel.  Keys
-    nest as their coalitions do.
+    coalition containing the voter, by size then lexicographically, scored
+    by the order's switch kernel.  Keys nest as their coalitions do.
 
     Either way the switch kernel (`Rule.switches`) is set up once per walk.
-    A walk `reused` for many orders lists its coalitions once and reads the
-    sincere winner once, from `evaluate`.  A single vote's walk builds its
-    coalitions as it goes, since `has_incentive` often stops at the first,
-    and asks the kernel about the empty coalition for the sincere winner.
+    The subset walk also reads the sincere winner once, from `evaluate`, and
+    builds each coalition once, when the first order reaches it, since
+    `has_incentive` often stops early.  Each order pairs the coalitions with
+    their winners in C: the kernel's `winner` is the one Python call per
+    coalition.
     """
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
@@ -253,23 +242,16 @@ def _walk(
             return sincere, changes, prefix, True
 
         return runs
-    # `frozenset` of a coalition is the coalition itself.
-    switches = rule.switches(profile, type_order)
-    if reused:
-        coalitions, sincere = list(_coalitions(voter, members)), rule.evaluate(profile)
+    switches, sincere = rule.switches(profile, type_order), rule.evaluate(profile)
+    # Only its copies advance, so the buffer keeps each coalition for every order.
+    (coalitions,) = itertools.tee(_subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members))), 1)
 
-        def listed(order: LinearOrder) -> _Moves:
-            winner = switches(order)
-            return sincere, zip(coalitions, map(winner, coalitions)), frozenset, False
+    def subsets(order: LinearOrder) -> _Moves:
+        keys, walk = itertools.tee(coalitions.__copy__())
+        # `frozenset` of a coalition is the coalition itself.
+        return sincere, zip(keys, map(switches(order), walk)), frozenset, False
 
-        return listed
-
-    def lazy(order: LinearOrder) -> _Moves:
-        winner = switches(order)
-        walk = ((coalition, winner(coalition)) for coalition in _coalitions(voter, members))
-        return winner(frozenset()), walk, frozenset, False
-
-    return lazy
+    return subsets
 
 
 def _moves(
@@ -340,7 +322,7 @@ def _votes(
     members = sorted(voters_of_type(profile, type_order))
     strategic = [order for order in orders if order != type_order]
     for voter in members[:1] if rule.anonymous else members:
-        walk = _walk(rule, profile, voter, reused=True)
+        walk = _walk(rule, profile, voter)
         found: dict[Hashable, _Found | None] = {}
         for order in strategic:
             key = rule.vote_class(order)
@@ -420,11 +402,7 @@ def _classify(
         # members of worsening coalitions are asked.  Under anonymity every
         # member shares the voter's incentive and nobody is asked.
         incentivized = frozenset().union(*improving)
-        incentivized |= {
-            v
-            for v in frozenset().union(*worsening) - incentivized
-            if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
-        }
+        incentivized |= _incentivized(rule, profile, frozenset().union(*worsening) - incentivized, strategic_order)
         worsening = [c for c in worsening if c <= incentivized]
     if not worsening:
         return SafetyVerdict(SafetyStatus.SAFE, incentive)
@@ -438,6 +416,14 @@ def _classify(
                         SafetyStatus.UNSAFE, incentive, witness_bad, kind, coalition(good), coalition(bad)
                     )
     return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad, UnsafeKind.OTHER)
+
+
+def _incentivized(rule: Rule, profile: Profile, voters: VoterSet, strategic_order: LinearOrder) -> VoterSet:
+    """The voters with an incentive to vote the strategic order, each asked
+    through the subset walk: the per-member check where any members may act."""
+    return frozenset(
+        v for v in voters if has_incentive(rule, profile, v, strategic_order, force_subsets=True) is not None
+    )
 
 
 def safety_verdicts(
@@ -561,7 +547,7 @@ def _inferior(
             if type_order.prefers(full_outcome, outcome):
                 yield from (frozenset(ordered[:k]) for k in reversed(sizes))
         return
-    members = _members(profile, type_order)
+    members = voters_of_present_type(profile, type_order)
     winner = rule.switches(profile, type_order)(strategic_order)
     ranks = type_order.ranks
     full_rank = ranks[winner(members).index]
@@ -699,7 +685,7 @@ def _safe_pivotal_moves(
     """Pivotal moves whose vote is safe.  The moves come voter by voter, and
     one `_walk` per voter serves all of that voter's votes."""
     for voter, moves in itertools.groupby(_pivotal_moves(rule, profile, orders), operator.attrgetter("voter")):
-        walk = _walk(rule, profile, voter, reused=True)
+        walk = _walk(rule, profile, voter)
         for move in moves:
             verdict = _classify(rule, profile, voter, move.strategic_order, walk(move.strategic_order))
             if verdict is not None and verdict.status == SafetyStatus.SAFE:
@@ -767,9 +753,7 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
         if by_size:
             incentivized = members if has_incentive(rule, profile, j, strategic_order) is not None else frozenset()
         else:
-            incentivized = frozenset(
-                v for v in members if has_incentive(rule, profile, v, strategic_order) is not None
-            )
+            incentivized = _incentivized(rule, profile, members, strategic_order)
         # Size-minimal moving coalition of j and incentivized voters; size
         # minimality implies inclusion minimality, so every proper subset
         # containing j leaves the outcome at the sincere winner.

@@ -692,6 +692,19 @@ class TestGoldenOutputs:
         assert run(["analyze", "--profile", str(profile_path), "--rule", str(rule_path), "--format", "json"]) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
+    def test_table_safety_matches_golden(self, files, capsys):
+        # A table rule's single-vote subset walk, Unsafe by Overshoot: voter 2
+        # is in the worsening coalition and in no improving one, so the
+        # classifier asks whether voter 2 has the incentive too.
+        tmp = files["tmp"]
+        (tmp / "w.txt").write_text(format_table_entries(random_table_rule(4, 3, 0)))
+        (tmp / "table.txt").write_text("rule: table\nn: 4\nm: 3\nentries: w.txt\n")
+        ballots = ("A > B > C", "A > B > C", "A > C > B", "A > B > C")
+        (tmp / "p.txt").write_text("alternatives: A B C\n" + "".join(f"voter {i}: {b}\n" for i, b in enumerate(ballots, 1)))
+        argv = ["safety", "--profile", str(tmp / "p.txt"), "--rule", str(tmp / "table.txt"), "--format", "json"]
+        assert run([*argv, "--type", "ABC", "--strategic", "CBA"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "safety_table4_seed0.json").read_text(encoding="utf-8")
+
     def test_figure_matches_golden(self, files, capsys):
         argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"]]
         assert run([*argv, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"]) == 0

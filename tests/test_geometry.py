@@ -133,7 +133,7 @@ class TestTrajectory:
 
     def test_absent_type_rejected(self):
         profile = Profile((o("ABC"), o("BAC")))
-        with pytest.raises(SafevoteError):
+        with pytest.raises(SafevoteError, match="type CBA not present in the profile"):
             trajectory(BORDA_94, profile, o("CBA"), o("ABC"), 1)
 
     def test_k_max_bounded_by_count(self):

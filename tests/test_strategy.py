@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -35,7 +36,7 @@ from safevote.rules import (
 from safevote.strategy import (
     Certificate,
     SafetyVerdict,
-    _coalitions,
+    _subsets,
     InconclusiveError,
     NoIncentiveError,
     SafetyStatus,
@@ -93,13 +94,23 @@ def reference_coalitions(voter, members):
             yield frozenset((voter, *combo))
 
 
+def coalitions(voter, members):
+    """The subset walk's coalitions: the voter joined with each subset of
+    the other members, smallest first."""
+    return _subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members)))
+
+
 @pytest.mark.parametrize("size", range(1, 10))
 def test_coalitions_match_the_reference_walk(size):
     for members in (frozenset(range(size)), frozenset(random.Random(size).sample(range(40), size))):
         for voter in members:
-            walk = list(_coalitions(voter, members))
+            walk = list(coalitions(voter, members))
             assert walk == list(reference_coalitions(voter, members))
             assert all(type(c) is frozenset for c in walk)
+        # The inferior walk's order: largest proper subsets first.
+        ordered = sorted(members)
+        largest_first = [frozenset(c) for k in range(size - 1, -1, -1) for c in itertools.combinations(ordered, k)]
+        assert list(_subsets(frozenset(), ordered, range(size - 1, -1, -1))) == largest_first
 
 
 def two_pass_classify_safety(rule, profile, voter, strategic_order):
@@ -195,8 +206,12 @@ class TestHasIncentive:
 
     def test_subset_path_evaluates_every_coalition(self, monkeypatch):
         # The oracle path asks the kernel about each coalition in turn.
-        asked = []
-        kernel = ScoringRule.switches
+        asked, evaluated = [], []
+        kernel, evaluate = ScoringRule.switches, ScoringRule.evaluate
+
+        def counting(rule, profile):
+            evaluated.append(profile)
+            return evaluate(rule, profile)
 
         def recording(rule, profile, type_order):
             switched = kernel(rule, profile, type_order)
@@ -213,15 +228,54 @@ class TestHasIncentive:
             return asking
 
         monkeypatch.setattr(ScoringRule, "switches", recording)
+        monkeypatch.setattr(ScoringRule, "evaluate", counting)
         members = voters_of_type(PROFILE_33, o("BAC"))
         voter = min(members)
         assert has_incentive(APPROVAL_33, PROFILE_33, voter, o("ABC"), force_subsets=True) is None
-        # The sincere profile, then every coalition containing the voter, once each.
-        assert asked == [frozenset(), *_coalitions(voter, members)]
-        assert len(set(asked)) == len(asked) == 1 + 2 ** (len(members) - 1)
+        # The sincere winner from one evaluation, then every coalition
+        # containing the voter from the kernel, once each.
+        assert evaluated == [PROFILE_33]
+        assert asked == [*coalitions(voter, members)]
+        assert len(set(asked)) == len(asked) == 2 ** (len(members) - 1)
+
+    def test_voter_walk_builds_each_coalition_once(self, monkeypatch):
+        # Every strategic order of a voter's walk reads the same coalitions,
+        # built once for the walk rather than once per order.
+        built, subsets = [], strategy._subsets
+
+        def recording(*args):
+            for coalition in subsets(*args):
+                built.append(coalition)
+                yield coalition
+
+        monkeypatch.setattr(strategy, "_subsets", recording)
+        rule = dictatorial_rule(3)
+        walk = strategy._walk(rule, Profile((o("ABC"), o("ABC"), o("BAC"))), 0)
+        for order in all_orders(D3)[1:]:
+            _, moves, _, _ = walk(order)
+            assert [key for key, _ in moves] == [frozenset({0}), frozenset({0, 1})]
+        assert built == [frozenset({0}), frozenset({0, 1})]
 
 
 class TestClassifySafety:
+    def test_forced_subset_walk_makes_one_python_call_per_coalition(self):
+        # The kernel's `winner` is the one Python frame per coalition: the
+        # walk pairs coalitions with winners in C, with no generator resumed.
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            verdict = classify_safety(BORDA_94, PROFILE_94, 0, o("ACB"), force_subsets=True)
+        finally:
+            sys.setprofile(None)
+        assert (verdict.kind, len(verdict.good), len(verdict.bad)) == (UnsafeKind.OVERSHOOT, 4, 10)
+        coalitions = 2 ** (len(voters_of_type(PROFILE_94, o("ABC"))) - 1)
+        assert calls < 1.1 * coalitions, (calls, coalitions)
+
     def test_overshoot_94(self):
         verdict = classify_safety(BORDA_94, PROFILE_94, 0, o("ACB"))
         assert verdict.status == SafetyStatus.UNSAFE
@@ -470,7 +524,7 @@ class TestSizePathReadsRuns:
             raise AssertionError("the size path asked the switch kernel or walked subsets")
 
         monkeypatch.setattr(ScoringRule, "switches", kernel)
-        monkeypatch.setattr(strategy, "_coalitions", kernel)
+        monkeypatch.setattr(strategy, "_subsets", kernel)
         for name, search in self.SEARCHES.items():
             assert search() == pinned[name], name
 
