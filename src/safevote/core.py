@@ -3,6 +3,11 @@
 Voter indices are 0-based everywhere inside the library and converted to
 1-based only at I/O boundaries (profile text files, certificate JSON,
 CLI reports).
+
+Domains and the orders read from labels are shared: one `Domain` per label
+set, and one `LinearOrder` per (domain, ranking), which is also the one
+`all_orders` lists.  Both are kept for the life of the process, so a
+repeated parse builds nothing new.  Labels are ASCII letters in either case.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class Alternative:
     def __post_init__(self) -> None:
         if not (0 <= self.index < MAX_ALTERNATIVES):
             raise ValueError(f"alternative index {self.index} out of range")
-        # Capitals only: `Domain.by_label` upper-cases its query.
+        # Capitals only: `Domain.by_label` reads each label in either case.
         if len(self.label) != 1 or self.label not in _LABELS:
             raise ValueError(f"alternative label {self.label!r} must be a single letter A-Z")
         # From the index alone, so the hash is the same in every process;
@@ -88,6 +93,8 @@ class Domain:
         for i, alt in enumerate(self.alternatives):
             if alt.index != i:
                 raise ValueError(f"alternative {alt.label} has index {alt.index}, expected {i}")
+        # The orders `LinearOrder.from_labels` returned, by compact labels.
+        object.__setattr__(self, "_interned", {})
         # A valid domain becomes the shared one for its labels; a second
         # domain over them would fail every identity check.
         if _DOMAINS.setdefault(labels, self) is not self:
@@ -121,8 +128,13 @@ class Domain:
 
     @cached_property
     def _orders(self) -> tuple[LinearOrder, ...]:
-        """The m! orders over the domain, built once, lexicographic by labels."""
-        return tuple(LinearOrder(perm) for perm in itertools.permutations(self.alternatives))
+        """The m! orders over the domain, built once, lexicographic by labels.
+        An order `LinearOrder.from_labels` already built keeps its place, so
+        both give one instance per ranking."""
+        orders = [LinearOrder(perm) for perm in itertools.permutations(self.alternatives)]
+        for order in self._interned.values():
+            orders[_position(order)] = order
+        return tuple(orders)
 
     @cached_property
     def _order_ids(self) -> Mapping[LinearOrder, int]:
@@ -132,11 +144,13 @@ class Domain:
 
     @cached_property
     def _by_label(self) -> Mapping[str, Alternative]:
-        return {a.label: a for a in self.alternatives}
+        """Each alternative under its label in either case: `str.upper`
+        would also read letters such as "ſ" and "ı" as ASCII capitals."""
+        return {label: a for a in self.alternatives for label in (a.label, a.label.lower())}
 
     def by_label(self, label: str) -> Alternative:
         try:
-            return self._by_label[label.upper()]
+            return self._by_label[label]
         except KeyError:
             raise DomainMismatchError(f"no alternative labelled {label!r} in domain {self.labels}") from None
 
@@ -148,12 +162,25 @@ class Domain:
 _DOMAINS: dict[tuple[str, ...], Domain] = {}
 
 
+def _position(order: LinearOrder) -> int:
+    """The order's place in `itertools.permutations` of its domain, so in
+    `Domain._orders`: its Lehmer code read in the factorial number system."""
+    indices = [a.index for a in order.ranking]
+    position = 0
+    for i, index in enumerate(indices):
+        position = position * (len(indices) - i) + sum(later < index for later in indices[i + 1 :])
+    return position
+
+
 @dataclass(frozen=True)
 class LinearOrder:
     """A strict total ranking of every alternative, best first.
 
-    A voter's sincere order is their "type"; like-minded voters share one
-    LinearOrder instance-wise or value-wise (orders compare by value).
+    A voter's sincere order is their "type".  Orders compare and hash by
+    value.  Those read from labels, and the domain's `all_orders`, are one
+    shared instance per (domain, ranking): `from_labels(o.compact, d) is o`
+    for every `o` in `all_orders(d)`.  An order built directly from a
+    ranking is a new instance, equal to the shared one.
     """
 
     ranking: tuple[Alternative, ...]
@@ -181,11 +208,25 @@ class LinearOrder:
 
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
-        """Build an order from a compact label string like "ACB"."""
-        ranking = tuple(domain.by_label(lab) for lab in labels)
-        if len(ranking) != len(domain):
-            raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
-        return cls(ranking)
+        """The domain's shared order for a compact label string like "ACB",
+        in either case.  A spelling is checked the first time its ranking
+        is read; one that fails is not kept.
+
+        The domain keeps each order as long as it lives, and a domain lives
+        as long as the process, as `_DOMAINS` keeps it: at most m! orders
+        per label set, the price of one object per ranking.
+        """
+        # ASCII only: `str.upper` of other letters can spell a kept key.
+        order = domain._interned.get(labels.upper()) if labels.isascii() else None
+        if order is None:
+            ranking = tuple(domain.by_label(lab) for lab in labels)
+            if len(ranking) != len(domain):
+                raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
+            order = cls(ranking)
+            if "_orders" in domain.__dict__:
+                order = domain._orders[_position(order)]
+            domain._interned[order.compact] = order
+        return order
 
     @classmethod
     def from_string(cls, text: str, domain: Domain) -> "LinearOrder":
@@ -426,6 +467,14 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _capitals(labels: str) -> str:
+    """Labels, read in either case, as the capitals a domain keeps; ValueError
+    for non-ASCII text, which `str.upper` may turn into capitals ("ſ" into S)."""
+    if not labels.isascii():
+        raise ValueError(f"labels must be ASCII letters, got {labels!r}")
+    return labels.upper()
+
+
 def read_text(path: str) -> str:
     """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
     with open(path, "rb") as fh:
@@ -448,12 +497,11 @@ def parse_profile(text: str) -> Profile:
     if not header.lower().startswith("alternatives"):
         raise ParseError("expected 'alternatives:' header", no)
     _, _, labels_part = header.partition(":")
-    # Labels are case-insensitive; `Domain.by_label` upper-cases too.
-    labels = labels_part.upper().split()
+    labels = labels_part.split()
     if not labels:
         raise ParseError("no alternative labels listed", no)
     try:
-        domain = Domain.from_labels(sorted(labels))
+        domain = Domain.from_labels(sorted(map(_capitals, labels)))
     except ValueError as exc:
         raise ParseError(str(exc), no) from exc
 

@@ -79,6 +79,7 @@ from safevote.core import (
     Profile,
     SafevoteError,
     VoterSet,
+    _capitals,
     _integer,
     all_profiles,
     decode_profile,  # noqa: F401 - bench/tracing.py traces rules.decode_profile
@@ -607,11 +608,11 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
     if kind == "scoring":
         if "scores" not in fields or "tiebreak" not in fields:
             raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
-        tb_labels = "".join(fields["tiebreak"].replace(">", " ").split()).upper()
+        tb_labels = "".join(fields["tiebreak"].replace(">", " ").split())
         if not tb_labels:
             raise ParseError("tiebreak lists no alternatives", line_of["tiebreak"])
         try:
-            tiebreak = LinearOrder.from_labels(tb_labels, Domain.from_labels(sorted(tb_labels)))
+            tiebreak = LinearOrder.from_labels(tb_labels, Domain.from_labels(sorted(_capitals(tb_labels))))
         except (ValueError, DomainMismatchError) as exc:
             raise ParseError(f"bad tiebreak: {exc}", line_of["tiebreak"]) from exc
         try:

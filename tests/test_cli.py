@@ -63,6 +63,7 @@ alternatives: A B C D
 
 RULE_BORDA_94 = "rule: scoring\nscores: 2 1 0\ntiebreak: B > A > C\n"
 RULE_PLURALITY = "rule: scoring\nscores: 1 0 0\ntiebreak: A > B > C\n"
+RULE_AIS = "rule: scoring\nscores: 1 0 0\ntiebreak: A > I > S\n"
 
 
 @pytest.fixture
@@ -425,12 +426,21 @@ class TestErrors:
                 "rule: scoring\nscores: 1 0 1e-5000\ntiebreak: A > B > C\n",
                 "line 2: bad score vector '1 0 1e-5000': '1e-5000' has more than 4300 digits",
             ),
+            # `str.upper` turns "ı" into I and "ſ" into S.
+            ("alternatives: \u0131 A S\n1: A > I > S\n", RULE_AIS, "line 1: labels must be ASCII letters, got '\u0131'"),
+            ("alternatives: A I S\n1: A > I > \u017f\n", RULE_AIS, "line 2: no alternative labelled '\u017f' in domain AIS"),
+            (
+                "alternatives: A I S\n1: A > I > S\n",
+                "rule: scoring\nscores: 1 0 0\ntiebreak: \u017f > A > \u0131\n",
+                "line 3: bad tiebreak: labels must be ASCII letters, got '\u017fA\u0131'",
+            ),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
             "table-m-arabic-indic", "increasing-scores", "scores-length",
             "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
             "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
+            "dotless-i-label", "long-s-in-a-ballot", "look-alikes-in-tiebreak",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
@@ -541,6 +551,26 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--type", ["safety", "--type", "S\u0131A", "--strategic", "ASI"]),
+            ("--strategic", ["safety", "--type", "AIS", "--strategic", "A\u017fI"]),
+            ("--trajectory", ["figure", "--trajectory", "AIS:A\u017fI:1"]),
+        ],
+        ids=["type-dotless-i", "strategic-long-s", "trajectory-long-s"],
+    )
+    def test_look_alike_letter_is_a_usage_error(self, files, capsys, flag, argv):
+        # `str.upper` turns "ı" into I and "ſ" into S; only ASCII letters name alternatives.
+        (files["tmp"] / "p.txt").write_text("alternatives: A I S\n2: A > I > S\n1: S > I > A\n")
+        (files["tmp"] / "r.txt").write_text(RULE_AIS)
+        inputs = ["--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")]
+        assert run([argv[0], *inputs, *argv[1:]]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ") and "no alternative labelled" in captured.err
+        assert run([argv[0], *inputs, *(arg.replace("\u0131", "I").replace("\u017f", "S") for arg in argv[1:])]) == 0
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -704,6 +734,43 @@ class TestGoldenOutputs:
         argv = ["safety", "--profile", str(tmp / "p.txt"), "--rule", str(tmp / "table.txt"), "--format", "json"]
         assert run([*argv, "--type", "ABC", "--strategic", "CBA"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "safety_table4_seed0.json").read_text(encoding="utf-8")
+
+    def test_goldens_twice_interleaved(self, files, capsys):
+        # Parsed orders are shared for the life of their domain, so one
+        # in-process run must leave nothing that changes the next report.
+        tmp = files["tmp"]
+        for name, profile, scores, tiebreak in (
+            ("plurality4", PROFILE_PLURALITY_4, "1 0 0 0", "A > B > C > D"),
+            ("2approval4", PROFILE_2APPROVAL_4, "1 1 0 0", "B > A > D > C"),
+        ):
+            (tmp / f"{name}.txt").write_text(profile)
+            (tmp / f"{name}_rule.txt").write_text(f"rule: scoring\nscores: {scores}\ntiebreak: {tiebreak}\n")
+        (tmp / "w.txt").write_text(format_table_entries(random_table_rule(4, 3, 0)))
+        (tmp / "table.txt").write_text("rule: table\nn: 4\nm: 3\nentries: w.txt\n")
+        ballots = ("A > B > C", "A > B > C", "A > C > B", "A > B > C")
+        (tmp / "p.txt").write_text("alternatives: A B C\n" + "".join(f"voter {i}: {b}\n" for i, b in enumerate(ballots, 1)))
+
+        def analyze(name):
+            return ["analyze", "--profile", str(tmp / f"{name}.txt"), "--rule", str(tmp / f"{name}_rule.txt"), "--format", "json"]
+
+        runs = [
+            (analyze("plurality4"), "analyze_plurality4.json"),
+            (
+                ["safety", "--profile", str(tmp / "p.txt"), "--rule", str(tmp / "table.txt"), "--format", "json",
+                 "--type", "ABC", "--strategic", "CBA"],
+                "safety_table4_seed0.json",
+            ),
+            (
+                ["figure", "--profile", files["profile94"], "--rule", files["borda"],
+                 "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"],
+                "figure_borda94.svg",
+            ),
+            (["examples", "--format", "json"], "examples.json"),
+            (analyze("2approval4"), "analyze_2approval4.json"),
+        ]
+        for argv, golden in runs * 2:
+            assert run(argv) == 0
+            assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8"), golden
 
     def test_figure_matches_golden(self, files, capsys):
         argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"]]

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safevote.core import (
     MAX_VOTERS,
@@ -60,6 +61,13 @@ class TestDomain:
         with pytest.raises(DomainMismatchError):
             D3.by_label("Z")
 
+    @pytest.mark.parametrize("label", ["\u017f", "\u0131", "\u212a"])
+    def test_by_label_takes_ascii_letters_only(self, label):
+        # "ſ", "ı" and the Kelvin sign upper- or lower-case to S, I and k.
+        domain = Domain.from_labels("IKS")
+        with pytest.raises(DomainMismatchError, match="no alternative labelled"):
+            domain.by_label(label)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             Domain((Alternative(0, "A"), Alternative(1, "A")))
@@ -96,8 +104,8 @@ class TestDomain:
 
     @pytest.mark.parametrize("labels", ["abc", "aBC"])
     def test_labels_are_capital_letters(self, labels):
-        # `by_label` upper-cases its query, so a lowercase label could
-        # never be found; the parsers upper-case before building.
+        # `by_label` reads a capital label in either case, so a lowercase
+        # one could be read as its capital; the parsers upper-case first.
         with pytest.raises(ValueError):
             Domain.from_labels(labels)
 
@@ -117,6 +125,121 @@ class TestDomain:
         profile = Profile(tuple(all_orders(domain)))
         assert profile.domain is domain
         assert switch_votes(profile, frozenset({0}), all_orders(domain)[1]).domain is domain
+
+
+#: Letters that `str.upper` turns into ASCII capitals.
+LOOK_ALIKES = {"I": "\u0131", "S": "\u017f"}
+
+
+@st.composite
+def spellings(draw) -> tuple[Domain, str]:
+    """A domain over B, I, S (and A) and a spelling of one of its orders:
+    each letter in either case or as its look-alike, spaces and arrows
+    between them, at times a letter dropped, repeated or foreign; or any
+    short text over those characters."""
+    domain = Domain.from_labels(draw(st.sampled_from(["BIS", "ABIS"])))
+    if draw(st.booleans()):
+        return domain, draw(st.text(alphabet="ABISabis >\u017f\u0131Z", max_size=9))
+    letters = [draw(st.sampled_from([c, c.lower(), LOOK_ALIKES.get(c, c)])) for c in draw(st.permutations(domain.labels))]
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "foreign"]))
+    if edit == "drop":
+        letters.pop()
+    elif edit == "repeat":
+        letters[-1] = letters[0]
+    elif edit == "foreign":
+        letters.append("Z")
+    separators = [draw(st.sampled_from(["", " ", " > ", ">"])) for _ in letters]
+    return domain, "".join(sep + c for sep, c in zip(separators, letters))
+
+
+def oracle_order(labels: str, domain: Domain) -> LinearOrder:
+    """`LinearOrder.from_labels` without its table: a new order from
+    `by_label`, which must cover the domain."""
+    ranking = tuple(domain.by_label(c) for c in labels)
+    if len(ranking) != len(domain):
+        raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
+    return LinearOrder(ranking)
+
+
+class TestOrderTable:
+    """`LinearOrder.from_labels` returns one shared order per (domain,
+    ranking), the same one `all_orders` lists."""
+
+    def test_two_parses_share_their_orders(self):
+        text = "alternatives: A B C D\n3: D > A > C > B\n2: b > a > d > c\n1: C D A B\n"
+        first, second = parse_profile(text), parse_profile(text)
+        assert all(x is y for x, y in zip(first.orders, second.orders))
+        orders = first.domain._orders
+        assert all(orders[first.domain._order_ids[order]] is order for order in first.types_present())
+
+    def test_tiebreak_and_profile_line_are_one_order(self):
+        profile = parse_profile("alternatives: A B C\n2: B > A > C\n1: C > B > A\n")
+        rule = parse_rule("rule: scoring\nscores: 2 1 0\ntiebreak: b > a > c\n")
+        assert rule.tiebreak is profile.orders[0] is o("BAC")
+
+    def test_spellings_share_one_order(self):
+        spellings = (
+            LinearOrder.from_string("a > c > b", D3),
+            LinearOrder.from_labels("ACB", D3),
+            LinearOrder.from_string("A C B", D3),
+            LinearOrder.from_labels("aCb", D3),
+        )
+        assert all(order is D3._orders[1] for order in spellings)
+        assert all(LinearOrder.from_labels(order.compact, D3) is order for order in all_orders(D3))
+
+    @pytest.mark.parametrize("labels, error", [("AAB", ValueError), ("AB", DomainMismatchError), ("\u0131AB", DomainMismatchError)])
+    def test_rejected_spelling_is_not_kept(self, labels, error):
+        before = dict(D3._interned)
+        for _ in range(2):
+            with pytest.raises(error):
+                LinearOrder.from_labels(labels, D3)
+        assert D3._interned == before
+        assert all(key.isascii() and key.isupper() and len(key) == 3 for key in D3._interned)
+
+    def test_table_and_orders_agree_whichever_is_filled_first(self):
+        # Each label set gets a cold domain in a fresh interpreter: ABC is
+        # parsed before its orders are listed, ABCD listed before it is parsed.
+        code = (
+            "from safevote.core import Domain, LinearOrder, all_orders, parse_profile\n"
+            "from safevote.rules import parse_rule\n"
+            "p = parse_profile('alternatives: A B C\\n2: C > A > B\\n1: b a c\\n')\n"
+            "r = parse_rule('rule: scoring\\nscores: 2 1 0\\ntiebreak: A > C > B\\n')\n"
+            "d = p.domain\n"
+            "assert '_orders' not in vars(d) and len(d._interned) == 3\n"
+            "orders = all_orders(d)\n"
+            "assert orders[4] is p.orders[0] and orders[2] is p.orders[2] and orders[1] is r.tiebreak\n"
+            "assert all(LinearOrder.from_labels(x.compact, d) is x for x in orders)\n"
+            "d4 = Domain.of_size(4)\n"
+            "orders = all_orders(d4)\n"
+            "p = parse_profile('alternatives: D C B A\\n1: D > B > C > A\\n1: a b c d\\n')\n"
+            "assert p.orders[0] is orders[21] and p.orders[1] is orders[0] and len(d4._interned) == 2\n"
+            "assert all(LinearOrder.from_labels(x.compact, d4) is x for x in orders)\n"
+            "print(len(d._interned), len(d4._interned))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "6 24\n"
+
+    @given(spelling=spellings())
+    @settings(max_examples=300, deadline=None)
+    def test_from_string_matches_the_oracle(self, spelling):
+        domain, text = spelling
+        labels = "".join(text.replace(">", " ").split())
+        try:
+            expected = oracle_order(labels, domain)
+        except (DomainMismatchError, ValueError) as exc:
+            before = dict(domain._interned)
+            with pytest.raises(type(exc)):
+                LinearOrder.from_string(text, domain)
+            assert domain._interned == before
+            return
+        order = LinearOrder.from_string(text, domain)
+        assert order == expected and hash(order) == hash(expected)
+        assert order is LinearOrder.from_labels(labels, domain) is domain._orders[domain._order_ids[expected]]
 
 
 class TestAlternative:
@@ -214,9 +337,12 @@ class TestLinearOrder:
         ]
 
     def test_equal_orders_built_apart_hash_equal(self):
+        # An order built directly is a new instance, and the domain does not
+        # keep it; one read from labels is the domain's shared one.
         for x in all_orders(D3):
-            y = LinearOrder.from_labels(x.compact, D3)
-            assert x is not y
+            y = LinearOrder(x.ranking)
+            assert x is not y and LinearOrder.from_labels(x.compact, D3) is x
+            assert all(kept is not y for kept in D3._interned.values())
             assert x == y
             assert hash(x) == hash(y)
         assert len({o("CAB"), LinearOrder(o("CAB").ranking), LinearOrder.from_string("C > A > B", D3)}) == 1
@@ -454,6 +580,20 @@ class TestProfileText:
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             parse_profile("2: A > B > C\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("alternatives: \u0131 a b\n1: a > b > i\n", 1),
+            ("alternatives: A B S\n1: A > B > \u017f\n", 2),
+            ("alternatives: A B I\n# I, not \u0131\nvoter 1: \u0131 > A > B\n", 3),
+        ],
+    )
+    def test_non_ascii_label_reports_line(self, text, line):
+        # `str.upper` reads "ı" as I and "ſ" as S; only ASCII letters are labels.
+        with pytest.raises(ParseError) as exc:
+            parse_profile(text)
+        assert exc.value.line == line
 
     def test_bad_order_reports_line(self):
         with pytest.raises(ParseError) as exc:
