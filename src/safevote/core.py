@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -280,38 +280,81 @@ class LinearOrder:
 # Voter coalitions are plain frozensets of 0-based indices.
 VoterSet = frozenset
 
+#: An order's domain, read in C: after its first read it is a plain
+#: attribute of the order.
+_domain_of = operator.attrgetter("domain")
+
 
 @dataclass(frozen=True)
 class Profile:
-    """A sequence of ballots, one strict linear order per voter."""
+    """A sequence of ballots, one strict linear order per voter.
+
+    `counts` and `grouped_view` are built together the first time either is
+    read, by `__getattr__`, and kept as plain attributes: a
+    `cached_property` takes a lock on its first read on Python 3.11.  They
+    are found from the runs of one ballot object, in C, with no Python frame
+    per voter; `from_counts` gives them from its count lines instead.
+    """
 
     orders: tuple[LinearOrder, ...]
 
     #: Ballot count per type, in first-appearance order.
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
 
+    #: Partition of voters by type, in `counts` order; authoritative for
+    #: anonymous analysis.
+    grouped_view: Mapping[LinearOrder, VoterSet] = field(init=False, repr=False, compare=False)
+
     #: `index`, once read.
     _index: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.orders:
+        orders = self.orders
+        if not orders:
             raise ValueError("a profile needs at least one voter")
-        counts = dict(Counter(self.orders))
-        d = self.orders[0].domain
-        for o in counts:
-            if o.domain is not d:
-                raise DomainMismatchError("all ballots in a profile must share one domain")
+        domain = orders[0].domain
+        if not all(map(operator.is_, map(_domain_of, orders), itertools.repeat(domain))):
+            raise DomainMismatchError("all ballots in a profile must share one domain")
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only while `counts` and `grouped_view` are unset.
+        if name not in ("counts", "grouped_view"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        orders = self.orders
+        ids = list(map(id, orders))
+        # Parsed and listed orders are the domain's shared instances, so a
+        # run of one object is a run of one type; equal orders built apart
+        # are merged by value.
+        groups: dict[LinearOrder, list[int]] = {}
+        for _, run in itertools.groupby(range(len(ids)), ids.__getitem__):
+            voters = list(run)
+            groups.setdefault(orders[voters[0]], []).extend(voters)
+        self._keep(dict(zip(groups, map(len, groups.values()))), dict(zip(groups, map(frozenset, groups.values()))))
+        return self.__dict__[name]
+
+    def _keep(self, counts: Mapping[LinearOrder, int], groups: Mapping[LinearOrder, VoterSet]) -> None:
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "grouped_view", groups)
 
     @classmethod
     def from_counts(cls, counts: Sequence[tuple[LinearOrder, int]]) -> "Profile":
-        """Expand an anonymous (type, count) multiset into per-voter ballots."""
+        """Expand an anonymous (type, count) multiset into per-voter ballots,
+        each count line's voters one block, in line order.  The counts and
+        voter sets are read off the lines, with no pass over the voters."""
         orders: list[LinearOrder] = []
+        blocks: dict[LinearOrder, list[range]] = {}
         for order, count in counts:
             if count < 0:
                 raise ValueError(f"negative count {count} for {order.compact}")
-            orders.extend([order] * count)
-        return cls(tuple(orders))
+            if count:
+                blocks.setdefault(order, []).append(range(len(orders), len(orders) + count))
+                orders.extend(itertools.repeat(order, count))
+        profile = cls(tuple(orders))
+        profile._keep(
+            {order: sum(map(len, spans)) for order, spans in blocks.items()},
+            {order: frozenset(itertools.chain.from_iterable(spans)) for order, spans in blocks.items()},
+        )
+        return profile
 
     @property
     def n(self) -> int:
@@ -321,20 +364,14 @@ class Profile:
     def domain(self) -> Domain:
         return self.orders[0].domain
 
-    @cached_property
-    def grouped_view(self) -> Mapping[LinearOrder, VoterSet]:
-        """Partition of voters by type; authoritative for anonymous analysis."""
-        groups: dict[LinearOrder, set[int]] = {}
-        for i, order in enumerate(self.orders):
-            groups.setdefault(order, set()).add(i)
-        return {order: frozenset(members) for order, members in groups.items()}
-
     @property
     def index(self) -> int:
         """The profile's position in `all_profiles` order: its order ids in
         mixed radix m!, voter 1 the most significant digit.  It indexes a
         table rule's winners, so it is part of the table file format.
-        Computed on first read and kept."""
+        `all_profiles`, `decode_profile` and `switch_votes` give it to the
+        profiles they build; otherwise it is computed on first read and
+        kept."""
         index = self._index
         if index is None:
             ids = self.domain._order_ids
@@ -385,18 +422,25 @@ def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile
     if not 0 <= index < radix**n:
         raise ValueError(f"profile index {index} is outside 0..{radix**n - 1}")
     digits = []
+    rest = index
     for _ in range(n):
-        index, digit = divmod(index, radix)
+        rest, digit = divmod(rest, radix)
         digits.append(digit)
-    return Profile(tuple(orders[d] for d in reversed(digits)))
+    return _indexed(tuple(orders[d] for d in reversed(digits)), index)
 
 
 def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
     """All (m!)^n profiles in `Profile.index` order: the digit tuples,
     voter 1 most significant."""
-    orders = domain._orders
-    for digits in itertools.product(range(len(orders)), repeat=n):
-        yield Profile(tuple(orders[d] for d in digits))
+    for index, ballots in enumerate(itertools.product(domain._orders, repeat=n)):
+        yield _indexed(ballots, index)
+
+
+def _indexed(ballots: tuple[LinearOrder, ...], index: int) -> Profile:
+    """The profile of the ballots, whose `Profile.index` the caller knows."""
+    profile = Profile(ballots)
+    object.__setattr__(profile, "_index", index)
+    return profile
 
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
@@ -418,23 +462,34 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     """The profile with every listed voter's ballot replaced by `order`.
 
     The coalition must be of one type, and that type must differ from the
-    strategic order; everyone outside the coalition is untouched.
+    strategic order; everyone outside the coalition is untouched.  The
+    checks run in C, by identity first.  A kept `Profile.index` carries
+    over, moved by each switcher's place value times the change of id.
     """
-    if order.domain is not profile.domain:
+    orders = profile.orders
+    if order.domain is not orders[0].domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if not voters:
         return profile
-    if not all(0 <= v < profile.n for v in voters):
+    n = len(orders)
+    if min(voters) < 0 or max(voters) >= n:
         raise EditError(f"coalition {sorted(voters)} contains out-of-range voters")
-    types = {profile.orders[v] for v in voters}
-    if len(types) > 1:
+    ballots = list(map(orders.__getitem__, voters))
+    kind = ballots[0]
+    if ballots.count(kind) != len(ballots):
+        types = set(ballots)
         raise EditError(f"coalition {sorted(voters)} mixes types {[t.compact for t in types]}")
-    if types == {order}:
+    if kind == order:
         raise EditError(f"coalition already votes {order.compact}")
-    new_orders = list(profile.orders)
+    switched = list(orders)
     for v in voters:
-        new_orders[v] = order
-    return Profile(tuple(new_orders))
+        switched[v] = order
+    index = profile._index
+    if index is None:
+        return Profile(tuple(switched))
+    ids = order.domain._order_ids
+    places = map(pow, itertools.repeat(len(ids)), map((n - 1).__sub__, voters))
+    return _indexed(tuple(switched), index + (ids[order] - ids[kind]) * sum(places))
 
 
 def all_orders(domain: Domain) -> list[LinearOrder]:
@@ -494,9 +549,10 @@ def parse_profile(text: str) -> Profile:
         raise ParseError("empty profile file")
 
     no, header = lines[0]
-    if not header.lower().startswith("alternatives"):
+    key, _, labels_part = header.partition(":")
+    key = key.strip()
+    if not (key.isascii() and key.lower() == "alternatives"):
         raise ParseError("expected 'alternatives:' header", no)
-    _, _, labels_part = header.partition(":")
     labels = labels_part.split()
     if not labels:
         raise ParseError("no alternative labels listed", no)

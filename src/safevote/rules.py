@@ -46,9 +46,10 @@ Table rules work on order ids: an order's position in the domain's
 `_orders`, read from the `Domain`'s order-to-id map.  There is one `Domain`
 per label set, so every order and profile over the rule's alternatives
 shares it and domain checks are identity tests.  A table rule reads a
-profile's winner at `Profile.index`, which the profile computes once, and
-the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`, with the
-place values R^(n-1-v) computed once per rule (`TableRule._places`).
+profile's winner at `Profile.index`, which the profile computes once or is
+given by the walk or switch that built it, and the pivot kernel reads
+`winners[base + (id - digit) * R^(n-1-v)]`, with the place values
+R^(n-1-v) computed when the rule is built (`TableRule._places`).
 
 `check_predicates` reports only what the paper's theorems assume of a
 rule: that it is onto and not dictatorial.  It walks digit tuples beside
@@ -60,12 +61,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from safevote.core import (
@@ -98,10 +99,15 @@ DEFAULT_ENUMERATION_BOUND = 2_000_000
 #: default int-to-str limit, so `config_text` can always print the weight.
 MAX_WEIGHT_DIGITS = 4300
 _WEIGHT_BOUND = 10**MAX_WEIGHT_DIGITS
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)$", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([-+]?\d+)$", re.IGNORECASE)
 
 #: Tables `random_table_rule` draws before it gives up.
 _SAMPLING_ATTEMPTS = 1000
+
+#: `bytes.translate` tables by shift s: a byte's top 8 - s bits.
+_TOP_BITS = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))
+
+_index_of = operator.attrgetter("index")
 
 
 class BudgetExceededError(SafevoteError):
@@ -197,12 +203,14 @@ class Rule:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> str:
-        # Rules are immutable, so the text is rendered and hashed once.
-        return hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
+        # Rules are immutable, so the text is rendered and hashed once, and
+        # kept as a plain attribute: a `cached_property` takes a lock on its
+        # first read on Python 3.11.
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = hashlib.sha256(self.config_text().encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint
 
     def check_profile(self, profile: Profile) -> None:
         """DomainMismatchError unless the profile is over the rule's domain
@@ -427,13 +435,21 @@ class TableRule(Rule):
     anonymous = False
 
     def __post_init__(self) -> None:
-        expected = profile_space_size(len(self.domain), self.n)
+        alternatives = self.domain.alternatives
+        radix = math.factorial(len(alternatives))
+        expected = radix**self.n
         if len(self.winners) != expected:
             raise ValueError(f"table has {len(self.winners)} entries, expected {expected}")
-        outside = set(self.winners).difference(self.domain.alternatives)
-        if outside:
-            w = next(w for w in self.winners if w in outside)
-            raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
+        # By identity first: drawn and parsed tables hold the domain's own
+        # alternatives, so no entry's `Alternative.__hash__` runs.
+        if not set(map(id, self.winners)).issubset(map(id, alternatives)):
+            outside = set(self.winners).difference(alternatives)
+            if outside:
+                w = next(w for w in self.winners if w in outside)
+                raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
+        # Each voter's place value in `Profile.index`: voter v is the digit of
+        # place value radix^(n-1-v).
+        object.__setattr__(self, "_places", tuple(map(pow, itertools.repeat(radix), range(self.n - 1, -1, -1))))
 
     def _checked_index(self, profile: Profile) -> int:
         """The profile's index into `winners`, once it is checked."""
@@ -441,14 +457,12 @@ class TableRule(Rule):
         return profile.index
 
     def evaluate(self, profile: Profile) -> Alternative:
-        return self.winners[self._checked_index(profile)]
-
-    @cached_property
-    def _places(self) -> tuple[int, ...]:
-        """Each voter's place value in `Profile.index`: voter v is the digit
-        of place value radix^(n-1-v)."""
-        radix, last = len(self.domain._orders), self.n - 1
-        return tuple(radix ** (last - v) for v in range(self.n))
+        # One frame for a profile whose index is kept: `check_profile`'s
+        # tests on the profile's own fields.
+        orders, index = profile.orders, profile._index
+        if index is None or orders[0].domain is not self.domain or len(orders) != self.n:
+            index = self._checked_index(profile)
+        return self.winners[index]
 
     def switches(
         self, profile: Profile, type_order: LinearOrder
@@ -537,7 +551,7 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
     domain = rule.domain
     orders = domain._orders
     if isinstance(rule, TableRule):
-        winners = [w.index for w in rule.winners]
+        winners = bytes(map(_index_of, rule.winners))
     else:
         # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
         winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))
@@ -559,13 +573,35 @@ def random_table_rule(n: int, m: int, seed: int) -> TableRule:
 
     Deterministic given the seed; raises SamplingError with the attempt
     count when the rejection budget runs out.
+
+    Stream contract: every table is the one `random.Random(seed)` draws with
+    `randrange(m)` per entry, from the same `getrandbits` words.  On a
+    `Random`, `randrange(m)` reads one 32-bit word per try, keeps its top
+    k = m.bit_length() bits and tries again while they are m or more.  The
+    words are read here in bulk: `getrandbits(32 * w)` holds w words, the
+    first least significant.  Each word's top byte goes through
+    `bytes.translate`, which drops the bytes whose top k bits are m or more
+    and shifts the rest down to those bits.  Entries left over from a
+    rejected table begin the next one, so no word is skipped.
     """
+    if m < 1:
+        raise ValueError(f"a table rule needs m >= 1, got {m}")
     total = enumerable_size(m, n)
     domain = Domain.of_size(m)
+    alternatives = domain.alternatives
+    shift = 8 - m.bit_length()
+    top_bits = _TOP_BITS[shift]
+    rejected = bytes(range(m << shift, 256))
     rng = random.Random(seed)
+    drawn = b""
     for _ in range(_SAMPLING_ATTEMPTS):
-        winners = tuple(domain.alternatives[rng.randrange(m)] for _ in range(total))
-        rule = TableRule(domain, n, winners)
+        while len(drawn) < total:
+            # A try keeps its word with chance m / 2^k >= 1/2, so twice as
+            # many words as missing entries fill a table in about one read.
+            words = 2 * (total - len(drawn))
+            drawn += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(top_bits, rejected)
+        rule = TableRule(domain, n, tuple(map(alternatives.__getitem__, drawn[:total])))
+        drawn = drawn[total:]
         report = _check_predicates_exhaustive(rule, n)
         if report.onto and report.dictatorial is None:
             return rule
@@ -598,7 +634,11 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         key, sep, value = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'key: value', got {line!r}", no)
-        key = key.strip().lower()
+        key = key.strip()
+        # ASCII only: `str.lower` also folds the Kelvin sign into "k".
+        if not key.isascii():
+            raise ParseError(f"key {key!r} is not ASCII", no)
+        key = key.lower()
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", no)
         fields[key] = value.strip()
@@ -641,14 +681,19 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
 
 
 def _weight(token: str) -> Fraction:
-    """One score weight, or ValueError when its numerator or denominator
-    has more than MAX_WEIGHT_DIGITS digits.
+    """One score weight, or ValueError when it is not ASCII, holds an
+    underscore, or has a numerator or denominator of more than
+    MAX_WEIGHT_DIGITS digits.
 
-    An exponent past 3 * MAX_WEIGHT_DIGITS is rejected before `Fraction`
-    expands it.  `Fraction` reads at most MAX_WEIGHT_DIGITS digits on each
-    side of the point, so no nonzero weight with such an exponent fits; a
-    zero mantissa is rejected with it.
+    `Fraction` also reads other scripts' digits and, on some Pythons,
+    underscores between digits, so those are rejected first.  An exponent
+    past 3 * MAX_WEIGHT_DIGITS is rejected before `Fraction` expands it.
+    `Fraction` reads at most MAX_WEIGHT_DIGITS digits on each side of the
+    point, so no nonzero weight with such an exponent fits; a zero mantissa
+    is rejected with it.
     """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"weight {token!r} must be ASCII with no '_'")
     exponent = _EXPONENT.search(token)
     if exponent and abs(int(exponent.group(1))) > 3 * MAX_WEIGHT_DIGITS:
         raise ValueError(f"exponent of {token!r} too large")

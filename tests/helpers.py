@@ -1,13 +1,14 @@
 """Test-only helpers shared by several test modules: the score-point
 classifier that figure tests compare with `evaluate`, the writer of
-table-rule entries files, and two table builders: any function tabulated
-over the profile space, and the perturbed dictatorship."""
+table-rule entries files, three table builders (any function tabulated
+over the profile space, the perturbed dictatorship, and the entry-by-entry
+`randrange` draw that `random_table_rule` must match)."""
 
 import random
 
 from safevote.core import Alternative, Domain, LinearOrder, all_profiles, profile_space_size
 from safevote.geometry import BarycentricPoint
-from safevote.rules import TableRule, enumerable_size
+from safevote.rules import TableRule, _check_predicates_exhaustive, enumerable_size
 
 
 def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
@@ -47,3 +48,18 @@ def perturbed_dictatorship(n: int, m: int, seed: int) -> TableRule:
     index = rng.randrange(total)
     winners[index] = rng.choice([a for a in domain.alternatives if a != winners[index]])
     return TableRule(domain, n, tuple(winners))
+
+
+def randrange_table_rule(n: int, m: int, seed: int) -> tuple[TableRule, int]:
+    """The oracle of `random_table_rule`'s draw: each table drawn one entry
+    at a time with `randrange(m)`, rejected until one is onto and not
+    dictatorial.  Returns the rule and the number of tables drawn."""
+    total = enumerable_size(m, n)
+    domain = Domain.of_size(m)
+    rng = random.Random(seed)
+    for attempt in range(1, 1001):
+        rule = TableRule(domain, n, tuple(domain.alternatives[rng.randrange(m)] for _ in range(total)))
+        report = _check_predicates_exhaustive(rule, n)
+        if report.onto and report.dictatorial is None:
+            return rule, attempt
+    raise AssertionError(f"no table after 1000 attempts (n={n}, m={m}, seed={seed})")

@@ -434,13 +434,32 @@ class TestErrors:
                 "rule: scoring\nscores: 1 0 0\ntiebreak: \u017f > A > \u0131\n",
                 "line 3: bad tiebreak: labels must be ASCII letters, got '\u017fA\u0131'",
             ),
+            # `str.lower` turns the Kelvin sign into k.
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 1 0 0\ntiebrea\u212a: A > B > C\n",
+                "line 3: key 'tiebrea\u212a' is not ASCII",
+            ),
+            ("alternativesXYZ: A B C\n1: A > B > C\n", RULE_PLURALITY, "line 1: expected 'alternatives:' header"),
+            # `Fraction` reads other scripts' digits, and underscores between digits.
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: \u0662 1 0\ntiebreak: A > B > C\n",
+                "line 2: bad score vector '\u0662 1 0': weight '\u0662' must be ASCII with no '_'",
+            ),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 2 1_0 0\ntiebreak: A > B > C\n",
+                "line 2: bad score vector '2 1_0 0': weight '1_0' must be ASCII with no '_'",
+            ),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
             "table-m-arabic-indic", "increasing-scores", "scores-length",
             "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
             "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
-            "dotless-i-label", "long-s-in-a-ballot", "look-alikes-in-tiebreak",
+            "dotless-i-label", "long-s-in-a-ballot", "look-alikes-in-tiebreak", "kelvin-sign-in-a-key",
+            "header-key-suffix", "arabic-indic-weight", "underscore-weight",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
@@ -697,9 +716,20 @@ class TestGoldenOutputs:
                 ["verify", "--n", "3", "--samples", "100", "--seed", "7", "--format", "json"],
                 "verify_n3_samples100_seed7.json",
             ),
+            # One voter over three alternatives: most rules reject a table
+            # first, so a draw carries entries over to the next table.
+            (
+                ["verify", "--n", "1", "--m", "3", "--samples", "50", "--seed", "7", "--format", "json"],
+                "verify_n1_m3_samples50_seed7.json",
+            ),
+            # Four alternatives: 3-bit draws, of which half are redrawn.
+            (
+                ["verify", "--n", "2", "--m", "4", "--samples", "20", "--seed", "7", "--format", "json"],
+                "verify_n2_m4_samples20_seed7.json",
+            ),
             (["examples", "--format", "json"], "examples.json"),
         ],
-        ids=["verify-200-seed-7", "verify-n3-100-seed-7", "examples"],
+        ids=["verify-200-seed-7", "verify-n3-100-seed-7", "verify-n1-m3-50-seed-7", "verify-n2-m4-20-seed-7", "examples"],
     )
     def test_json_matches_golden(self, capsys, argv, golden):
         assert run(argv) == 0

@@ -486,10 +486,15 @@ class TestTableIndex:
 
     @staticmethod
     def assert_kept_index_is_the_encoding(rule, profile):
-        # Uncomputed until first read; the rule's lookup reads and keeps it.
-        assert profile._index is None
+        # A profile built from its ballots alone computes its index on first
+        # read.  The walks and `switch_votes` keep the one they know, and the
+        # rule's lookup reads and keeps it otherwise: either way it is the
+        # one computed from the ballots.
+        fresh = Profile(profile.orders)
+        assert fresh._index is None
         winner = rule.evaluate(profile)
         index = profile._index
+        assert index == fresh.index
         assert winner == rule.winners[index]
         assert profile.index == index
         assert decode_profile(index, profile.n, all_orders(D3)) == profile

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safevote import rules
-from safevote.core import Domain, EditError, LinearOrder, Profile, all_orders, voters_of_type
+from safevote.core import Alternative, Domain, EditError, LinearOrder, Profile, all_orders, voters_of_type
 from safevote.rules import (
     Rule,
     RulePredicateReport,
@@ -30,7 +30,7 @@ from safevote.rules import (
 )
 from safevote.strategy import _ObjectPath
 
-from helpers import format_table_entries, table_from_function
+from helpers import format_table_entries, randrange_table_rule, table_from_function
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -179,7 +179,8 @@ class TestProfileEncoding:
         profiles = list(all_profiles(domain, n))
         assert len(profiles) == profile_space_size(len(domain), n)
         for index, profile in enumerate(profiles):
-            assert profile._index is None
+            # The walk keeps each index; the ballots alone give the same one.
+            assert Profile(profile.orders).index == index
             assert profile.index == index
             assert profile == decode_profile(index, n, orders)
 
@@ -440,6 +441,36 @@ class TestRandomTableRule:
     def test_space_bound_enforced(self):
         with pytest.raises(BudgetExceededError):
             random_table_rule(9, 3, 0)
+
+    @pytest.mark.parametrize(
+        "n, m, seeds",
+        [(1, 2, 60), (1, 3, 60), (1, 4, 30), (1, 5, 10), (1, 6, 5), (1, 7, 3), (1, 8, 1), (1, 9, 1)]
+        + [(2, 3, 30), (3, 3, 10), (2, 4, 5), (3, 4, 1)],
+    )
+    def test_bulk_draw_matches_randrange(self, n, m, seeds):
+        # The bulk draw reads `getrandbits` words in bulk, first word least
+        # significant; the oracle reads them one `randrange` at a time.
+        redrawn = 0
+        for seed in range(seeds):
+            oracle, attempts = randrange_table_rule(n, m, seed)
+            assert random_table_rule(n, m, seed).winners == oracle.winners, seed
+            redrawn += attempts > 1
+        if (n, m) in ((1, 2), (1, 3)):
+            # Some rules reject a table first, so entries left over from it
+            # begin the next one.
+            assert redrawn, (n, m)
+
+    def test_no_alternatives_rejected(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            random_table_rule(1, 0, 0)
+
+    def test_entries_equal_to_the_domain_alternatives_are_accepted(self):
+        # Identity is the fast path of the domain check; equal alternatives
+        # built apart still pass, and foreign ones still fail.
+        rule = random_table_rule(2, 3, 5)
+        rebuilt = TableRule(D3, 2, tuple(Alternative(w.index, w.label) for w in rule.winners))
+        assert rebuilt == rule
+        assert all(rebuilt.evaluate(p) == rule.evaluate(p) for p in all_profiles(D3, 2))
 
 
 class TestRuleConfig:
