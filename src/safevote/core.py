@@ -292,8 +292,8 @@ class Profile:
     `counts` and `grouped_view` are built together the first time either is
     read, by `__getattr__`, and kept as plain attributes: a
     `cached_property` takes a lock on its first read on Python 3.11.  They
-    are found from the runs of one ballot object, in C, with no Python frame
-    per voter; `from_counts` gives them from its count lines instead.
+    are found in C from the runs of one ballot object, one Python step per
+    run, not per voter; `from_counts` gives them from its count lines.
     """
 
     orders: tuple[LinearOrder, ...]

@@ -61,7 +61,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 import os
 import random
 import re
@@ -106,8 +105,6 @@ _SAMPLING_ATTEMPTS = 1000
 
 #: `bytes.translate` tables by shift s: a byte's top 8 - s bits.
 _TOP_BITS = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))
-
-_index_of = operator.attrgetter("index")
 
 
 class BudgetExceededError(SafevoteError):
@@ -440,13 +437,10 @@ class TableRule(Rule):
         expected = radix**self.n
         if len(self.winners) != expected:
             raise ValueError(f"table has {len(self.winners)} entries, expected {expected}")
-        # By identity first: drawn and parsed tables hold the domain's own
-        # alternatives, so no entry's `Alternative.__hash__` runs.
-        if not set(map(id, self.winners)).issubset(map(id, alternatives)):
-            outside = set(self.winners).difference(alternatives)
-            if outside:
-                w = next(w for w in self.winners if w in outside)
-                raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
+        outside = set(self.winners).difference(alternatives)
+        if outside:
+            w = next(w for w in self.winners if w in outside)
+            raise DomainMismatchError(f"table winner {w} outside domain {self.domain.labels}")
         # Each voter's place value in `Profile.index`: voter v is the digit of
         # place value radix^(n-1-v).
         object.__setattr__(self, "_places", tuple(map(pow, itertools.repeat(radix), range(self.n - 1, -1, -1))))
@@ -551,7 +545,7 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
     domain = rule.domain
     orders = domain._orders
     if isinstance(rule, TableRule):
-        winners = bytes(map(_index_of, rule.winners))
+        winners = [w.index for w in rule.winners]
     else:
         # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
         winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))

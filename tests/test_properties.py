@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -112,6 +113,29 @@ def test_grouped_view_partitions_voters(domain, data):
         assert not (seen & voters)
         seen |= voters
     assert seen == set(range(profile.n))
+
+
+@given(
+    lines=st.lists(st.tuples(st.sampled_from(ORDERS_3), st.integers(0, 4), st.booleans()), min_size=1, max_size=8)
+)
+def test_counts_and_voter_sets_match_the_per_voter_count(lines):
+    # Count lines may repeat a type or count zero, and some carry an equal
+    # order built apart from the shared one.
+    counts = [(LinearOrder(order.ranking) if apart else order, count) for order, count, apart in lines]
+    ballots = tuple(order for order, count in counts for _ in range(count))
+    assume(ballots)
+    # The oracle: `Counter` over the ballots, and one set per type built
+    # voter by voter; each keeps a type's first ballot as its key.
+    oracle_counts = dict(Counter(ballots))
+    oracle_groups: dict = {}
+    for voter, order in enumerate(ballots):
+        oracle_groups.setdefault(order, set()).add(voter)
+    for profile in (Profile(ballots), Profile.from_counts(counts)):
+        assert profile.orders == ballots
+        assert list(map(id, profile.counts)) == list(map(id, oracle_counts))
+        assert list(profile.counts.values()) == list(oracle_counts.values())
+        assert list(map(id, profile.grouped_view)) == list(map(id, oracle_groups))
+        assert list(profile.grouped_view.values()) == list(map(frozenset, oracle_groups.values()))
 
 
 @given(data=st.data())
