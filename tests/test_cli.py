@@ -716,8 +716,8 @@ class TestGoldenOutputs:
                 ["verify", "--n", "3", "--samples", "100", "--seed", "7", "--format", "json"],
                 "verify_n3_samples100_seed7.json",
             ),
-            # One voter over three alternatives: most rules reject a table
-            # first, so a draw carries entries over to the next table.
+            # One voter over three alternatives: 15 of the 50 rules reject a
+            # table first, so the draw carries entries over to the next table.
             (
                 ["verify", "--n", "1", "--m", "3", "--samples", "50", "--seed", "7", "--format", "json"],
                 "verify_n1_m3_samples50_seed7.json",
