@@ -23,8 +23,8 @@ once per order: later coalitions of a size it has met cost their
 membership check and one lookup.  A table rule reads the type's voters and
 the profile's table index once, so each order costs one id lookup, and
 adds each switcher's place value times the digit change to that index.
-The default kernel, which `strategy._ObjectPath` reaches for any rule,
-replays each switch through `switch_votes` and `evaluate`: the oracle.
+The default kernel replays each switch through `switch_votes` and
+`evaluate`: the oracle, which tests reach through a view of `evaluate` alone.
 `Rule.solo_switches` is the pivot kernel beside it: every single voter's
 switch to every other order, asked once per profile.
 
@@ -543,15 +543,17 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
     digit tuples beside the ids, in encoding order, until none is left.
     """
     domain = rule.domain
-    orders = domain._orders
     if isinstance(rule, TableRule):
         winners = [w.index for w in rule.winners]
     else:
         # One byte per profile: alternative indices stay below MAX_ALTERNATIVES.
         winners = bytes(rule.evaluate(profile).index for profile in all_profiles(domain, n))
-    tops = [order.top.index for order in orders]
+    # Order ids follow `itertools.permutations`, so each top leads a block
+    # of (m-1)! ids, and no order is built to read it.
+    block = math.factorial(len(domain) - 1)
+    tops = [i // block for i in range(block * len(domain))]
     candidates = range(n)
-    profiles = itertools.product(range(len(orders)), repeat=n)
+    profiles = itertools.product(range(len(tops)), repeat=n)
     for digits, winner in zip(profiles, winners):
         candidates = [i for i in candidates if tops[digits[i]] == winner]
         if not candidates:

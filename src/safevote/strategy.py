@@ -47,9 +47,8 @@ compare outcomes by the type order's rank tuple, `LinearOrder.ranks`, so
 the kernel's `winner` is the one Python call per coalition.  The pivotal
 scan reads every single-voter switch of a profile from one call to
 `Rule.solo_switches`, and compares its outcomes by the same rank tuples.
-`verify_certificate` is the independent check: it replays every
-certificate through `switch_votes` and `Rule.evaluate` only, and a solo
-move's switch once.
+`verify_certificate` is `safevote.check`'s: the claims' definitions over
+coalitions, replayed through `evaluate` with no code of these searches.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Iterator, Mapping, TypeVar
 
+from safevote.check import verify_certificate  # noqa: F401 - the checker, re-exported
 from safevote.core import (
     Alternative,
     LinearOrder,
@@ -770,71 +770,3 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
         rule, profile, voter, strategic_order
     )
     return _certify(rule, "SafePivotal", profile, move, verified)
-
-
-class _ObjectPath(Rule):
-    """A rule seen only through its `evaluate`: the default `Rule.switches`
-    replays every switch through `switch_votes`, never the rule's kernel."""
-
-    def __init__(self, rule: Rule):
-        self.rule = rule
-        self.domain, self.anonymous, self.n = rule.domain, rule.anonymous, rule.n
-
-    def evaluate(self, profile: Profile) -> Alternative:
-        return self.rule.evaluate(profile)
-
-
-def _replays_record(rule: Rule, certificate: Certificate, sincere: Alternative) -> bool:
-    """What the certificate records replays: a rule fingerprint must be the
-    rule's, and a recorded move must be a coalition of the voter's type,
-    containing the voter, whose switch takes the outcome from `before` to
-    `after`.  A bare certificate records neither."""
-    if certificate.rule_fingerprint not in ("", rule.fingerprint()):
-        return False
-    coalition = certificate.sets.get("coalition")
-    if coalition is None:
-        return not certificate.outcomes
-    profile, voter = certificate.profile, certificate.voter
-    if voter not in coalition or not coalition <= voters_of_type(profile, profile.orders[voter]):
-        return False
-    after = rule.evaluate(switch_votes(profile, coalition, certificate.strategic_order))
-    return certificate.outcomes == {"before": sincere, "after": after}
-
-
-def verify_certificate(rule: Rule, certificate: Certificate) -> bool:
-    """Independently replay a certificate: its record, then its claim's
-    defining inequalities from the profile alone.  Every switch goes
-    through `switch_votes` and `Rule.evaluate`, never a switch kernel."""
-    profile = certificate.profile
-    voter = certificate.voter
-    strategic_order = certificate.strategic_order
-    if not 0 <= voter < profile.n:
-        return False
-    type_order = profile.orders[voter]
-    if strategic_order == type_order:
-        return False
-    oracle = _ObjectPath(rule)
-    try:
-        sincere = rule.evaluate(profile)
-        if not _replays_record(rule, certificate, sincere):
-            return False
-        if certificate.claim in ("GS-manipulable", "SafePivotal"):
-            solo = frozenset({voter})
-            # A recorded solo move was just replayed, and its outcome matched
-            # the recorded `after`.
-            if certificate.sets.get("coalition") == solo:
-                outcome = certificate.outcomes["after"]
-            else:
-                outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
-            if not type_order.prefers(outcome, sincere):
-                return False
-            return certificate.claim == "GS-manipulable" or _is_safe(oracle, profile, voter, strategic_order)
-        if certificate.claim == "SafelyManipulable":
-            return _is_safe(oracle, profile, voter, strategic_order)
-        if certificate.claim == "Escape":
-            if type_order.bottom != sincere:
-                return False
-            return has_incentive(oracle, profile, voter, strategic_order) is not None
-    except SafevoteError:
-        return False
-    return False

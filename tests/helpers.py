@@ -2,13 +2,26 @@
 classifier that figure tests compare with `evaluate`, the writer of
 table-rule entries files, three table builders (any function tabulated
 over the profile space, the perturbed dictatorship, and the entry-by-entry
-`randrange` draw that `random_table_rule` must match)."""
+`randrange` draw that `random_table_rule` must match), the kernel oracle
+`ObjectPath`, and `object_path_replay`, the certificate replay through the
+searches that `safevote.check` replaced, kept as its oracle."""
 
 import random
 
-from safevote.core import Alternative, Domain, LinearOrder, all_profiles, profile_space_size
+from safevote.core import (
+    Alternative,
+    Domain,
+    LinearOrder,
+    Profile,
+    SafevoteError,
+    all_profiles,
+    profile_space_size,
+    switch_votes,
+    voters_of_type,
+)
 from safevote.geometry import BarycentricPoint
-from safevote.rules import TableRule, _check_predicates_exhaustive, enumerable_size
+from safevote.rules import Rule, TableRule, _check_predicates_exhaustive, enumerable_size
+from safevote.strategy import Certificate, _is_safe, has_incentive
 
 
 def region_of(point: BarycentricPoint, tiebreak: LinearOrder) -> Alternative:
@@ -63,3 +76,71 @@ def randrange_table_rule(n: int, m: int, seed: int) -> tuple[TableRule, int]:
         if report.onto and report.dictatorial is None:
             return rule, attempt
     raise AssertionError(f"no table after 1000 attempts (n={n}, m={m}, seed={seed})")
+
+
+class ObjectPath(Rule):
+    """A rule seen only through its `evaluate`: the default `Rule.switches`
+    replays every switch through `switch_votes`, never the rule's kernel."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.domain, self.anonymous, self.n = rule.domain, rule.anonymous, rule.n
+
+    def evaluate(self, profile: Profile) -> Alternative:
+        return self.rule.evaluate(profile)
+
+
+def _replays_record(rule: Rule, certificate: Certificate, sincere: Alternative) -> bool:
+    """What the certificate records replays: a rule fingerprint must be the
+    rule's, and a recorded move must be a coalition of the voter's type,
+    containing the voter, whose switch takes the outcome from `before` to
+    `after`.  A bare certificate records neither."""
+    if certificate.rule_fingerprint not in ("", rule.fingerprint()):
+        return False
+    coalition = certificate.sets.get("coalition")
+    if coalition is None:
+        return not certificate.outcomes
+    profile, voter = certificate.profile, certificate.voter
+    if voter not in coalition or not coalition <= voters_of_type(profile, profile.orders[voter]):
+        return False
+    after = rule.evaluate(switch_votes(profile, coalition, certificate.strategic_order))
+    return certificate.outcomes == {"before": sincere, "after": after}
+
+
+def object_path_replay(rule: Rule, certificate: Certificate) -> bool:
+    """Independently replay a certificate: its record, then its claim's
+    defining inequalities from the profile alone.  Every switch goes
+    through `switch_votes` and `Rule.evaluate`, never a switch kernel."""
+    profile = certificate.profile
+    voter = certificate.voter
+    strategic_order = certificate.strategic_order
+    if not 0 <= voter < profile.n:
+        return False
+    type_order = profile.orders[voter]
+    if strategic_order == type_order:
+        return False
+    oracle = ObjectPath(rule)
+    try:
+        sincere = rule.evaluate(profile)
+        if not _replays_record(rule, certificate, sincere):
+            return False
+        if certificate.claim in ("GS-manipulable", "SafePivotal"):
+            solo = frozenset({voter})
+            # A recorded solo move was just replayed, and its outcome matched
+            # the recorded `after`.
+            if certificate.sets.get("coalition") == solo:
+                outcome = certificate.outcomes["after"]
+            else:
+                outcome = rule.evaluate(switch_votes(profile, solo, strategic_order))
+            if not type_order.prefers(outcome, sincere):
+                return False
+            return certificate.claim == "GS-manipulable" or _is_safe(oracle, profile, voter, strategic_order)
+        if certificate.claim == "SafelyManipulable":
+            return _is_safe(oracle, profile, voter, strategic_order)
+        if certificate.claim == "Escape":
+            if type_order.bottom != sincere:
+                return False
+            return has_incentive(oracle, profile, voter, strategic_order) is not None
+    except SafevoteError:
+        return False
+    return False

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import perturbed_dictatorship
+from helpers import ObjectPath, perturbed_dictatorship
 from safevote import strategy
 from safevote.core import (
     MAX_VOTERS,
@@ -52,7 +52,6 @@ from safevote.strategy import (
     verify_gs,
     verify_safe_pivotal,
     verify_safely_manipulable,
-    _ObjectPath,
 )
 
 D3 = Domain.from_labels("ABC")
@@ -254,7 +253,7 @@ def test_table_kernel_matches_object_path(n, seed, data):
 @settings(max_examples=50, deadline=None)
 def test_default_kernel_matches_object_path(data):
     # The object path has no kernel of its own and takes the replaying default.
-    rule = _ObjectPath(data.draw(st.sampled_from([borda, plurality]))(data.draw(orders_for(D3))))
+    rule = ObjectPath(data.draw(st.sampled_from([borda, plurality]))(data.draw(orders_for(D3))))
     profile = data.draw(profiles_for(rule.domain, max_n=5))
     type_order = data.draw(st.sampled_from(profile.types_present()))
     target = data.draw(orders_for(rule.domain).filter(lambda L: L != type_order))
@@ -370,7 +369,7 @@ def test_shared_tally_answers_as_a_fresh_profile(rules, data):
 KERNEL_RULES = {
     "scoring": borda(ORDERS_3[0]),
     "table": random_table_rule(3, 3, 0),
-    "default": _ObjectPath(borda(ORDERS_3[0])),
+    "default": ObjectPath(borda(ORDERS_3[0])),
 }
 
 
@@ -597,7 +596,7 @@ def test_vote_classes_match_the_per_order_walk(election):
     # One walk per class, relabelled to each of its orders, against the
     # per-order walk that replays every switch through `switch_votes`.
     rule, profile = election
-    oracle = _ObjectPath(rule)
+    oracle = ObjectPath(rule)
     orders = all_orders(profile.domain)
     for t in profile.types_present():
         assert list(incentives(rule, profile, t, orders)) == per_order_walk(has_incentive, oracle, profile, t)
@@ -618,7 +617,7 @@ def test_table_walk_matches_the_per_order_walk(name):
     # kernel, against the per-vote walk over the default kernel, at every
     # profile of the table.
     rule = TABLE_WALK_RULES[name]
-    oracle = _ObjectPath(rule)
+    oracle = ObjectPath(rule)
     orders = all_orders(rule.domain)
     for profile in all_profiles(rule.domain, rule.n):
         for t in profile.types_present():
@@ -630,7 +629,7 @@ def test_table_walk_matches_the_per_order_walk(name):
             assert list(safety_verdicts(oracle, profile, t, orders)) == verdicts
 
 
-class ObjectPathWithFingerprint(_ObjectPath):
+class ObjectPathWithFingerprint(ObjectPath):
     """The object path under the rule's fingerprint, so that its
     certificates compare with the rule's byte for byte."""
 

@@ -1,8 +1,13 @@
 """Unit tests for scoring rules, table rules and predicates."""
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +33,7 @@ from safevote.rules import (
     profile_space_size,
     random_table_rule,
 )
-from safevote.strategy import _ObjectPath
-
-from helpers import format_table_entries, randrange_table_rule, table_from_function
+from helpers import ObjectPath, format_table_entries, randrange_table_rule, table_from_function
 
 D3 = Domain.from_labels("ABC")
 D5 = Domain.from_labels("ABCDE")
@@ -324,6 +327,26 @@ class TestPredicateReportMatchesObjectPath:
         assert report == reference_predicates(rule, n)
         assert report.exhaustive
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_an_order_ids_top_leads_its_block_of_ids(self, m):
+        # The report reads an order id's top as id // (m-1)!.  One voter
+        # whose favourite always wins is a dictator only if that reading
+        # matches `top` at every id.
+        orders = Domain.of_size(m)._orders
+        assert [i // math.factorial(m - 1) for i in range(len(orders))] == [order.top.index for order in orders]
+        rule = TableRule(Domain.of_size(m), 1, tuple(order.top for order in orders))
+        assert rules._check_predicates_exhaustive(rule, 1).dictatorial == 0
+
+    def test_a_table_draw_builds_no_order_from_a_fresh_interpreter(self):
+        code = (
+            "from safevote.core import Domain\n"
+            "from safevote.rules import random_table_rule\n"
+            "random_table_rule(1, 9, 1)\n"
+            "assert '_orders' not in Domain.of_size(9).__dict__\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True)
+
     def test_reports_cover_every_branch(self):
         reports = [check_predicates(labels_table(2, k, 0)) for k in (1, 2, 3)]
         assert [r.onto for r in reports] == [False, False, True]
@@ -411,7 +434,7 @@ class TestScoringSizeMemo:
         walk = [frozenset(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)]
         rng.shuffle(walk)
         kernel = rule.switches(profile, type_order)(target)
-        oracle = _ObjectPath(rule).switches(profile, type_order)(target)
+        oracle = ObjectPath(rule).switches(profile, type_order)(target)
         for coalition in walk:
             assert kernel(coalition) == oracle(coalition)
         # Every size is known now; a coalition of a known size that reaches

@@ -1,5 +1,6 @@
 """The library is stdlib-only: every module under src/safevote imports only
-the standard library and safevote itself."""
+the standard library and safevote itself, and the certificate checker
+imports nothing of safevote but its core."""
 
 import ast
 import sys
@@ -31,3 +32,15 @@ def test_imports_only_stdlib_and_safevote(path):
     assert imported, f"{path.name} imports nothing; the scan is broken"
     outside = sorted(name for name in imported if name != "safevote" and name not in sys.stdlib_module_names)
     assert not outside, f"{path.name} imports {outside}, which are neither safevote nor the standard library"
+
+
+def test_the_checker_imports_only_the_core():
+    path = next(path for path in SOURCES if path.name == "check.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    ours = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            ours.update(alias.name for alias in node.names if alias.name.partition(".")[0] == "safevote")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "safevote"):
+            ours.add("." * node.level + (node.module or ""))
+    assert ours == {"safevote.core"}, ours
