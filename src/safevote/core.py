@@ -112,7 +112,9 @@ class Domain:
 
     @classmethod
     def of_size(cls, m: int) -> "Domain":
-        """The domain A, B, C, ... of m alternatives."""
+        """The domain A, B, C, ... of m alternatives, 1 <= m <= 26."""
+        if not 1 <= m <= MAX_ALTERNATIVES:
+            raise ValueError(f"a domain has 1..{MAX_ALTERNATIVES} alternatives, got {m}")
         return cls.from_labels(_LABELS[:m])
 
     def __len__(self) -> int:
@@ -369,9 +371,7 @@ class Profile:
         """The profile's position in `all_profiles` order: its order ids in
         mixed radix m!, voter 1 the most significant digit.  It indexes a
         table rule's winners, so it is part of the table file format.
-        `all_profiles`, `decode_profile` and `switch_votes` give it to the
-        profiles they build; otherwise it is computed on first read and
-        kept."""
+        It is computed here alone, on first read, and kept."""
         index = self._index
         if index is None:
             ids = self.domain._order_ids
@@ -426,21 +426,13 @@ def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile
     for _ in range(n):
         rest, digit = divmod(rest, radix)
         digits.append(digit)
-    return _indexed(tuple(orders[d] for d in reversed(digits)), index)
+    return Profile(tuple(orders[d] for d in reversed(digits)))
 
 
 def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
     """All (m!)^n profiles in `Profile.index` order: the digit tuples,
     voter 1 most significant."""
-    for index, ballots in enumerate(itertools.product(domain._orders, repeat=n)):
-        yield _indexed(ballots, index)
-
-
-def _indexed(ballots: tuple[LinearOrder, ...], index: int) -> Profile:
-    """The profile of the ballots, whose `Profile.index` the caller knows."""
-    profile = Profile(ballots)
-    object.__setattr__(profile, "_index", index)
-    return profile
+    return map(Profile, itertools.product(domain._orders, repeat=n))
 
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
@@ -463,8 +455,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
 
     The coalition must be of one type, and that type must differ from the
     strategic order; everyone outside the coalition is untouched.  The
-    checks run in C, by identity first.  A kept `Profile.index` carries
-    over, moved by each switcher's place value times the change of id.
+    checks run in C, by identity first.
     """
     orders = profile.orders
     if order.domain is not orders[0].domain:
@@ -484,12 +475,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     switched = list(orders)
     for v in voters:
         switched[v] = order
-    index = profile._index
-    if index is None:
-        return Profile(tuple(switched))
-    ids = order.domain._order_ids
-    places = map(pow, itertools.repeat(len(ids)), map((n - 1).__sub__, voters))
-    return _indexed(tuple(switched), index + (ids[order] - ids[kind]) * sum(places))
+    return Profile(tuple(switched))
 
 
 def all_orders(domain: Domain) -> list[LinearOrder]:

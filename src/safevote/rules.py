@@ -46,10 +46,9 @@ Table rules work on order ids: an order's position in the domain's
 `_orders`, read from the `Domain`'s order-to-id map.  There is one `Domain`
 per label set, so every order and profile over the rule's alternatives
 shares it and domain checks are identity tests.  A table rule reads a
-profile's winner at `Profile.index`, which the profile computes once or is
-given by the walk or switch that built it, and the pivot kernel reads
-`winners[base + (id - digit) * R^(n-1-v)]`, with the place values
-R^(n-1-v) computed when the rule is built (`TableRule._places`).
+profile's winner at `Profile.index`, which only the profile computes, and
+the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`, with the
+place values R^(n-1-v) computed when the rule is built (`TableRule._places`).
 
 `check_predicates` reports only what the paper's theorems assume of a
 rule: that it is onto and not dictatorial.  It walks digit tuples beside
@@ -409,11 +408,14 @@ def k_approval(k: int, tiebreak: LinearOrder) -> ScoringRule:
 
 def enumerable_size(m: int, n: int) -> int:
     """`profile_space_size(m, n)`, or BudgetExceededError when it passes
-    DEFAULT_ENUMERATION_BOUND.
+    DEFAULT_ENUMERATION_BOUND, or ValueError when n < 1: no profile has
+    zero voters.
 
     Every radix above 1 passes the bound within `bound.bit_length()`
     voters, so the power is never taken past that many.
     """
+    if n < 1:
+        raise ValueError(f"a profile needs at least one voter, got n={n}")
     bound = DEFAULT_ENUMERATION_BOUND
     size = profile_space_size(m, min(n, bound.bit_length()))
     if size > bound:
@@ -451,12 +453,7 @@ class TableRule(Rule):
         return profile.index
 
     def evaluate(self, profile: Profile) -> Alternative:
-        # One frame for a profile whose index is kept: `check_profile`'s
-        # tests on the profile's own fields.
-        orders, index = profile.orders, profile._index
-        if index is None or orders[0].domain is not self.domain or len(orders) != self.n:
-            index = self._checked_index(profile)
-        return self.winners[index]
+        return self.winners[self._checked_index(profile)]
 
     def switches(
         self, profile: Profile, type_order: LinearOrder
@@ -551,11 +548,10 @@ def _check_predicates_exhaustive(rule: Rule, n: int) -> RulePredicateReport:
     # Order ids follow `itertools.permutations`, so each top leads a block
     # of (m-1)! ids, and no order is built to read it.
     block = math.factorial(len(domain) - 1)
-    tops = [i // block for i in range(block * len(domain))]
     candidates = range(n)
-    profiles = itertools.product(range(len(tops)), repeat=n)
+    profiles = itertools.product(range(block * len(domain)), repeat=n)
     for digits, winner in zip(profiles, winners):
-        candidates = [i for i in candidates if tops[digits[i]] == winner]
+        candidates = [i for i in candidates if digits[i] // block == winner]
         if not candidates:
             break
     return RulePredicateReport(

@@ -258,6 +258,8 @@ def _moves(
     rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, force_subsets: bool = False
 ) -> _Moves:
     """The moves of one strategic vote, from a `_walk` set up for it alone."""
+    if not 0 <= voter < profile.n:
+        raise ValueError(f"voter {voter} is outside 0..{profile.n - 1}")
     if strategic_order == profile.orders[voter]:
         raise ValueError("strategic order must differ from the voter's sincere order")
     return _walk(rule, profile, voter, force_subsets)(strategic_order)

@@ -207,6 +207,21 @@ class TestSafety:
         assert report["thresholds"]["4"] == "A"
         assert report["thresholds"]["10"] == "C"
 
+    def test_unsafe_overshoot_text(self, files, capsys):
+        code = run(
+            [
+                "safety", "--profile", files["profile94"], "--rule", files["borda"],
+                "--type", "ABC", "--strategic", "ACB", "--format", "text",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "type ABC voting A > C > B: Unsafe",
+            "kind: Overshoot",
+            "bad coalition (1-based): [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+        ]
+
     def test_safe_vote(self, files, capsys):
         code = run(
             [
@@ -298,6 +313,11 @@ class TestVerify:
         assert "wall-time" in captured.err
         assert "wall-time" not in captured.out
 
+    def test_text_report(self, capsys):
+        code = run(["verify", "--samples", "2", "--seed", "1", "--format", "text"])
+        assert code == 0
+        assert capsys.readouterr().out == "samples: 2 (n=2, m=3, seed=1)\nfailures: 0\ninconclusive: 0\n"
+
 
 class TestFigure:
     def test_svg_written(self, files):
@@ -347,6 +367,23 @@ class TestFigure:
         argv = ["figure", "--profile", files["profile4"], "--rule", files["plurality"], "--trajectory"]
         assert run([*argv, "ACB:CAB:99"]) == cli.EXIT_FAILURE
         assert "not present" in capsys.readouterr().err
+
+    def test_table_rule_fails(self, files, capsys):
+        (files["tmp"] / "w.txt").write_text(format_table_entries(random_table_rule(2, 3, 0)))
+        (files["tmp"] / "table.txt").write_text("rule: table\nn: 2\nm: 3\nentries: w.txt\n")
+        (files["tmp"] / "p2.txt").write_text("alternatives: A B C\nvoter 1: A > B > C\nvoter 2: C > B > A\n")
+        argv = ["figure", "--profile", str(files["tmp"] / "p2.txt"), "--rule", str(files["tmp"] / "table.txt")]
+        assert run(argv) == cli.EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: figures are defined for scoring rules\n"
+
+    def test_zero_switch_trajectory_draws_no_arrow(self, files, capsys):
+        # A trajectory of KMAX 0 is its base point alone, so it has no arrow.
+        argv = ["figure", "--profile", files["profile94"], "--rule", files["borda"]]
+        assert run([*argv, "--trajectory", "ABC:ACB:0", "--trajectory", "ACB:CAB:15"]) == cli.EXIT_OK
+        svg = capsys.readouterr().out
+        assert svg.startswith("<?xml") and svg.count('class="trajectory"') == 1
 
 
 class TestExamples:
@@ -497,6 +534,15 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert err.startswith("error: line 2: profile space") and err.count("\n") == 1
         assert "exceeds the enumeration bound" in err
+
+    def test_entries_line_without_colon_is_a_parse_error(self, files, capsys):
+        (files["tmp"] / "w.txt").write_text("# winners\n0: A\n1 B\n")
+        (files["tmp"] / "table.txt").write_text("rule: table\nn: 2\nm: 3\nentries: w.txt\n")
+        code = run(["analyze", "--profile", files["profile4"], "--rule", str(files["tmp"] / "table.txt")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "error: line 3: expected '<index>: <label>', got '1 B'\n"
 
     @pytest.mark.parametrize(
         "command, extra",

@@ -50,6 +50,12 @@ class TestDomain:
         assert Domain.of_size(4) is d
         assert Domain.from_labels("ABC") is Domain.of_size(3) is D3
 
+    @pytest.mark.parametrize("m", [0, -1, 27])
+    def test_of_size_outside_1_to_26_rejected(self, m):
+        with pytest.raises(ValueError, match=f"a domain has 1..26 alternatives, got {m}"):
+            Domain.of_size(m)
+        assert Domain.of_size(26).labels == "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
     def test_order_id_tables(self):
         orders = all_orders(D3)
         assert D3._order_ids == {order: i for i, order in enumerate(orders)}
@@ -486,10 +492,9 @@ class TestTableIndex:
 
     @staticmethod
     def assert_kept_index_is_the_encoding(rule, profile):
-        # A profile built from its ballots alone computes its index on first
-        # read.  The walks and `switch_votes` keep the one they know, and the
-        # rule's lookup reads and keeps it otherwise: either way it is the
-        # one computed from the ballots.
+        # Every profile computes its index from its ballots on first read,
+        # and the rule's lookup reads and keeps it: a walked or decoded
+        # profile's index is that of the same ballots built afresh.
         fresh = Profile(profile.orders)
         assert fresh._index is None
         winner = rule.evaluate(profile)

@@ -27,6 +27,7 @@ from safevote.rules import (
     borda,
     check_predicates,
     decode_profile,
+    enumerable_size,
     k_approval,
     parse_rule,
     plurality,
@@ -182,7 +183,8 @@ class TestProfileEncoding:
         profiles = list(all_profiles(domain, n))
         assert len(profiles) == profile_space_size(len(domain), n)
         for index, profile in enumerate(profiles):
-            # The walk keeps each index; the ballots alone give the same one.
+            # Each walked profile's index, computed from its ballots, is its
+            # place in the walk.
             assert Profile(profile.orders).index == index
             assert profile.index == index
             assert profile == decode_profile(index, n, orders)
@@ -486,6 +488,14 @@ class TestRandomTableRule:
     def test_no_alternatives_rejected(self):
         with pytest.raises(ValueError, match="m >= 1"):
             random_table_rule(1, 0, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_voters_rejected(self, n):
+        # No table is drawn: a profile needs at least one voter.
+        with pytest.raises(ValueError, match=f"a profile needs at least one voter, got n={n}"):
+            enumerable_size(3, n)
+        with pytest.raises(ValueError, match="at least one voter"):
+            random_table_rule(n, 3, 1)
 
 
 class TestRuleConfig:

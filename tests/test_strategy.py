@@ -192,6 +192,19 @@ class TestHasIncentive:
         with pytest.raises(ValueError):
             has_incentive(BORDA_94, PROFILE_94, 0, o("ABC"))
 
+    @pytest.mark.parametrize("voter", [-1, 4])
+    @pytest.mark.parametrize(
+        "rule, force_subsets",
+        [(borda(o("ABC")), False), (borda(o("ABC")), True), (random_table_rule(4, 3, 0), False)],
+        ids=["scoring", "scoring-subsets", "table"],
+    )
+    def test_voter_outside_the_profile_rejected(self, rule, force_subsets, voter):
+        # A negative voter must not be read from the end of the profile.
+        profile = Profile(tuple(map(o, ("BCA", "CBA", "ABC", "ABC"))))
+        for search in (has_incentive, classify_safety):
+            with pytest.raises(ValueError, match=rf"voter {voter} is outside 0\.\.3"):
+                search(rule, profile, voter, o("ACB"), force_subsets=force_subsets)
+
     def test_witness_invariants(self):
         witness = has_incentive(BORDA_94, PROFILE_94, 0, o("ACB"))
         assert 0 in witness.coalition
@@ -839,6 +852,15 @@ class TestVerifiers:
         cert = verify_gs(rule)
         with pytest.raises(ValueError):
             lift_safe_pivotal(rule, cert)
+
+    def test_lift_rejects_a_vote_with_no_moving_coalition(self):
+        # The BCA voters' favourite B wins, so none of them has an incentive,
+        # and no coalition of two or more can be peeled to a pivotal voter.
+        voter = 51
+        assert PROFILE_94.orders[voter] == o("BCA")
+        bare = Certificate(claim="SafelyManipulable", profile=PROFILE_94, voter=voter, strategic_order=o("ACB"))
+        with pytest.raises(SafevoteError, match="certificate does not lift: no moving coalition found"):
+            lift_safe_pivotal(BORDA_94, bare)
 
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
