@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
 import time
 
 from safevote.core import (
-    MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, parse_profile, read_text,
-    voters_of_present_type, voters_of_type,
+    MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, format_json, parse_profile,
+    read_text, voters_of_present_type, voters_of_type,
 )
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
@@ -116,7 +115,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return format_json(payload) + "\n"
 
 
 def _load(args):

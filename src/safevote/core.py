@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_ALTERNATIVES = 26
@@ -499,11 +500,16 @@ def all_orders(domain: Domain) -> list[LinearOrder]:
 # ---------------------------------------------------------------------------
 
 
-def _integer(text: str) -> int:
-    """`int` of ASCII digits with an optional minus sign: `int` itself also
-    reads underscores, a plus sign and other scripts' digits."""
+def _is_integer(text: str) -> bool:
+    """ASCII digits with an optional minus sign: `int` itself also reads
+    underscores, a plus sign and other scripts' digits."""
     digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    return digits.isascii() and digits.isdigit()
+
+
+def _integer(text: str) -> int:
+    """`int` of text that `_is_integer` accepts, else ValueError."""
+    if not _is_integer(text):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
@@ -618,3 +624,45 @@ def format_profile(profile: Profile) -> str:
         for i, order in enumerate(profile.orders, start=1):
             lines.append(f"voter {i}: {order}")
     return "\n".join(lines) + "\n"
+
+
+def format_json(value: object) -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`, for a value
+    built of dicts with str keys, lists, str, int, bool and None; TypeError
+    for a key that is not a str and for a value of any other type, a
+    subclass of one of these included.
+
+    `json.dumps` sends an indented value through its pure-Python encoder,
+    one generator step per token.  Here each container's members are
+    joined by one `str.join` over `map`, and strings are escaped by the
+    encoder's own function, so the bytes are the same.
+    """
+    return _json(value, "\n")
+
+
+def _json(value: object, newline: str) -> str:
+    """`format_json` of a value nested at the indent that `newline` (a line
+    break and the indent) starts."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(map(_json, value, itertools.repeat(inner))) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        inner = newline + "  "
+        # `_json_string` raises TypeError for a key that is not a str.
+        members = zip(map(_json_string, keys), map(_json, map(value.__getitem__, keys), itertools.repeat(inner)))
+        return "{" + inner + ("," + inner).join(map(": ".join, members)) + newline + "}"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"format_json writes dicts, lists, str, int, bool and None, not {kind.__name__}")

@@ -100,13 +100,24 @@ def trajectory(
     Every ballot's points sum to the same total, so each switcher moves the
     point by one exact step; a switch that keeps one alternative's score
     moves it parallel to the simplex edge opposite that alternative's vertex.
-    The points are read off the rule's integer lines: after k switchers
-    alternative i sits at `(base[i] + k * step[i]) / sum(base)`, in which
-    the weights' common scale cancels.  A negative weight is shifted away
-    first, as in `figure_spec`.  The simplex invariant is checked once, on
-    the lines: steps that sum to 0 keep every point's sum at 1, and lines
-    linear in k that are non-negative at k = 0 and k = k_max are so at
-    every k in between.
+    The points are read off the rule's integer lines (`_switch_points`).
+    """
+    point = _switch_points(rule, profile, type_order, strategic_order, k_max)
+    return [point(k) for k in range(k_max + 1)]
+
+
+def _switch_points(
+    rule: ScoringRule, profile: Profile, type_order: LinearOrder, strategic_order: LinearOrder, k_max: int
+) -> Callable[[int], BarycentricPoint]:
+    """The score point after k of 0..k_max switchers, as a function of k.
+
+    After k switchers alternative i sits at `(base[i] + k * step[i]) /
+    sum(base)` on the rule's integer lines, in which the weights' common
+    scale cancels.  A negative weight is shifted away first, as in
+    `figure_spec`.  The simplex invariant is checked once, on the lines:
+    steps that sum to 0 keep every point's sum at 1, and lines linear in k
+    that are non-negative at k = 0 and k = k_max are so at every k in
+    between.
     """
     if len(rule.domain) != 3:
         raise SafevoteError("trajectories are defined for three alternatives")
@@ -119,13 +130,20 @@ def trajectory(
         raise SafevoteError("cannot embed an all-zero score map")
     if sum(step) or min(*base, *(b + k_max * d for b, d in zip(base, step))) < 0:
         raise SafevoteError(f"trajectory lines {base} + k * {step} leave the simplex for k in 0..{k_max}")
-    point = BarycentricPoint._on_simplex
-    return [point(*(Fraction(b + k * d, total) for b, d in zip(base, step))) for k in range(k_max + 1)]
+
+    def point(k: int) -> BarycentricPoint:
+        return BarycentricPoint._on_simplex(*(Fraction(b + k * d, total) for b, d in zip(base, step)))
+
+    return point
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Everything needed to render one simplex figure deterministically."""
+    """Everything needed to render one simplex figure deterministically.
+
+    An arrow holds its two end points, the `trajectory` points at k = 0 and
+    k = k_max, or the one point k = 0 when k_max = 0: an arrow is drawn as
+    a straight segment between its ends."""
 
     rule: ScoringRule
     base_point: BarycentricPoint
@@ -140,13 +158,15 @@ def figure_spec(
     """Build a FigureSpec from a profile and (type, strategic, k_max) moves.
 
     The base point is taken under w - min(w) when a weight is negative.
+    Each arrow is checked as `trajectory` checks it, and only its end
+    points are built.
     """
     base = embed(_nonnegative(rule).scores(profile))
-    arrows = tuple(
-        tuple(trajectory(rule, profile, type_order, strategic_order, k_max))
-        for type_order, strategic_order, k_max in moves
-    )
-    return FigureSpec(rule, base, arrows)
+    arrows = []
+    for type_order, strategic_order, k_max in moves:
+        point = _switch_points(rule, profile, type_order, strategic_order, k_max)
+        arrows.append((point(0), point(k_max)) if k_max else (point(0),))
+    return FigureSpec(rule, base, tuple(arrows))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from safevote.core import (
     VoterSet,
     _capitals,
     _integer,
+    _is_integer,
     all_profiles,
     decode_profile,  # noqa: F401 - bench/tracing.py traces rules.decode_profile
     profile_space_size,
@@ -269,16 +270,18 @@ class ScoringRule(Rule):
 
     def __post_init__(self) -> None:
         # Kept exact whatever the caller passed, so geometry stays rational.
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(map(Fraction, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.tiebreak.ranking):
             raise ValueError("score vector length must equal the number of alternatives")
-        for a, b in zip(weights, weights[1:]):
-            if a < b:
-                raise ValueError(f"score vector {' '.join(map(str, weights))} must be non-increasing")
+        # The integer points over the weights' least common denominator, in
+        # int arithmetic: they are ordered as the weights are.
         scale = math.lcm(*(w.denominator for w in weights))
+        points = tuple(w.numerator * (scale // w.denominator) for w in weights)
+        if any(map(int.__lt__, points, points[1:])):
+            raise ValueError(f"score vector {' '.join(map(str, weights))} must be non-increasing")
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_points", tuple(int(w * scale) for w in weights))
+        object.__setattr__(self, "_points", points)
 
     @classmethod
     def from_ints(cls, weights: Sequence[int], tiebreak: LinearOrder) -> "ScoringRule":
@@ -672,24 +675,28 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
     raise ParseError(f"unknown rule kind {kind!r}")
 
 
-def _weight(token: str) -> Fraction:
+def _weight(token: str) -> int | Fraction:
     """One score weight, or ValueError when it is not ASCII, holds an
     underscore, or has a numerator or denominator of more than
     MAX_WEIGHT_DIGITS digits.
 
-    `Fraction` also reads other scripts' digits and, on some Pythons,
-    underscores between digits, so those are rejected first.  An exponent
-    past 3 * MAX_WEIGHT_DIGITS is rejected before `Fraction` expands it.
-    `Fraction` reads at most MAX_WEIGHT_DIGITS digits on each side of the
-    point, so no nonzero weight with such an exponent fits; a zero mantissa
-    is rejected with it.
+    An integer token, in `_integer`'s grammar, is read by `int`, which
+    `Fraction` would call on it too.  `Fraction` also reads other scripts'
+    digits and, on some Pythons, underscores between digits, so those are
+    rejected first.  An exponent past 3 * MAX_WEIGHT_DIGITS is rejected
+    before `Fraction` expands it.  `Fraction` reads at most
+    MAX_WEIGHT_DIGITS digits on each side of the point, so no nonzero
+    weight with such an exponent fits; a zero mantissa is rejected with it.
     """
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"weight {token!r} must be ASCII with no '_'")
-    exponent = _EXPONENT.search(token)
-    if exponent and abs(int(exponent.group(1))) > 3 * MAX_WEIGHT_DIGITS:
-        raise ValueError(f"exponent of {token!r} too large")
-    weight = Fraction(token)
+    if _is_integer(token):
+        weight: int | Fraction = int(token)
+    else:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"weight {token!r} must be ASCII with no '_'")
+        exponent = _EXPONENT.search(token)
+        if exponent and abs(int(exponent.group(1))) > 3 * MAX_WEIGHT_DIGITS:
+            raise ValueError(f"exponent of {token!r} too large")
+        weight = Fraction(token)
     if max(abs(weight.numerator), weight.denominator) >= _WEIGHT_BOUND:
         raise ValueError(f"{token!r} has more than {MAX_WEIGHT_DIGITS} digits")
     return weight

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Iterator, Mapping, TypeVar
@@ -69,6 +68,7 @@ from safevote.core import (
     VoterSet,
     all_orders,
     all_profiles,
+    format_json,
     format_profile,
     switch_votes,
     voters_of_present_type,
@@ -174,7 +174,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return format_json(self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +254,17 @@ def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False)
     return subsets
 
 
+def _check_voter(profile: Profile, voter: int) -> None:
+    """ValueError naming the voter unless it is one of the profile's 0..n-1."""
+    if not 0 <= voter < profile.n:
+        raise ValueError(f"voter {voter} is outside 0..{profile.n - 1}")
+
+
 def _moves(
     rule: Rule, profile: Profile, voter: int, strategic_order: LinearOrder, force_subsets: bool = False
 ) -> _Moves:
     """The moves of one strategic vote, from a `_walk` set up for it alone."""
-    if not 0 <= voter < profile.n:
-        raise ValueError(f"voter {voter} is outside 0..{profile.n - 1}")
+    _check_voter(profile, voter)
     if strategic_order == profile.orders[voter]:
         raise ValueError("strategic order must differ from the voter's sincere order")
     return _walk(rule, profile, voter, force_subsets)(strategic_order)
@@ -739,6 +744,7 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
         raise ValueError("expected a SafelyManipulable certificate")
     profile = safe_certificate.profile
     j = safe_certificate.voter
+    _check_voter(profile, j)
     strategic_order = safe_certificate.strategic_order
 
     def pivotal_move(at_profile: Profile, voter: int) -> IncentiveWitness:

@@ -1,9 +1,11 @@
 """Unit tests for the ballot-domain vocabulary."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from safevote.core import (
     all_orders,
     all_profiles,
     decode_profile,
+    format_json,
     format_profile,
     parse_profile,
     switch_votes,
@@ -633,3 +636,34 @@ class TestProfileText:
     def test_empty_file_rejected(self):
         with pytest.raises(ParseError):
             parse_profile("\n# only comments\n")
+
+
+# Strings with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII letters, a lone surrogate and a character outside the BMP.
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé\u2028\ud800😀'), st.characters()), max_size=6)
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**80), 10**80), JSON_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestFormatJson:
+    @given(JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert format_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{}, [], "", 0, -0, True, False, None, [[]], {"": {}}, [{}, [], [{"a": []}]]])
+    def test_empty_containers_and_scalars(self, value):
+        assert format_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), (1,), {1: "a"}, {True: 1}, {"a": 1, 2: "b"}, {None: 1}, {"a": [1, 2.0]}, [{"b": Fraction(1)}]],
+        ids=["float", "fraction", "tuple", "int-key", "bool-key", "mixed-keys", "none-key", "nested-float", "nested-fraction"],
+    )
+    def test_other_types_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            format_json(value)

@@ -10,6 +10,7 @@ from safevote import geometry
 from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
 from safevote.geometry import (
     BarycentricPoint,
+    FigureSpec,
     embed,
     figure_spec,
     realizable_region,
@@ -194,6 +195,27 @@ class TestFigureReadsTheTally:
         monkeypatch.setattr(Profile, "__post_init__", build)
         assert figure_spec(BORDA_94, profile, GOLDEN_MOVES) == expected
         assert profile.counts.scans == 1
+
+
+class TestFigureArrows:
+    @pytest.mark.parametrize(
+        "rule",
+        [BORDA_94, plurality(o("ABC")), ScoringRule((Fraction(3, 2), Fraction(1, 2), -1), o("BAC"))],
+        ids=["borda", "plurality", "negative-weight"],
+    )
+    def test_arrows_are_the_trajectory_ends(self, rule):
+        moves = [
+            (type_order, strategic, k_max)
+            for type_order in PROFILE_94.types_present()
+            for strategic in all_orders(D3)
+            if strategic != type_order
+            for k_max in (0, 1, 5, len(voters_of_type(PROFILE_94, type_order)))
+        ]
+        spec = figure_spec(rule, PROFILE_94, moves)
+        full = [tuple(trajectory(rule, PROFILE_94, *move)) for move in moves]
+        for arrow, points, (_, _, k_max) in zip(spec.trajectories, full, moves, strict=True):
+            assert arrow == ((points[0], points[-1]) if k_max else points)
+        assert render_svg(FigureSpec(rule, spec.base_point, tuple(full))) == render_svg(spec)
 
 
 class TestRealizableRegion:

@@ -1,5 +1,6 @@
 """Unit tests for scoring rules, table rules and predicates."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -132,6 +133,67 @@ class TestScoringValidation:
     def test_constant_vector_flagged(self):
         assert ScoringRule.from_ints([1, 1, 1], o("ABC")).is_constant_vector
         assert not borda(o("ABC")).is_constant_vector
+
+
+def fraction_set_up(weights, tiebreak: LinearOrder):
+    """The scoring set-up in `Fraction` arithmetic: the weights, their common
+    scale, the points `int(w * scale)`, the fingerprint, and whether the
+    weights increase anywhere."""
+    fractions = tuple(Fraction(w) for w in weights)
+    scale = math.lcm(*(w.denominator for w in fractions))
+    config = f"rule: scoring\nscores: {' '.join(map(str, fractions))}\ntiebreak: {tiebreak}\n"
+    fingerprint = hashlib.sha256(config.encode()).hexdigest()[:16]
+    increasing = any(a < b for a, b in zip(fractions, fractions[1:]))
+    return fractions, scale, tuple(int(w * scale) for w in fractions), fingerprint, increasing
+
+
+FRACTIONS = st.fractions(-50, 50, max_denominator=12)
+WEIGHT_VALUES = st.one_of(
+    st.integers(-50, 50), FRACTIONS, FRACTIONS.map(str), st.integers(-50, 50).map(str), st.floats(-50, 50, width=16)
+)
+
+
+class TestIntegerSetUp:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_set_up(self, data):
+        weights = data.draw(st.lists(WEIGHT_VALUES, min_size=3, max_size=3))
+        if data.draw(st.booleans()):
+            weights.sort(key=Fraction, reverse=True)
+        tiebreak = LinearOrder(tuple(data.draw(st.permutations(D3.alternatives))))
+        fractions, scale, points, fingerprint, increasing = fraction_set_up(weights, tiebreak)
+        if increasing:
+            with pytest.raises(ValueError, match="must be non-increasing"):
+                ScoringRule(tuple(weights), tiebreak)
+            return
+        rule = ScoringRule(tuple(weights), tiebreak)
+        assert rule.weights == fractions and all(type(w) is Fraction for w in rule.weights)
+        assert (rule._scale, rule._points, rule.fingerprint()) == (scale, points, fingerprint)
+
+    @given(st.integers(-(10**30), 10**30))
+    def test_integer_tokens_read_as_fraction_reads_them(self, value):
+        for token in (str(value), "-" + str(abs(value))):
+            weight = rules._weight(token)
+            assert type(weight) is int and weight == Fraction(token)
+
+    @pytest.mark.parametrize("token", ["1" * 4301, "-" + "1" * 4301, "0" * 4300 + "1", "1" * 4300])
+    def test_long_integer_tokens_fail_as_fraction_fails(self, token):
+        text = f"rule: scoring\nscores: {token} 0 0\ntiebreak: A > B > C\n"
+        try:
+            expected = ScoringRule((Fraction(token), 0, 0), o("ABC"))
+        except ValueError as exc:
+            with pytest.raises(ParseError) as parsed:
+                parse_rule(text)
+            assert str(parsed.value) == f"line 2: bad score vector '{token} 0 0': {exc}"
+        else:
+            assert parse_rule(text) == expected
+
+    def test_integer_and_fraction_spellings_give_one_rule(self):
+        ints, spelled = (
+            parse_rule(f"rule: scoring\nscores: {scores}\ntiebreak: B > A > C\n") for scores in ("2 1 0", "2/1 1.0 0")
+        )
+        assert ints == spelled
+        assert (ints._scale, ints._points, ints.fingerprint()) == (spelled._scale, spelled._points, spelled.fingerprint())
 
 
 class TestTieBreaking:

@@ -6,6 +6,7 @@ import itertools
 import json
 import operator
 import random
+import re
 import sys
 from collections import Counter
 
@@ -862,6 +863,12 @@ class TestVerifiers:
         with pytest.raises(SafevoteError, match="certificate does not lift: no moving coalition found"):
             lift_safe_pivotal(BORDA_94, bare)
 
+    @pytest.mark.parametrize("voter", [-1, PROFILE_94.n])
+    def test_lift_rejects_a_voter_out_of_range(self, voter):
+        bare = Certificate(claim="SafelyManipulable", profile=PROFILE_94, voter=voter, strategic_order=o("ACB"))
+        with pytest.raises(ValueError, match=re.escape(f"voter {voter} is outside 0..{PROFILE_94.n - 1}")):
+            lift_safe_pivotal(BORDA_94, bare)
+
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
             verify_gs(borda(o("ABC")))
@@ -922,6 +929,14 @@ class TestCertificates:
         assert payload["rule_fingerprint"] == rule.fingerprint()
         assert all(v >= 1 for vs in payload["sets"].values() for v in vs)
         assert json.loads(cert.to_json()) == payload
+
+    def test_json_is_json_dumps(self):
+        rules = [random_table_rule(2, 3, seed) for seed in range(10)]
+        certificates = [search(rule) for rule in rules for search in (verify_gs, verify_safely_manipulable, verify_safe_pivotal)]
+        certificates += [search(plurality(o("ABC")), n=4) for search in (verify_gs, verify_safely_manipulable)]
+        certificates += find_escapes(BORDA_94, PROFILE_94) + [ENDUP_94, lift_safe_pivotal(BORDA_94, ENDUP_94)]
+        for cert in certificates:
+            assert cert.to_json() == json.dumps(cert.to_json_dict(), sort_keys=True, indent=2)
 
     def test_json_is_stable(self):
         rule = plurality(o("ABC"))
