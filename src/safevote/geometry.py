@@ -64,16 +64,22 @@ class BarycentricPoint:
 
 def embed(score_map: Mapping[Alternative, Fraction]) -> BarycentricPoint:
     """Normalize a 3-alternative score map so the coordinates sum to 1."""
-    if len(score_map) != 3:
+    return _normalized([s for _, s in sorted(score_map.items(), key=lambda item: item[0].index)])
+
+
+def _normalized(scores: Sequence[Fraction | int]) -> BarycentricPoint:
+    """The point of exact scores, by alternative index, each over their sum:
+    `embed` of a score map, and `figure_spec`'s base point of an integer
+    tally, in which the weights' common scale cancels."""
+    if len(scores) != 3:
         raise SafevoteError("barycentric embedding needs exactly three alternatives")
-    if min(score_map.values()) < 0:
+    if min(scores) < 0:
         raise SafevoteError("cannot embed a negative score; shift the score vector to w - min(w)")
-    total = sum(score_map.values())
+    total = sum(scores)
     if total == 0:
         raise SafevoteError("cannot embed an all-zero score map")
-    by_index = sorted(score_map.items(), key=lambda item: item[0].index)
-    x1, x2, x3 = (Fraction(s) / total for _, s in by_index)
-    return BarycentricPoint(x1, x2, x3)
+    # Non-negative scores over their non-zero sum lie on the simplex.
+    return BarycentricPoint._on_simplex(*(Fraction(s, total) for s in scores))
 
 
 def _nonnegative(rule: ScoringRule) -> ScoringRule:
@@ -157,11 +163,12 @@ def figure_spec(
 ) -> FigureSpec:
     """Build a FigureSpec from a profile and (type, strategic, k_max) moves.
 
-    The base point is taken under w - min(w) when a weight is negative.
+    The base point is taken under w - min(w) when a weight is negative,
+    off that rule's integer tally over its sum, with `embed`'s errors.
     Each arrow is checked as `trajectory` checks it, and only its end
     points are built.
     """
-    base = embed(_nonnegative(rule).scores(profile))
+    base = _normalized(_nonnegative(rule)._totals(profile))
     arrows = []
     for type_order, strategic_order, k_max in moves:
         point = _switch_points(rule, profile, type_order, strategic_order, k_max)

@@ -16,11 +16,14 @@ weight scale.
 `Rule.switches` is the switch kernel the strategy searches evaluate
 through, set up once per (profile, type) and asked once per strategic
 order: the winner once a coalition of the type votes that order, found as
-a delta from the sincere profile with no `Profile` built.  A scoring rule
-reads its integer lines (`ScoringRule.lines`): the sincere totals plus k
-times the per-alternative points change, and scores each coalition size
-once per order: later coalitions of a size it has met cost their
-membership check and one lookup.  A table rule reads the type's voters and
+a delta from the sincere profile with no `Profile` built.  A coalition is
+any collection of distinct voters of the type: the subset walk passes plain
+voter tuples, and every kernel checks one with `members.issuperset`, so a
+tuple and a frozenset of the same voters get the same winner, or the same
+`EditError`.  A scoring rule reads its integer lines (`ScoringRule.lines`):
+the sincere totals plus k times the per-alternative points change, and
+scores each coalition size once per order: later coalitions of a size it
+has met cost their membership check and one lookup.  A table rule reads the type's voters and
 the profile's table index once, so each order costs one id lookup, and
 adds each switcher's place value times the digit change to that index.
 The default kernel replays each switch through `switch_votes` and
@@ -139,18 +142,18 @@ class Rule:
         `type_order` voters all vote that order.
 
         Asked for an order, it raises what `switch_votes` would for the
-        switch.  The coalition-to-winner function it returns takes any subset
-        of the type's voters (the empty one gives the sincere winner) and
-        raises EditError for anything else.  This default replays every
-        coalition through `switch_votes` and `evaluate`; rules with a delta
-        kernel override it.
+        switch.  The coalition-to-winner function it returns takes any
+        collection of distinct voters of the type, a frozenset or a voter
+        tuple (the empty one gives the sincere winner), and raises EditError
+        for any other voter.  This default replays every coalition through
+        `switch_votes` and `evaluate`; rules with a delta kernel override it.
         """
 
         def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
             members = _switch_check(profile, type_order, order)
 
             def winner(coalition: VoterSet) -> Alternative:
-                if not coalition <= members:
+                if not members.issuperset(coalition):
                     raise _stray(coalition, type_order)
                 return self.evaluate(switch_votes(profile, coalition, order))
 
@@ -222,8 +225,9 @@ class Rule:
 
 def _switch_check(profile: Profile, type_order: LinearOrder, order: LinearOrder) -> VoterSet:
     """Set-up checks of a switch kernel, and the type's voters.  Each
-    kernel's `winner` tests `coalition <= members` on every call, so a
-    coalition is in range and of one type, and raises `_stray` otherwise."""
+    kernel's `winner` tests `members.issuperset(coalition)` on every call,
+    which takes a voter tuple as well as a set, so a coalition is in range
+    and of one type, and raises `_stray` otherwise."""
     if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if order == type_order:
@@ -358,7 +362,7 @@ class ScoringRule(Rule):
             by_size: dict[int, Alternative] = {}
 
             def winner(coalition: VoterSet) -> Alternative:
-                if not coalition <= members:
+                if not members.issuperset(coalition):
                     raise _stray(coalition, type_order)
                 k = len(coalition)
                 found = by_size.get(k)
@@ -476,7 +480,7 @@ class TableRule(Rule):
                 _switch_check(profile, type_order, order)
 
             def winner(coalition: VoterSet) -> Alternative:
-                if not coalition <= members:
+                if not members.issuperset(coalition):
                     raise _stray(coalition, type_order)
                 return winners[base + step * sum(map(places.__getitem__, coalition))]
 

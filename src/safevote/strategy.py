@@ -40,12 +40,16 @@ first move that a per-claim generator yields.
 
 Subset searches find each coalition's winner through the rule's switch
 kernel, `Rule.switches`, which builds no `Profile`: one set-up per walk,
-asked once per strategic order.  `_subsets` builds each coalition in C
-(`itertools` and `frozenset.union`) once per walk, the walk pairs it with
-its winner in C (`zip`, `map` and `itertools.tee`), and the searches
-compare outcomes by the type order's rank tuple, `LinearOrder.ranks`, so
-the kernel's `winner` is the one Python call per coalition.  The pivotal
-scan reads every single-voter switch of a profile from one call to
+asked once per strategic order.  `_subsets` builds each coalition once per
+walk, in C, as a plain voter tuple (the voter, then an
+`itertools.combinations` tuple of the others) kept in one `itertools.tee`
+buffer; each order pairs the tuples with their winners in C (`zip` and
+`map`), and the searches compare outcomes by the type order's rank tuple,
+`LinearOrder.ranks`, so the kernel's `winner` is the one Python call per
+coalition.  A `frozenset` is built only for what a search returns (a
+witness, a verdict's sets, an inferior subset, the lift's moving
+coalition), so every `VoterSet` a caller sees is one.  The pivotal scan
+reads every single-voter switch of a profile from one call to
 `Rule.solo_switches`, and compares its outcomes by the same rank tuples.
 `verify_certificate` is `safevote.check`'s: the claims' definitions over
 coalitions, replayed through `evaluate` with no code of these searches.
@@ -53,6 +57,7 @@ coalitions, replayed through `evaluate` with no code of these searches.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import operator
@@ -182,12 +187,12 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _subsets(base: VoterSet, pool: list[int], sizes: range) -> Iterator[VoterSet]:
-    """`base` joined with every subset of a sorted pool of the given sizes,
-    size by size, then lexicographically.  Each set is built in C, with no
-    Python frame per set or per size."""
+def _subsets(base: tuple[int, ...], pool: list[int], sizes: range) -> Iterator[tuple[int, ...]]:
+    """`base` followed by every subset of a sorted pool of the given sizes,
+    size by size, then lexicographically, as plain voter tuples.  Each tuple
+    is built in C, with no Python frame per tuple or per size."""
     combinations = map(itertools.combinations, itertools.repeat(pool), sizes)
-    return map(base.union, itertools.chain.from_iterable(combinations))
+    return map(base.__add__, itertools.chain.from_iterable(combinations))
 
 
 def _spans(
@@ -203,7 +208,7 @@ def _spans(
 
 #: One strategic vote's moves, smallest coalition first: the sincere
 #: winner, the (key, winner) pair of each move, the coalition of a key, and
-#: whether the keys are switch counts.
+#: whether the keys are switch counts rather than voter tuples.
 _Moves = tuple[Alternative, Iterator[tuple], Callable[..., VoterSet], bool]
 
 
@@ -215,14 +220,16 @@ def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False)
     Under an anonymous rule, unless `force_subsets`, a key is a switch count
     at which the winner changes (a run start of `Rule.size_runs`) and its
     coalition the voter and the first k-1 other members in sorted order,
-    sorted only once a coalition is asked for.  Otherwise a key is each
-    coalition containing the voter, by size then lexicographically, scored
-    by the order's switch kernel.  Keys nest as their coalitions do.
+    sorted only once a coalition is asked for; a smaller count's coalition
+    lies inside a larger one's.  Otherwise a key is each coalition
+    containing the voter, by size then lexicographically, as a voter tuple
+    (the voter, then the others in sorted order) scored by the order's
+    switch kernel, and its coalition is `frozenset(key)`.
 
     Either way the switch kernel (`Rule.switches`) is set up once per walk.
     The subset walk also reads the sincere winner once, from `evaluate`, and
-    builds each coalition once, when the first order reaches it, since
-    `has_incentive` often stops early.  Each order pairs the coalitions with
+    builds each voter tuple once, when the first order reaches it, since
+    `has_incentive` often stops early.  Each order pairs the tuples with
     their winners in C: the kernel's `winner` is the one Python call per
     coalition.
     """
@@ -244,11 +251,10 @@ def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False)
         return runs
     switches, sincere = rule.switches(profile, type_order), rule.evaluate(profile)
     # Only its copies advance, so the buffer keeps each coalition for every order.
-    (coalitions,) = itertools.tee(_subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members))), 1)
+    (coalitions,) = itertools.tee(_subsets((voter,), sorted(members - {voter}), range(len(members))), 1)
 
     def subsets(order: LinearOrder) -> _Moves:
-        keys, walk = itertools.tee(coalitions.__copy__())
-        # `frozenset` of a coalition is the coalition itself.
+        keys, walk = coalitions.__copy__(), coalitions.__copy__()
         return sincere, zip(keys, map(switches(order), walk)), frozenset, False
 
     return subsets
@@ -410,18 +416,30 @@ def _classify(
         # member shares the voter's incentive and nobody is asked.
         incentivized = frozenset().union(*improving)
         incentivized |= _incentivized(rule, profile, frozenset().union(*worsening) - incentivized, strategic_order)
-        worsening = [c for c in worsening if c <= incentivized]
+        worsening = list(filter(incentivized.issuperset, worsening))
     if not worsening:
         return SafetyVerdict(SafetyStatus.SAFE, incentive)
     witness_bad = coalition(worsening[0])
+    # Keys come smallest coalition first, so the improving coalitions smaller
+    # than a bad one are a prefix of `improving` and the larger ones the rest.
+    # A smaller count's coalition lies inside a larger one's; a voter tuple
+    # is tested against one set per bad coalition.
+    sizes = improving if by_size else list(map(len, improving))
     # Prefer Overshoot (good strictly inside bad) when both nested-pair kinds exist.
-    for kind, nested in ((UnsafeKind.OVERSHOOT, operator.lt), (UnsafeKind.UNDERSHOOT, operator.gt)):
+    for kind in (UnsafeKind.OVERSHOOT, UnsafeKind.UNDERSHOOT):
+        overshoot = kind is UnsafeKind.OVERSHOOT
         for bad in worsening:
-            for good in improving:
-                if nested(good, bad):
-                    return SafetyVerdict(
-                        SafetyStatus.UNSAFE, incentive, witness_bad, kind, coalition(good), coalition(bad)
-                    )
+            size = bad if by_size else len(bad)
+            if overshoot:
+                goods = itertools.islice(improving, bisect.bisect_left(sizes, size))
+            else:
+                goods = itertools.islice(improving, bisect.bisect_right(sizes, size), None)
+            if not by_size:
+                bad_set = frozenset(bad)
+                goods = filter(bad_set.issuperset if overshoot else bad_set.issubset, goods)
+            good = next(goods, None)
+            if good is not None:
+                return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad, kind, coalition(good), coalition(bad))
     return SafetyVerdict(SafetyStatus.UNSAFE, incentive, witness_bad, UnsafeKind.OTHER)
 
 
@@ -558,9 +576,9 @@ def _inferior(
     winner = rule.switches(profile, type_order)(strategic_order)
     ranks = type_order.ranks
     full_rank = ranks[winner(members).index]
-    for subset in _subsets(frozenset(), sorted(members), range(len(members) - 1, -1, -1)):
+    for subset in _subsets((), sorted(members), range(len(members) - 1, -1, -1)):
         if full_rank < ranks[winner(subset).index]:
-            yield subset
+            yield frozenset(subset)
 
 
 def construct_safe_from_inferior(
@@ -758,18 +776,19 @@ def lift_safe_pivotal(rule: Rule, safe_certificate: Certificate) -> Certificate:
     if not profile.orders[j].prefers(move.outcome_after, sincere):
         members = voters_of_type(profile, profile.orders[j])
         _, moves, coalition, by_size = _moves(rule, profile, j, strategic_order)
+        moved = (key for key, outcome in moves if outcome != sincere)
         if by_size:
             incentivized = members if has_incentive(rule, profile, j, strategic_order) is not None else frozenset()
+            moved = map(coalition, moved)
         else:
             incentivized = _incentivized(rule, profile, members, strategic_order)
         # Size-minimal moving coalition of j and incentivized voters; size
         # minimality implies inclusion minimality, so every proper subset
         # containing j leaves the outcome at the sincere winner.
-        allowed = incentivized | {j}
-        moved = (coalition(key) for key, outcome in moves if outcome != sincere)
-        moving = next((c for c in moved if c <= allowed), None)
+        moving = next(filter((incentivized | {j}).issuperset, moved), None)
         if moving is None or len(moving) < 2:
             raise SafevoteError("certificate does not lift: no moving coalition found")
+        moving = frozenset(moving)
         peeled = max(moving - {j})
         profile = switch_votes(profile, moving - {peeled}, strategic_order)
         move = pivotal_move(profile, peeled)

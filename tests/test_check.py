@@ -64,7 +64,7 @@ def without_the_whole_type(walk):
 
         def short(order):
             sincere, pairs, coalition, by_size = moves(order)
-            return sincere, ((key, winner) for key, winner in pairs if key != whole), coalition, by_size
+            return sincere, ((key, winner) for key, winner in pairs if frozenset(key) != whole), coalition, by_size
 
         return short
 

@@ -44,9 +44,12 @@ from safevote.strategy import (
     UnsafeKind,
     analyze,
     classify_safety,
+    construct_safe_from_inferior,
     find_escapes,
+    find_L_inferior,
     has_incentive,
     incentives,
+    lift_safe_pivotal,
     safety_verdicts,
     verify_certificate,
     verify_gs,
@@ -399,6 +402,25 @@ def test_kernel_errors_match_switch_votes(kind):
             kernel(foreign)
 
 
+@pytest.mark.parametrize("kind", KERNEL_RULES)
+def test_kernels_take_a_coalition_as_a_voter_tuple_or_a_frozenset(kind):
+    # The subset walk passes voter tuples; every other caller a frozenset.
+    rule = KERNEL_RULES[kind]
+    abc, acb, bac = ORDERS_3[0], ORDERS_3[1], ORDERS_3[2]
+    profile = Profile((abc, bac, abc))
+    winner = rule.switches(profile, abc)(acb)
+    for voters in ((), (0,), (2,), (0, 2), (2, 0)):  # empty, solo and the whole type
+        expected = rule.evaluate(switch_votes(profile, frozenset(voters), acb))
+        assert winner(voters) == winner(frozenset(voters)) == expected
+    for voters in ((0, 1), (2, 3), (-1, 0)):  # another type's voter, and two strays
+        messages = []
+        for coalition in (voters, frozenset(voters)):
+            with pytest.raises(EditError) as raised:
+                winner(coalition)
+            messages.append(str(raised.value))
+        assert messages == [f"coalition {sorted(voters)} is not within the ABC voters"] * 2
+
+
 @given(st.integers(0, 6**3 - 1))
 def test_profile_encoding_round_trips(index):
     profile = decode_profile(index, 3, ORDERS_3)
@@ -479,6 +501,55 @@ def test_sampled_rule_searches_agree_across_paths(seed):
             v_slow = classify_safety(rule, profile, voter, strategic, force_subsets=True)
             assert v_fast.incentive == fast and v_slow.incentive == slow
             assert v_fast == v_slow
+
+
+@st.composite
+def forced_walk_cases(draw):
+    """(rule, profile): a (2..3, 3) table at one of its profiles, or Borda,
+    plurality or 2-approval at m = 3 with 1 to 6 voters, one type held by
+    1 to 4 of them, so that some votes are unsafe."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from((2, 3)))
+        rule = random_table_rule(n, 3, draw(st.integers(0, 10_000)))
+        return rule, decode_profile(draw(st.integers(0, 6**n - 1)), n, ORDERS_3)
+    make = draw(st.sampled_from((borda, plurality, partial(k_approval, 2))))
+    k = draw(st.integers(1, 4))
+    ballots = [draw(orders_for(D3))] * k + draw(st.lists(orders_for(D3), max_size=6 - k))
+    return make(draw(orders_for(D3))), Profile(tuple(draw(st.permutations(ballots))))
+
+
+@given(case=forced_walk_cases())
+@settings(max_examples=60, deadline=None)
+def test_forced_subset_walks_return_frozensets(case):
+    # The walk's keys are voter tuples; every voter set a search returns
+    # is a frozenset, and on a scoring rule it is the size path's.
+    rule, profile = case
+    returned = []
+    for voter, type_order in enumerate(profile.orders):
+        for strategic in ORDERS_3:
+            if strategic == type_order:
+                continue
+            inferior = find_L_inferior(rule, profile, type_order, strategic, force_subsets=True)
+            witness = has_incentive(rule, profile, voter, strategic, force_subsets=True)
+            verdict = witness and classify_safety(rule, profile, voter, strategic, force_subsets=True)
+            returned += inferior
+            if rule.anonymous:
+                # Under anonymity the size path keeps the first subset of each inferior size.
+                assert [next(group) for _, group in itertools.groupby(inferior, len)] == find_L_inferior(
+                    rule, profile, type_order, strategic
+                )
+                assert witness == has_incentive(rule, profile, voter, strategic)
+                assert verdict == (witness and classify_safety(rule, profile, voter, strategic))
+            if verdict is None:
+                continue
+            returned += [witness.coalition, verdict.incentive.coalition, verdict.witness_bad, verdict.good, verdict.bad]
+            if verdict.status == SafetyStatus.SAFE:
+                safe = strategy._certify(rule, "SafelyManipulable", profile, verdict.incentive)
+                returned += safe.sets.values()
+                returned += lift_safe_pivotal(rule, safe).sets.values()
+            shifted = construct_safe_from_inferior(rule, profile, type_order, strategic)
+            returned += shifted.sets.values() if shifted else ()
+    assert all(type(voters) is frozenset for voters in returned if voters is not None)
 
 
 def separate_walks(rule: Rule, profile: Profile):

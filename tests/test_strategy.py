@@ -29,6 +29,7 @@ from safevote.rules import (
     TableRule,
     all_profiles,
     borda,
+    decode_profile,
     k_approval,
     plurality,
     profile_space_size,
@@ -96,9 +97,9 @@ def reference_coalitions(voter, members):
 
 
 def coalitions(voter, members):
-    """The subset walk's coalitions: the voter joined with each subset of
-    the other members, smallest first."""
-    return _subsets(frozenset((voter,)), sorted(members - {voter}), range(len(members)))
+    """The subset walk's keys: the voter followed by each subset of the
+    other members, smallest first, as voter tuples."""
+    return _subsets((voter,), sorted(members - {voter}), range(len(members)))
 
 
 @pytest.mark.parametrize("size", range(1, 10))
@@ -106,12 +107,15 @@ def test_coalitions_match_the_reference_walk(size):
     for members in (frozenset(range(size)), frozenset(random.Random(size).sample(range(40), size))):
         for voter in members:
             walk = list(coalitions(voter, members))
-            assert walk == list(reference_coalitions(voter, members))
-            assert all(type(c) is frozenset for c in walk)
+            assert list(map(frozenset, walk)) == list(reference_coalitions(voter, members))
+            # The voter first, then the other members in sorted order.
+            assert all(type(c) is tuple and c[0] == voter and list(c[1:]) == sorted(c[1:]) for c in walk)
         # The inferior walk's order: largest proper subsets first.
         ordered = sorted(members)
         largest_first = [frozenset(c) for k in range(size - 1, -1, -1) for c in itertools.combinations(ordered, k)]
-        assert list(_subsets(frozenset(), ordered, range(size - 1, -1, -1))) == largest_first
+        walk = list(_subsets((), ordered, range(size - 1, -1, -1)))
+        assert list(map(frozenset, walk)) == largest_first
+        assert all(type(c) is tuple for c in walk)
 
 
 def two_pass_classify_safety(rule, profile, voter, strategic_order):
@@ -267,8 +271,8 @@ class TestHasIncentive:
         walk = strategy._walk(rule, Profile((o("ABC"), o("ABC"), o("BAC"))), 0)
         for order in all_orders(D3)[1:]:
             _, moves, _, _ = walk(order)
-            assert [key for key, _ in moves] == [frozenset({0}), frozenset({0, 1})]
-        assert built == [frozenset({0}), frozenset({0, 1})]
+            assert [frozenset(key) for key, _ in moves] == [frozenset({0}), frozenset({0, 1})]
+        assert list(map(frozenset, built)) == [frozenset({0}), frozenset({0, 1})]
 
 
 class TestClassifySafety:
@@ -390,6 +394,21 @@ class TestClassifySafety:
                         dropped_votes += dropped
         assert outcomes >= {"no incentive", SafetyStatus.SAFE, UnsafeKind.OVERSHOOT, UnsafeKind.UNDERSHOOT}
         assert dropped_votes > 0
+
+    def test_other_when_no_improving_and_worsening_pair_nests(self):
+        # Three BAC voters: {0, 1} voting ACB elects B, their favourite, while
+        # {0, 2} elects C.  Neither coalition holds the other, so the vote is
+        # unsafe with no nested pair.
+        rule = random_table_rule(3, 3, 5)
+        profile = decode_profile(86, 3, all_orders(D3))
+        assert profile.orders == (o("BAC"),) * 3
+        verdict = classify_safety(rule, profile, 0, o("ACB"))
+        assert (verdict.status, verdict.kind) == (SafetyStatus.UNSAFE, UnsafeKind.OTHER)
+        assert verdict.witness_bad == {0, 2} and verdict.incentive.coalition == {0, 1}
+        assert verdict.good is None and verdict.bad is None
+        assert verdict == two_pass_classify_safety(rule, profile, 0, o("ACB"))[0]
+        bare = Certificate(claim="SafelyManipulable", profile=profile, voter=0, strategic_order=o("ACB"))
+        assert not verify_certificate(rule, bare)
 
 
 class TestThresholdScan:
