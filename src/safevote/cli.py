@@ -6,8 +6,8 @@ contract, which is byte-reproducible for a fixed config and seed (wall
 times therefore go to stderr, never into JSON).  Exit codes: 0 success,
 1 assertion/claim failure, 2 parse or usage error (a malformed file, a
 profile and a rule over different alternatives or, for a table rule, a
-different voter count, or an argument out of range or naming no order of
-the domain), 3 inconclusive scans.
+different voter count, or an argument out of range, not an integer or
+naming no order of the domain), 3 inconclusive scans.
 
 `main` is reentrant: it builds its argument parser once per process and
 keeps no state between calls.  `analyze` scores each strategic vote once;
@@ -24,8 +24,8 @@ import sys
 import time
 
 from safevote.core import (
-    MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, format_json, parse_profile,
-    read_text, voters_of_present_type, voters_of_type,
+    MAX_ALTERNATIVES, Domain, DomainMismatchError, LinearOrder, ParseError, SafevoteError, _integer, format_json,
+    parse_profile, read_text, voters_of_present_type, voters_of_type,
 )
 from safevote.fixtures import FIXTURES
 from safevote.geometry import figure_spec, render_svg
@@ -85,11 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sampled theorem-verification campaign")
     common(p)
-    p.add_argument("--n", type=int, default=2, help="voters per sampled table rule")
-    p.add_argument("--m", type=int, default=3, help="alternatives per sampled table rule")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BOUND, help="profile-scan cap per search")
+    # Integers are read as a file's are, by `_integer`, not by `int`.
+    p.add_argument("--n", default="2", help="voters per sampled table rule")
+    p.add_argument("--m", default="3", help="alternatives per sampled table rule")
+    p.add_argument("--samples", required=True)
+    p.add_argument("--seed", required=True)
+    p.add_argument("--budget", default=str(DEFAULT_ENUMERATION_BOUND), help="profile-scan cap per search")
 
     p = sub.add_parser("figure", help="render the barycentric score figure as SVG")
     common(p, profile=True, rule=True, report=False)
@@ -202,28 +203,29 @@ def cmd_safety(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    n, m, samples, seed, budget = (
+        _integer(getattr(args, flag), None, f"--{flag} must be an integer, got {{!r}}")
+        for flag in ("n", "m", "samples", "seed", "budget")
+    )
     # The theorems need m >= 3; a campaign outside their hypothesis would
     # report failures of claims that need not hold.
-    minimums = (
-        ("--n", args.n, 1), ("--m", args.m, 3), ("--samples", args.samples, 0), ("--budget", args.budget, 1)
-    )
-    for flag, value, least in minimums:
+    for flag, value, least in (("--n", n, 1), ("--m", m, 3), ("--samples", samples, 0), ("--budget", budget, 1)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
-    if args.m > MAX_ALTERNATIVES:
-        raise UsageError(f"--m must be at most {MAX_ALTERNATIVES}, got {args.m}")
+    if m > MAX_ALTERNATIVES:
+        raise UsageError(f"--m must be at most {MAX_ALTERNATIVES}, got {m}")
     try:
-        enumerable_size(args.m, args.n)
+        enumerable_size(m, n)
     except SafevoteError as exc:  # the profile space passes the enumeration bound
         raise UsageError(str(exc)) from None
-    master = random.Random(args.seed)
-    rule_seeds = [master.getrandbits(63) for _ in range(args.samples)]
+    master = random.Random(seed)
+    rule_seeds = [master.getrandbits(63) for _ in range(samples)]
     results = []
     failures = 0
     inconclusive = 0
     start = time.monotonic()
     for rule_seed in rule_seeds:
-        rule = random_table_rule(args.n, args.m, rule_seed)
+        rule = random_table_rule(n, m, rule_seed)
         entry = {"seed": rule_seed, "fingerprint": rule.fingerprint()}
         for claim, search in (
             ("gs", verify_gs),
@@ -231,7 +233,7 @@ def cmd_verify(args) -> int:
             ("safe_pivotal", verify_safe_pivotal),
         ):
             try:
-                certificate = search(rule, budget=args.budget)
+                certificate = search(rule, budget=budget)
             except InconclusiveError:
                 entry[claim] = "inconclusive"
                 inconclusive += 1
@@ -244,11 +246,11 @@ def cmd_verify(args) -> int:
         results.append(entry)
     elapsed = time.monotonic() - start
     report = {
-        "n": args.n,
-        "m": args.m,
-        "samples": args.samples,
-        "seed": args.seed,
-        "budget": args.budget,
+        "n": n,
+        "m": m,
+        "samples": samples,
+        "seed": seed,
+        "budget": budget,
         "failures": failures,
         "inconclusive": inconclusive,
         "rules": results,
@@ -257,7 +259,7 @@ def cmd_verify(args) -> int:
         _emit(_json_dumps(report), args.out)
     else:
         lines = [
-            f"samples: {args.samples} (n={args.n}, m={args.m}, seed={args.seed})",
+            f"samples: {samples} (n={n}, m={m}, seed={seed})",
             f"failures: {failures}",
             f"inconclusive: {inconclusive}",
         ]
@@ -277,15 +279,15 @@ def cmd_figure(args) -> int:
     moves = []
     for raw in args.trajectory:
         parts = raw.split(":")
-        # ASCII digits only, as profile counts: `isdecimal` also takes other scripts' digits.
-        if len(parts) != 3 or not (parts[2].isascii() and parts[2].isdigit()):
-            raise UsageError(f"bad trajectory spec {raw!r}; expected TYPE:STRATEGIC:KMAX, KMAX >= 0")
+        if len(parts) != 3:
+            raise UsageError(f"bad trajectory spec {raw!r}; expected TYPE:STRATEGIC:KMAX")
+        k_max = _integer(parts[2], None, "--trajectory KMAX must be an integer, got {!r}")
         type_order, strategic = (_order(part, profile.domain, "--trajectory") for part in parts[:2])
         if strategic == type_order:
             raise UsageError(f"bad trajectory spec {raw!r}; STRATEGIC must differ from TYPE")
-        k_max, count = int(parts[2]), len(voters_of_type(profile, type_order))
+        count = len(voters_of_type(profile, type_order))
         # A type with no voters has no trajectory at all: `trajectory` fails it.
-        if count and k_max > count:
+        if k_max < 0 or count and k_max > count:
             raise UsageError(f"bad trajectory spec {raw!r}; KMAX {k_max} is outside 0..{count}, the TYPE count")
         moves.append((type_order, strategic, k_max))
     svg = render_svg(figure_spec(rule, profile, moves))

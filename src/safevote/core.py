@@ -37,7 +37,7 @@ class DomainMismatchError(SafevoteError):
 
 
 class ParseError(SafevoteError):
-    """A profile or rule file is malformed."""
+    """A profile, rule or table file is malformed, or a number on the command line."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -234,8 +234,7 @@ class LinearOrder:
     @classmethod
     def from_string(cls, text: str, domain: Domain) -> "LinearOrder":
         """Parse "A > C > B" or the compact "ACB"."""
-        labels = "".join(text.replace(">", " ").split())
-        return cls.from_labels(labels, domain)
+        return cls.from_labels(_order_labels(text), domain)
 
     @cached_property
     def domain(self) -> Domain:
@@ -507,10 +506,12 @@ def _is_integer(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def _integer(text: str) -> int:
-    """`int` of text that `_is_integer` accepts, else ValueError."""
+def _integer(text: str, line: int | None, message: str) -> int:
+    """`int` of text that `_is_integer` accepts: a field of a file's line,
+    or a command-line argument (line None).  Otherwise a ParseError at the
+    line, `message` with the text in place of its "{!r}"."""
     if not _is_integer(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
+        raise ParseError(message.format(text), line)
     return int(text)
 
 
@@ -522,6 +523,11 @@ def _capitals(labels: str) -> str:
     return labels.upper()
 
 
+def _order_labels(text: str) -> str:
+    """The labels of an order written "A > C > B" or "ACB", run together."""
+    return "".join(text.replace(">", " ").split())
+
+
 def read_text(path: str) -> str:
     """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
     with open(path, "rb") as fh:
@@ -529,23 +535,38 @@ def read_text(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Lines as the parsers count them; the "x" stands for the bad byte.
+        # Lines as `_records` counts them; the "x" stands for the bad byte.
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"{path} is not UTF-8: {exc.reason}", line) from None
 
 
-def parse_profile(text: str) -> Profile:
-    lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), start=1)]
-    lines = [(no, line) for no, line in lines if line and not line.startswith("#")]
-    if not lines:
-        raise ParseError("empty profile file")
+def _records(text: str, expected: str) -> Iterator[tuple[int, str, str]]:
+    """The one line reader of profile, rule and table files: (line number,
+    head, value) for each line neither blank nor a `#` comment, split at its
+    first ":" and stripped.  A line with no ":" is a ParseError."""
+    for no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            head, sep, value = line.partition(":")
+            if not sep:
+                raise ParseError(f"expected {expected}, got {line!r}", no)
+            yield no, head.rstrip(), value.lstrip()
 
-    no, header = lines[0]
-    key, _, labels_part = header.partition(":")
-    key = key.strip()
-    if not (key.isascii() and key.lower() == "alternatives"):
+
+def _key(head: str) -> str | None:
+    """A head read as a key, in lower case, or None unless it is ASCII:
+    `str.lower` also folds the Kelvin sign into "k"."""
+    return head.lower() if head.isascii() else None
+
+
+def parse_profile(text: str) -> Profile:
+    records = _records(text, "'alternatives:', '<count>:' or 'voter <i>:' line")
+    no, key, labels = next(records, (0, "", ""))
+    if not no:
+        raise ParseError("empty profile file")
+    if _key(key) != "alternatives":
         raise ParseError("expected 'alternatives:' header", no)
-    labels = labels_part.split()
+    labels = labels.split()
     if not labels:
         raise ParseError("no alternative labels listed", no)
     try:
@@ -553,61 +574,47 @@ def parse_profile(text: str) -> Profile:
     except ValueError as exc:
         raise ParseError(str(exc), no) from exc
 
-    count_entries: list[tuple[LinearOrder, int]] = []
+    count_entries: dict[LinearOrder, int] = {}
     voter_entries: dict[int, LinearOrder] = {}
-    seen_types: set[LinearOrder] = set()
     total = 0
-    for no, line in lines[1:]:
-        head, sep, order_part = line.partition(":")
-        if not sep:
-            raise ParseError("expected '<count>:' or 'voter <i>:' line", no)
+    for no, head, order_text in records:
         try:
-            order = LinearOrder.from_string(order_part, domain)
+            order = LinearOrder.from_string(order_text, domain)
         except (DomainMismatchError, ValueError) as exc:
             raise ParseError(str(exc), no) from exc
-        head = head.strip()
-        if head.lower().startswith("voter"):
+        words = head.split()
+        if words and _key(words[0]) == "voter":
+            idx = _integer(" ".join(words[1:]), no, "bad voter index {!r}; expected 'voter <i>'")
             if count_entries:
                 raise ParseError("cannot mix count lines and voter lines", no)
-            try:
-                word, index = head.split()
-                if word.lower() != "voter":
-                    raise ValueError(word)
-                idx = _integer(index)
-            except ValueError:
-                raise ParseError(f"bad voter index in {head!r}; expected 'voter <i>'", no) from None
             if idx < 1:
                 raise ParseError(f"voter indices are 1-based, got {idx}", no)
             if idx in voter_entries:
                 raise ParseError(f"duplicate line for voter {idx}", no)
             voter_entries[idx] = order
         else:
+            count = _integer(head, no, "bad count {!r}")
             if voter_entries:
                 raise ParseError("cannot mix count lines and voter lines", no)
-            try:
-                count = _integer(head)
-            except ValueError:
-                raise ParseError(f"bad count {head!r}", no) from None
             if count < 0:
                 raise ParseError(f"negative count {count}", no)
             total += count
             if total > MAX_VOTERS:
                 raise ParseError(f"profile lists more than {MAX_VOTERS} voters", no)
-            if order in seen_types:
+            if order in count_entries:
                 raise ParseError(f"duplicate type line for {order.compact}", no)
-            seen_types.add(order)
-            count_entries.append((order, count))
+            count_entries[order] = count
 
     if voter_entries:
-        expected = set(range(1, len(voter_entries) + 1))
-        if set(voter_entries) != expected:
+        # Distinct indices from 1 up are contiguous when the largest is their count.
+        if max(voter_entries) != len(voter_entries):
             raise ParseError(f"voter indices must be contiguous 1..{len(voter_entries)}")
         return Profile(tuple(voter_entries[i] for i in sorted(voter_entries)))
     if not count_entries:
         raise ParseError("profile lists no ballots")
     if not total:
         raise ParseError("count lines total zero voters")
-    return Profile.from_counts(count_entries)
+    return Profile.from_counts(list(count_entries.items()))
 
 
 def format_profile(profile: Profile) -> str:

@@ -68,7 +68,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from safevote.core import (
     MAX_ALTERNATIVES,
@@ -84,6 +84,9 @@ from safevote.core import (
     _capitals,
     _integer,
     _is_integer,
+    _key,
+    _order_labels,
+    _records,
     all_profiles,
     decode_profile,  # noqa: F401 - bench/tracing.py traces rules.decode_profile
     profile_space_size,
@@ -145,8 +148,11 @@ class Rule:
         switch.  The coalition-to-winner function it returns takes any
         collection of distinct voters of the type, a frozenset or a voter
         tuple (the empty one gives the sincere winner), and raises EditError
-        for any other voter.  This default replays every coalition through
-        `switch_votes` and `evaluate`; rules with a delta kernel override it.
+        for any other voter.  A tuple that repeats a voter is outside this
+        contract: no kernel checks for one, since the subset walk would pay
+        for the check on every coalition, and the kernels disagree on it.
+        This default replays every coalition through `switch_votes` and
+        `evaluate`; rules with a delta kernel override it.
         """
 
         def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
@@ -199,7 +205,9 @@ class Rule:
                     yield voter, order, self.switches(profile, voter_order)(order)(solo)
 
     def config_text(self) -> str:
-        """Canonical description used for fingerprints and rule files."""
+        """Canonical description, which `fingerprint` hashes.  A scoring rule's
+        is a rule file that `parse_rule` reads back to the same fingerprint; a
+        table rule's lists its winners inline, where a rule file names `entries`."""
         raise NotImplementedError
 
     def fingerprint(self) -> str:
@@ -626,28 +634,20 @@ def random_table_rule(n: int, m: int, seed: int) -> TableRule:
 def parse_rule(text: str, base_dir: str = ".") -> Rule:
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}", no)
-        key = key.strip()
-        # ASCII only: `str.lower` also folds the Kelvin sign into "k".
-        if not key.isascii():
-            raise ParseError(f"key {key!r} is not ASCII", no)
-        key = key.lower()
+    for no, head, value in _records(text, "'key: value'"):
+        key = _key(head)
+        if key is None:
+            raise ParseError(f"key {head!r} is not ASCII", no)
         if key in fields:
             raise ParseError(f"duplicate key {key!r}", no)
-        fields[key] = value.strip()
+        fields[key] = value
         line_of[key] = no
 
     kind = fields.get("rule")
     if kind == "scoring":
         if "scores" not in fields or "tiebreak" not in fields:
             raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
-        tb_labels = "".join(fields["tiebreak"].replace(">", " ").split())
+        tb_labels = _order_labels(fields["tiebreak"])
         if not tb_labels:
             raise ParseError("tiebreak lists no alternatives", line_of["tiebreak"])
         try:
@@ -666,7 +666,13 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         for needed in ("n", "m", "entries"):
             if needed not in fields:
                 raise ParseError(f"table rule needs {needed!r}")
-        n, m = (_positive_int(fields, line_of, key) for key in ("n", "m"))
+        sizes = []
+        for key in ("n", "m"):
+            size = _integer(fields[key], line_of[key], key + " must be an integer, got {!r}")
+            if size < 1:
+                raise ParseError(f"{key} must be positive, got {size}", line_of[key])
+            sizes.append(size)
+        n, m = sizes
         if m > MAX_ALTERNATIVES:
             raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
         try:
@@ -684,7 +690,7 @@ def _weight(token: str) -> int | Fraction:
     underscore, or has a numerator or denominator of more than
     MAX_WEIGHT_DIGITS digits.
 
-    An integer token, in `_integer`'s grammar, is read by `int`, which
+    An integer token, in `_is_integer`'s grammar, is read by `int`, which
     `Fraction` would call on it too.  `Fraction` also reads other scripts'
     digits and, on some Pythons, underscores between digits, so those are
     rejected first.  An exponent past 3 * MAX_WEIGHT_DIGITS is rejected
@@ -706,37 +712,21 @@ def _weight(token: str) -> int | Fraction:
     return weight
 
 
-def _positive_int(fields: Mapping[str, str], line_of: Mapping[str, int], key: str) -> int:
-    try:
-        value = _integer(fields[key])
-    except ValueError:
-        raise ParseError(f"{key} must be an integer, got {fields[key]!r}", line_of[key]) from None
-    if value < 1:
-        raise ParseError(f"{key} must be positive, got {value}", line_of[key])
-    return value
-
-
 def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
     domain = Domain.of_size(m)
     total = profile_space_size(m, n)
     winners: dict[int, Alternative] = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        idx_part, sep, label = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected '<index>: <label>', got {line!r}", no)
-        try:
-            idx = _integer(idx_part.strip())
-        except ValueError:
-            raise ParseError(f"bad index {idx_part!r}", no) from None
+    for no, head, label in _records(text, "'<index>: <label>'"):
+        idx = _integer(head, no, "bad index {!r}")
+        if not 0 <= idx < total:
+            raise ParseError(f"index {idx} is outside 0..{total - 1}", no)
         if idx in winners:
             raise ParseError(f"duplicate index {idx}", no)
         try:
-            winners[idx] = domain.by_label(label.strip())
+            winners[idx] = domain.by_label(label)
         except DomainMismatchError as exc:
             raise ParseError(str(exc), no) from exc
-    if len(winners) != total or sorted(winners) != list(range(total)):
+    # Every index is in range and none repeats, so a full count is all of them.
+    if len(winners) != total:
         raise ParseError(f"table indices must be contiguous 0..{total - 1}")
     return TableRule(domain, n, tuple(winners[i] for i in range(total)))

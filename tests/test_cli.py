@@ -64,6 +64,8 @@ alternatives: A B C D
 RULE_BORDA_94 = "rule: scoring\nscores: 2 1 0\ntiebreak: B > A > C\n"
 RULE_PLURALITY = "rule: scoring\nscores: 1 0 0\ntiebreak: A > B > C\n"
 RULE_AIS = "rule: scoring\nscores: 1 0 0\ntiebreak: A > I > S\n"
+PROFILE_ONE = "alternatives: A B C\nvoter 1: A > B > C\n"
+RULE_TABLE_1_3 = "rule: table\nn: 1\nm: 3\nentries: w.txt\n"
 
 
 @pytest.fixture
@@ -489,6 +491,9 @@ class TestErrors:
                 "rule: scoring\nscores: 2 1_0 0\ntiebreak: A > B > C\n",
                 "line 2: bad score vector '2 1_0 0': weight '1_0' must be ASCII with no '_'",
             ),
+            # A rule and its entries file: indices run over 0..(m!)^n - 1.
+            (PROFILE_ONE, (RULE_TABLE_1_3, "0: A\n1: B\n40: B\n"), "line 3: index 40 is outside 0..5"),
+            (PROFILE_ONE, (RULE_TABLE_1_3, "# winners\n-1: B\n0: A\n"), "line 2: index -1 is outside 0..5"),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
@@ -496,10 +501,14 @@ class TestErrors:
             "labels-differ-only-in-case", "tiebreak-labels-differ-only-in-case", "huge-count",
             "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
             "dotless-i-label", "long-s-in-a-ballot", "look-alikes-in-tiebreak", "kelvin-sign-in-a-key",
-            "header-key-suffix", "arabic-indic-weight", "underscore-weight",
+            "header-key-suffix", "arabic-indic-weight", "underscore-weight", "table-index-past-the-end",
+            "table-index-negative",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
+        if isinstance(rule, tuple):
+            rule, entries = rule
+            (files["tmp"] / "w.txt").write_text(entries)
         (files["tmp"] / "p.txt").write_text(profile)
         (files["tmp"] / "r.txt").write_text(rule)
         code = run(["analyze", "--profile", str(files["tmp"] / "p.txt"), "--rule", str(files["tmp"] / "r.txt")])
@@ -592,6 +601,8 @@ class TestErrors:
             ["figure", "--trajectory", "ABC:ACB:-1"],
             ["figure", "--trajectory", "ABC:ACB:\u0663"],
             ["figure", "--trajectory", "ABC:ACB:\uff13"],
+            ["figure", "--trajectory", "ABC:ACB:+7"],
+            ["figure", "--trajectory", "ABC:ACB:1_0"],
             ["figure", "--trajectory", "ABC:ABC:3"],
             ["verify", "--n", "0", "--samples", "3", "--seed", "1"],
             ["verify", "--samples", "-3", "--seed", "1"],
@@ -600,13 +611,20 @@ class TestErrors:
             ["verify", "--n", "3", "--m", "6", "--samples", "1", "--seed", "1"],
             ["verify", "--m", "27", "--samples", "1", "--seed", "1"],
             ["verify", "--n", "1000000000", "--samples", "1", "--seed", "1"],
+            ["verify", "--samples", "3", "--seed", "+7"],
+            ["verify", "--samples", "1_0", "--seed", "1"],
+            ["verify", "--n", "\u0662", "--samples", "3", "--seed", "1"],
+            ["verify", "--m", "\uff13", "--samples", "3", "--seed", "1"],
+            ["verify", "--budget", " 7", "--samples", "3", "--seed", "1"],
         ],
         ids=[
             "type-label-outside-domain", "trajectory-kmax-not-integer",
             "trajectory-kmax-negative", "trajectory-kmax-arabic-indic-digit", "trajectory-kmax-fullwidth-digit",
+            "trajectory-kmax-plus", "trajectory-kmax-underscore",
             "trajectory-strategic-equal-to-type", "verify-n-0",
             "verify-negative-samples", "verify-m-2", "verify-budget-0", "verify-past-the-enumeration-bound",
-            "verify-m-27", "verify-n-1e9",
+            "verify-m-27", "verify-n-1e9", "verify-seed-plus", "verify-samples-underscore",
+            "verify-n-arabic-indic-digit", "verify-m-fullwidth-digit", "verify-budget-space",
         ],
     )
     def test_bad_argument_is_a_usage_error(self, files, capsys, argv):

@@ -1,5 +1,7 @@
 """Property-based tests for the library's structural invariants."""
 
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from helpers import ObjectPath, perturbed_dictatorship
-from safevote import strategy
+from safevote import cli, strategy
 from safevote.core import (
     MAX_VOTERS,
     Domain,
@@ -21,6 +23,7 @@ from safevote.core import (
     LinearOrder,
     ParseError,
     Profile,
+    _is_integer,
     all_orders,
     all_profiles,
     format_profile,
@@ -419,6 +422,15 @@ def test_kernels_take_a_coalition_as_a_voter_tuple_or_a_frozenset(kind):
                 winner(coalition)
             messages.append(str(raised.value))
         assert messages == [f"coalition {sorted(voters)} is not within the ABC voters"] * 2
+    # A tuple that repeats a voter is outside the kernel contract, so no
+    # subset walk may pass one.
+    for voter, own in enumerate(profile.orders):
+        walk = strategy._walk(rule, profile, voter, force_subsets=True)
+        for order in ORDERS_3:
+            if order != own:
+                _, moves, _, _ = walk(order)
+                keys = [key for key, _ in moves]
+                assert keys and all(len(set(key)) == len(key) for key in keys)
 
 
 @given(st.integers(0, 6**3 - 1))
@@ -854,3 +866,33 @@ def test_parse_rule_gives_a_rule_or_a_parse_error(tmp_path, lines, entries, full
         assert isinstance(rule, Rule)
         assert len(rule.domain) >= 1
         rule.fingerprint()
+        # A scoring rule's canonical text is a rule file that reads back to it.
+        if isinstance(rule, ScoringRule):
+            assert parse_rule(rule.config_text()).fingerprint() == rule.fingerprint()
+
+
+NUMBER_TOKENS = st.one_of(COUNTS.map(str), BAD_HEADS, st.sampled_from(["+7", "1_0", "\u0663", "\uff13"]))
+
+
+@given(token=NUMBER_TOKENS)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_numbers_read_as_file_numbers(tmp_path, token):
+    # Flags and KMAX take the integers a file does: `_is_integer`'s.
+    (tmp_path / "p.txt").write_text("alternatives: A B C\n3: A > B > C\n2: C > B > A\n")
+    (tmp_path / "r.txt").write_text("rule: scoring\nscores: 2 1 0\ntiebreak: A > B > C\n")
+    files = ["--profile", str(tmp_path / "p.txt"), "--rule", str(tmp_path / "r.txt")]
+    runs = {
+        "--seed": ["verify", "--samples", "0", "--seed", token],
+        "--trajectory KMAX": ["figure", *files, "--trajectory", f"ABC:ACB:{token}"],
+    }
+    for flag, argv in runs.items():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        rejected = f"error: {flag} must be an integer, got {token!r}\n"
+        if not _is_integer(token):
+            assert (code, err.getvalue()) == (cli.EXIT_PARSE, rejected)
+        elif flag == "--seed" or 0 <= int(token) <= 3:
+            assert code == cli.EXIT_OK
+        else:  # KMAX outside 0..3, the ABC voters
+            assert code == cli.EXIT_PARSE and "is outside 0..3" in err.getvalue()
