@@ -9,9 +9,12 @@ profile and a rule over different alternatives or, for a table rule, a
 different voter count, or an argument out of range, not an integer or
 naming no order of the domain), 3 inconclusive scans.
 
-`main` is reentrant: it builds its argument parser once per process and
-keeps no state between calls.  `analyze` scores each strategic vote once;
-one incentive walk per type gives both its summary and its escape.
+Each `cmd_*` returns (exit code, report, text lines); `main` alone writes
+the JSON report or the text lines to `--out` or stdout, and text lines are
+built only for `--format text`.  `main` is reentrant: it builds its
+argument parser once per process and keeps no state between calls.
+`analyze` scores each strategic vote once; one incentive walk per type
+gives both its summary and its escape.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rule", required=True, help="rule config file")
         if report:
             p.add_argument("--format", choices=("json", "text"), default="text")
+        else:
+            p.set_defaults(format="text")
         p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("analyze", help="winner, scores, incentives, escapes")
@@ -107,18 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dumps(payload) -> str:
-    return format_json(payload) + "\n"
-
-
 def _load(args):
     profile = parse_profile(read_text(args.profile))
     rule = parse_rule(read_text(args.rule), base_dir=os.path.dirname(os.path.abspath(args.rule)))
@@ -129,7 +122,7 @@ def _load(args):
     return profile, rule
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     profile, rule = _load(args)
     analysis = analyze(rule, profile)
     report = {
@@ -143,23 +136,21 @@ def cmd_analyze(args) -> int:
     }
     if isinstance(rule, ScoringRule):
         report["scores"] = {a.label: str(s) for a, s in rule.scores(profile).items()}
-    if args.format == "json":
-        _emit(_json_dumps(report), args.out)
-    else:
-        lines = [f"winner: {report['winner']}"]
-        if "scores" in report:
-            lines.append("scores: " + "  ".join(f"{k}={v}" for k, v in sorted(report["scores"].items())))
-        for entry in report["types"]:
-            inc = ", ".join(entry["incentives"]) if entry["incentives"] else "none"
-            lines.append(f"type {entry['type']} x{entry['count']}: incentives {inc}")
-        lines.append(f"escapes: {len(report['escapes'])}")
-        for esc in report["escapes"]:
-            lines.append(f"  voter {esc['voter']} can escape via {esc['strategic_order']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, report, _analyze_text(report)
 
 
-def cmd_safety(args) -> int:
+def _analyze_text(report):
+    yield f"winner: {report['winner']}"
+    if "scores" in report:
+        yield "scores: " + "  ".join(f"{k}={v}" for k, v in sorted(report["scores"].items()))
+    for entry in report["types"]:
+        yield f"type {entry['type']} x{entry['count']}: incentives {', '.join(entry['incentives']) or 'none'}"
+    yield f"escapes: {len(report['escapes'])}"
+    for esc in report["escapes"]:
+        yield f"  voter {esc['voter']} can escape via {esc['strategic_order']}"
+
+
+def cmd_safety(args):
     profile, rule = _load(args)
     type_order = _order(args.type_order, profile.domain, "--type")
     strategic = _order(args.strategic, profile.domain, "--strategic")
@@ -187,22 +178,21 @@ def cmd_safety(args) -> int:
     if rule.anonymous:
         table = threshold_scan(rule, profile, type_order, strategic)
         report["thresholds"] = {str(k): alt.label for k, alt in table.items()}
-    if args.format == "json":
-        _emit(_json_dumps(report), args.out)
-    else:
-        lines = [f"type {report['type']} voting {report['strategic_order']}: {report['status']}"]
-        if "kind" in report:
-            lines.append(f"kind: {report['kind']}")
-            lines.append(f"bad coalition (1-based): {report['witness_bad']}")
-        if "thresholds" in report:
-            lines.append("switchers -> winner:")
-            for k in sorted(report["thresholds"], key=int):
-                lines.append(f"  {k}: {report['thresholds'][k]}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, report, _safety_text(report)
 
 
-def cmd_verify(args) -> int:
+def _safety_text(report):
+    yield f"type {report['type']} voting {report['strategic_order']}: {report['status']}"
+    if "kind" in report:
+        yield f"kind: {report['kind']}"
+        yield f"bad coalition (1-based): {report['witness_bad']}"
+    if "thresholds" in report:
+        yield "switchers -> winner:"
+        for k in sorted(report["thresholds"], key=int):
+            yield f"  {k}: {report['thresholds'][k]}"
+
+
+def cmd_verify(args):
     n, m, samples, seed, budget = (
         _integer(getattr(args, flag), None, f"--{flag} must be an integer, got {{!r}}")
         for flag in ("n", "m", "samples", "seed", "budget")
@@ -255,24 +245,18 @@ def cmd_verify(args) -> int:
         "inconclusive": inconclusive,
         "rules": results,
     }
-    if args.format == "json":
-        _emit(_json_dumps(report), args.out)
-    else:
-        lines = [
-            f"samples: {samples} (n={n}, m={m}, seed={seed})",
-            f"failures: {failures}",
-            f"inconclusive: {inconclusive}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
     print(f"campaign wall-time: {elapsed:.2f}s", file=sys.stderr)
-    if failures:
-        return EXIT_FAILURE
-    if inconclusive:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    code = EXIT_FAILURE if failures else EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return code, report, _verify_text(report)
 
 
-def cmd_figure(args) -> int:
+def _verify_text(report):
+    yield f"samples: {report['samples']} (n={report['n']}, m={report['m']}, seed={report['seed']})"
+    yield f"failures: {report['failures']}"
+    yield f"inconclusive: {report['inconclusive']}"
+
+
+def cmd_figure(args):
     profile, rule = _load(args)
     if not isinstance(rule, ScoringRule):
         raise SafevoteError("figures are defined for scoring rules")
@@ -290,55 +274,42 @@ def cmd_figure(args) -> int:
         if k_max < 0 or count and k_max > count:
             raise UsageError(f"bad trajectory spec {raw!r}; KMAX {k_max} is outside 0..{count}, the TYPE count")
         moves.append((type_order, strategic, k_max))
-    svg = render_svg(figure_spec(rule, profile, moves))
-    _emit(svg, args.out)
-    return EXIT_OK
+    return EXIT_OK, None, render_svg(figure_spec(rule, profile, moves)).splitlines()
 
 
-def cmd_examples(args) -> int:
-    all_passed = True
+def cmd_examples(args):
     payload = []
-    lines = []
     for fixture in FIXTURES:
-        results = fixture.results()
-        passed = all(r.passed for r in results)
-        all_passed = all_passed and passed
-        payload.append(
-            {
-                "fixture": fixture.name,
-                "passed": passed,
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-                ],
-                "notes": list(fixture.notes),
-            }
-        )
-        lines.append(f"[{'PASS' if passed else 'FAIL'}] {fixture.name}")
-        for r in results:
-            mark = "ok" if r.passed else "FAIL"
-            lines.append(f"    {mark}: {r.name}" + ("" if r.passed else f"  ({r.detail})"))
-        for note in fixture.notes:
-            lines.append(f"    note: {note}")
-    summary = f"{sum(1 for p in payload if p['passed'])}/{len(payload)} fixtures pass"
-    lines.append(summary)
-    if args.format == "json":
-        _emit(_json_dumps({"fixtures": payload, "summary": summary}), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all_passed else EXIT_FAILURE
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in fixture.results()]
+        passed = all(check["passed"] for check in checks)
+        payload.append({"fixture": fixture.name, "passed": passed, "checks": checks, "notes": list(fixture.notes)})
+    passes = sum(fixture["passed"] for fixture in payload)
+    report = {"fixtures": payload, "summary": f"{passes}/{len(payload)} fixtures pass"}
+    return (EXIT_OK if passes == len(payload) else EXIT_FAILURE), report, _examples_text(report)
+
+
+def _examples_text(report):
+    for fixture in report["fixtures"]:
+        yield f"[{'PASS' if fixture['passed'] else 'FAIL'}] {fixture['fixture']}"
+        for check in fixture["checks"]:
+            yield f"    ok: {check['name']}" if check["passed"] else f"    FAIL: {check['name']}  ({check['detail']})"
+        for note in fixture["notes"]:
+            yield f"    note: {note}"
+    yield report["summary"]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "safety": cmd_safety,
-        "verify": cmd_verify,
-        "figure": cmd_figure,
-        "examples": cmd_examples,
-    }
     try:
-        return handlers[args.command](args)
+        # Looked up at each call: a patched module binding takes effect.
+        code, report, text = globals()[f"cmd_{args.command}"](args)
+        output = format_json(report) + "\n" if args.format == "json" else "".join(f"{line}\n" for line in text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+        return code
     except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

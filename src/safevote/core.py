@@ -576,7 +576,7 @@ def parse_profile(text: str) -> Profile:
 
     count_entries: dict[LinearOrder, int] = {}
     voter_entries: dict[int, LinearOrder] = {}
-    total = 0
+    total = top = top_line = 0  # the largest voter index and its line
     for no, head, order_text in records:
         try:
             order = LinearOrder.from_string(order_text, domain)
@@ -592,6 +592,8 @@ def parse_profile(text: str) -> Profile:
             if idx in voter_entries:
                 raise ParseError(f"duplicate line for voter {idx}", no)
             voter_entries[idx] = order
+            if idx > top:
+                top, top_line = idx, no
         else:
             count = _integer(head, no, "bad count {!r}")
             if voter_entries:
@@ -607,8 +609,8 @@ def parse_profile(text: str) -> Profile:
 
     if voter_entries:
         # Distinct indices from 1 up are contiguous when the largest is their count.
-        if max(voter_entries) != len(voter_entries):
-            raise ParseError(f"voter indices must be contiguous 1..{len(voter_entries)}")
+        if top != len(voter_entries):
+            raise ParseError(f"voter indices must be contiguous 1..{len(voter_entries)}", top_line)
         return Profile(tuple(voter_entries[i] for i in sorted(voter_entries)))
     if not count_entries:
         raise ParseError("profile lists no ballots")

@@ -54,6 +54,11 @@ def _order(labels: str, domain: Domain) -> LinearOrder:
     return LinearOrder.from_labels(labels, domain)
 
 
+def _ballots_profile(domain: Domain, ballots: str) -> Profile:
+    """One voter per space-separated order, in order: "ABC BAC" is voters 1 and 2."""
+    return Profile(tuple(_order(labels, domain) for labels in ballots.split()))
+
+
 def _counts_profile(domain: Domain, counts: dict[str, int]) -> Profile:
     return Profile.from_counts([(_order(labels, domain), c) for labels, c in counts.items()])
 
@@ -62,15 +67,33 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _winner_check(name: str, rule: Rule, profile: Profile, expected: str) -> CheckResult:
+def _winner_check(name: str, rule: Rule, profile: Profile, expected: str, *switches: tuple[int, str]) -> CheckResult:
+    """The winner once each (0-based voter, order labels) switch is made, in turn."""
+    for voter, labels in switches:
+        profile = switch_votes(profile, frozenset({voter}), _order(labels, profile.domain))
     got = rule.evaluate(profile).label
     return _check(name, got == expected, f"expected {expected}, got {got}")
 
 
+def _verdict_check(
+    name: str, rule: Rule, profile: Profile, type_labels: str, strategic_labels: str, kind: UnsafeKind | None = None
+) -> CheckResult:
+    """The vote of the type's first voter is Safe, or Unsafe of `kind` when one is given."""
+    domain = profile.domain
+    voter = min(voters_of_type(profile, _order(type_labels, domain)))
+    verdict = classify_safety(rule, profile, voter, _order(strategic_labels, domain))
+    if kind is None:
+        return _check(name, verdict.status == SafetyStatus.SAFE, f"verdict={verdict.status.value}")
+    return _check(
+        name,
+        verdict.status == SafetyStatus.UNSAFE and verdict.kind == kind,
+        f"verdict={verdict.status.value}/{verdict.kind and verdict.kind.value}",
+    )
+
+
 def _scores_check(name: str, rule: ScoringRule, profile: Profile, expected: dict[str, int]) -> CheckResult:
     got = {a.label: s for a, s in rule.scores(profile).items()}
-    want = {k: v for k, v in expected.items()}
-    return _check(name, got == want, f"expected {want}, got {got}")
+    return _check(name, got == expected, f"expected {expected}, got {got}")
 
 
 def _threshold_check(
@@ -101,19 +124,12 @@ _D3 = Domain.from_labels("ABC")
 
 def _run_plurality_four(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
-    d = profile.domain
-    bac, abc = _order("BAC", d), _order("ABC", d)
-    both = switch_votes(switch_votes(profile, frozenset({0}), bac), frozenset({1}), abc)
-    pivots = sorted({move.voter + 1 for move in _pivotal_moves(rule, profile, all_orders(d))})
+    pivots = sorted({move.voter + 1 for move in _pivotal_moves(rule, profile, all_orders(profile.domain))})
     return [
         _winner_check("sincere winner is C", rule, profile, "C"),
-        _winner_check(
-            "voter 1 voting B>A>C elects B", rule, switch_votes(profile, frozenset({0}), bac), "B"
-        ),
-        _winner_check(
-            "voter 2 voting A>B>C elects A", rule, switch_votes(profile, frozenset({1}), abc), "A"
-        ),
-        _winner_check("both manipulating keeps C", rule, both, "C"),
+        _winner_check("voter 1 voting B>A>C elects B", rule, profile, "B", (0, "BAC")),
+        _winner_check("voter 2 voting A>B>C elects A", rule, profile, "A", (1, "ABC")),
+        _winner_check("both manipulating keeps C", rule, profile, "C", (0, "BAC"), (1, "ABC")),
         _check("exactly voters 1 and 2 are pivotal manipulators", pivots == [1, 2], f"pivots={pivots}"),
     ]
 
@@ -122,14 +138,7 @@ FIXTURE_1 = Fixture(
     name="plurality-4-voters",
     description="Plurality, tie-break A>B>C, 4 voters: two lone manipulators cancel out",
     rule=plurality(_order("ABC", _D3)),
-    profile=Profile(
-        (
-            _order("ABC", _D3),
-            _order("BAC", _D3),
-            _order("CAB", _D3),
-            _order("CBA", _D3),
-        )
-    ),
+    profile=_ballots_profile(_D3, "ABC BAC CAB CBA"),
     run=_run_plurality_four,
 )
 
@@ -141,20 +150,11 @@ FIXTURE_1 = Fixture(
 
 def _run_borda_four(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
-    d = profile.domain
-    acb = _order("ACB", d)
-    single = switch_votes(profile, frozenset({0}), acb)
-    double = switch_votes(profile, frozenset({0, 1}), acb)
-    verdict = classify_safety(rule, profile, 0, acb)
     return [
         _winner_check("sincere winner is B", rule, profile, "B"),
-        _winner_check("voter 1 voting A>C>B elects A", rule, single, "A"),
-        _winner_check("both voting A>C>B elects C", rule, double, "C"),
-        _check(
-            "A>C>B is unsafe for voter 1 (overshoot)",
-            verdict.status == SafetyStatus.UNSAFE and verdict.kind == UnsafeKind.OVERSHOOT,
-            f"verdict={verdict.status.value}/{verdict.kind and verdict.kind.value}",
-        ),
+        _winner_check("voter 1 voting A>C>B elects A", rule, profile, "A", (0, "ACB")),
+        _winner_check("both voting A>C>B elects C", rule, profile, "C", (0, "ACB"), (1, "ACB")),
+        _verdict_check("A>C>B is unsafe for voter 1 (overshoot)", rule, profile, "ABC", "ACB", UnsafeKind.OVERSHOOT),
     ]
 
 
@@ -162,14 +162,7 @@ FIXTURE_2 = Fixture(
     name="borda-4-voters",
     description="Borda, tie-break A>B>C, 4 voters: both like-minded manipulators acting elects their worst",
     rule=borda(_order("ABC", _D3)),
-    profile=Profile(
-        (
-            _order("ABC", _D3),
-            _order("ABC", _D3),
-            _order("BCA", _D3),
-            _order("CBA", _D3),
-        )
-    ),
+    profile=_ballots_profile(_D3, "ABC ABC BCA CBA"),
     run=_run_borda_four,
 )
 
@@ -181,12 +174,6 @@ FIXTURE_2 = Fixture(
 
 def _run_borda_94(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
-    d = profile.domain
-    abc, acb, cab = _order("ABC", d), _order("ACB", d), _order("CAB", d)
-    abc_voter = min(voters_of_type(profile, abc))
-    acb_voter = min(voters_of_type(profile, acb))
-    over = classify_safety(rule, profile, abc_voter, acb)
-    safe = classify_safety(rule, profile, acb_voter, cab)
     return [
         _scores_check("sincere scores A=96 B=99 C=87", rule, profile, {"A": 96, "B": 99, "C": 87}),
         _winner_check("sincere winner is B", rule, profile, "B"),
@@ -198,12 +185,10 @@ def _run_borda_94(fx: Fixture) -> list[CheckResult]:
             "ACB",
             {range(0, 4): "B", range(4, 10): "A", range(10, 18): "C"},
         ),
-        _check(
-            "A>C>B is unsafe overshooting for ABC voters",
-            over.status == SafetyStatus.UNSAFE and over.kind == UnsafeKind.OVERSHOOT,
-            f"verdict={over.status.value}/{over.kind and over.kind.value}",
+        _verdict_check(
+            "A>C>B is unsafe overshooting for ABC voters", rule, profile, "ABC", "ACB", UnsafeKind.OVERSHOOT
         ),
-        _check("C>A>B is safe for ACB voters", safe.status == SafetyStatus.SAFE, f"verdict={safe.status.value}"),
+        _verdict_check("C>A>B is safe for ACB voters", rule, profile, "ACB", "CAB"),
         _threshold_check(
             "ACB->CAB elects C from 13 switchers",
             rule,
@@ -235,10 +220,6 @@ _D5 = Domain.from_labels("ABCDE")
 
 def _run_borda_41(fx: Fixture) -> list[CheckResult]:
     rule, profile = fx.rule, fx.profile
-    d = profile.domain
-    abcde, badce = _order("ABCDE", d), _order("BADCE", d)
-    voter = min(voters_of_type(profile, abcde))
-    verdict = classify_safety(rule, profile, voter, badce)
     return [
         _scores_check(
             "sincere scores A=59 B=102 C=110 D=30 E=109",
@@ -255,10 +236,8 @@ def _run_borda_41(fx: Fixture) -> list[CheckResult]:
             "BADCE",
             {range(2, 7): "E", range(8, 11): "B"},
         ),
-        _check(
-            "B>A>D>C>E is unsafe undershooting for ABCDE voters",
-            verdict.status == SafetyStatus.UNSAFE and verdict.kind == UnsafeKind.UNDERSHOOT,
-            f"verdict={verdict.status.value}/{verdict.kind and verdict.kind.value}",
+        _verdict_check(
+            "B>A>D>C>E is unsafe undershooting for ABCDE voters", rule, profile, "ABCDE", "BADCE", UnsafeKind.UNDERSHOOT
         ),
     ]
 

@@ -462,19 +462,16 @@ class TableRule(Rule):
         # place value radix^(n-1-v).
         object.__setattr__(self, "_places", tuple(map(pow, itertools.repeat(radix), range(self.n - 1, -1, -1))))
 
-    def _checked_index(self, profile: Profile) -> int:
-        """The profile's index into `winners`, once it is checked."""
-        self.check_profile(profile)
-        return profile.index
-
     def evaluate(self, profile: Profile) -> Alternative:
-        return self.winners[self._checked_index(profile)]
+        self.check_profile(profile)
+        return self.winners[profile.index]
 
     def switches(
         self, profile: Profile, type_order: LinearOrder
     ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
         members = voters_of_type(profile, type_order)
-        base = self._checked_index(profile)
+        self.check_profile(profile)
+        base = profile.index
         ids = self.domain._order_ids
         digit = ids[type_order]
         places, winners = self._places, self.winners
@@ -499,7 +496,8 @@ class TableRule(Rule):
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]
     ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
-        base = self._checked_index(profile)
+        self.check_profile(profile)
+        base = profile.index
         ids = self.domain._order_ids
         try:
             targets = [(order, ids[order]) for order in orders]
@@ -631,6 +629,10 @@ def random_table_rule(n: int, m: int, seed: int) -> TableRule:
 # ---------------------------------------------------------------------------
 
 
+#: The keys each rule kind reads; a rule file holding any other is rejected.
+_RULE_KEYS = {"scoring": ("rule", "scores", "tiebreak"), "table": ("rule", "n", "m", "entries")}
+
+
 def parse_rule(text: str, base_dir: str = ".") -> Rule:
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -644,9 +646,15 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         line_of[key] = no
 
     kind = fields.get("rule")
+    keys = _RULE_KEYS.get(kind)
+    if keys is None:
+        raise ParseError(f"unknown rule kind {kind!r}", line_of.get("rule"))
+    for key in fields:
+        if key not in keys:
+            raise ParseError(f"a {kind} rule reads no key {key!r}; its keys are {', '.join(keys)}", line_of[key])
     if kind == "scoring":
         if "scores" not in fields or "tiebreak" not in fields:
-            raise ParseError("scoring rule needs 'scores' and 'tiebreak'")
+            raise ParseError("scoring rule needs 'scores' and 'tiebreak'", line_of["rule"])
         tb_labels = _order_labels(fields["tiebreak"])
         if not tb_labels:
             raise ParseError("tiebreak lists no alternatives", line_of["tiebreak"])
@@ -662,27 +670,25 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
             return ScoringRule(weights, tiebreak)
         except ValueError as exc:
             raise ParseError(str(exc), line_of["scores"]) from exc
-    if kind == "table":
-        for needed in ("n", "m", "entries"):
-            if needed not in fields:
-                raise ParseError(f"table rule needs {needed!r}")
-        sizes = []
-        for key in ("n", "m"):
-            size = _integer(fields[key], line_of[key], key + " must be an integer, got {!r}")
-            if size < 1:
-                raise ParseError(f"{key} must be positive, got {size}", line_of[key])
-            sizes.append(size)
-        n, m = sizes
-        if m > MAX_ALTERNATIVES:
-            raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
-        try:
-            enumerable_size(m, n)
-        except BudgetExceededError as exc:
-            raise ParseError(str(exc), line_of["n"]) from None
-        if not fields["entries"]:
-            raise ParseError("entries names no file", line_of["entries"])
-        return _parse_table_entries(read_text(os.path.join(base_dir, fields["entries"])), n, m)
-    raise ParseError(f"unknown rule kind {kind!r}")
+    for needed in ("n", "m", "entries"):
+        if needed not in fields:
+            raise ParseError(f"table rule needs {needed!r}", line_of["rule"])
+    sizes = []
+    for key in ("n", "m"):
+        size = _integer(fields[key], line_of[key], key + " must be an integer, got {!r}")
+        if size < 1:
+            raise ParseError(f"{key} must be positive, got {size}", line_of[key])
+        sizes.append(size)
+    n, m = sizes
+    if m > MAX_ALTERNATIVES:
+        raise ParseError(f"m must be at most {MAX_ALTERNATIVES}, got {m}", line_of["m"])
+    try:
+        enumerable_size(m, n)
+    except BudgetExceededError as exc:
+        raise ParseError(str(exc), line_of["n"]) from None
+    if not fields["entries"]:
+        raise ParseError("entries names no file", line_of["entries"])
+    return _parse_table_entries(read_text(os.path.join(base_dir, fields["entries"])), n, m)
 
 
 def _weight(token: str) -> int | Fraction:

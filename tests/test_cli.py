@@ -494,6 +494,27 @@ class TestErrors:
             # A rule and its entries file: indices run over 0..(m!)^n - 1.
             (PROFILE_ONE, (RULE_TABLE_1_3, "0: A\n1: B\n40: B\n"), "line 3: index 40 is outside 0..5"),
             (PROFILE_ONE, (RULE_TABLE_1_3, "# winners\n-1: B\n0: A\n"), "line 2: index -1 is outside 0..5"),
+            # A key its rule kind does not read, at that key's line.
+            (PROFILE_FOUR, RULE_PLURALITY + "n: 3\n", "line 4: a scoring rule reads no key 'n'"),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nentries: x.txt\nscores: 1 0 0\ntiebreak: A > B > C\n",
+                "line 2: a scoring rule reads no key 'entries'",
+            ),
+            (
+                PROFILE_FOUR,
+                "rule: scoring\nscores: 1 0 0\nweights: 9 9 9\ntiebreak: A > B > C\n",
+                "line 3: a scoring rule reads no key 'weights'",
+            ),
+            # The largest voter index, and the `rule:` line of a rule that misses a key.
+            (
+                "alternatives: A B C\nvoter 3: A > B > C\nvoter 1: A > B > C\n",
+                RULE_PLURALITY,
+                "line 2: voter indices must be contiguous 1..2",
+            ),
+            (PROFILE_FOUR, "# borda\nrule: scoring\nscores: 2 1 0\n", "line 2: scoring rule needs 'scores'"),
+            (PROFILE_FOUR, "rule: table\nn: 4\nentries: w.txt\n", "line 1: table rule needs 'm'"),
+            (PROFILE_FOUR, "rule: runoff\n", "line 1: unknown rule kind 'runoff'"),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
@@ -502,7 +523,8 @@ class TestErrors:
             "voters-over-the-limit", "empty-tiebreak", "blank-entries", "huge-exponent", "huge-negative-exponent",
             "dotless-i-label", "long-s-in-a-ballot", "look-alikes-in-tiebreak", "kelvin-sign-in-a-key",
             "header-key-suffix", "arabic-indic-weight", "underscore-weight", "table-index-past-the-end",
-            "table-index-negative",
+            "table-index-negative", "scoring-rule-with-n", "scoring-rule-with-entries", "scoring-rule-with-weights",
+            "voter-index-gap", "scoring-rule-without-tiebreak", "table-rule-without-m", "unknown-rule-kind",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):
@@ -740,6 +762,8 @@ class TestReentrantMain:
             ["figure", *base],
             ["analyze", *base, "--format", "json", "--out", str(out_file)],
             ["analyze", *base, "--format", "json"],
+            ["safety", *base, "--type", "ABC", "--strategic", "ACB", "--format", "text", "--out", str(out_file)],
+            ["examples", "--out", str(out_file)],
         ]
         src = str(pathlib.Path(__file__).parents[1] / "src")
 
@@ -762,14 +786,29 @@ class TestReentrantMain:
         expected = [first_call(argv) for argv in argvs]
         assert [out.count('class="trajectory"') for _, out, _ in expected[:3]] == [2, 1, 0]
         assert expected[3][1] == "" and expected[3][2] == expected[4][1] and expected[4][2] is None
+        assert [(out, text.splitlines()[0]) for _, out, text in expected[5:]] == [
+            ("", "type ABC voting A > C > B: Unsafe"),
+            ("", "[PASS] plurality-4-voters"),
+        ]
         assert [in_process(argv) for argv in argvs] == expected
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+BORDA_94_ARGS = ("--profile", "{profile94}", "--rule", "{borda}")
+TABLE_4_ARGS = ("--profile", "{table_profile}", "--rule", "{table_rule}")
+
+
+def write_table_safety_files(tmp):
+    """random_table_rule(4, 3, 0) as a rule and entries file, and a four-voter profile."""
+    (tmp / "w.txt").write_text(format_table_entries(random_table_rule(4, 3, 0)))
+    (tmp / "table.txt").write_text("rule: table\nn: 4\nm: 3\nentries: w.txt\n")
+    ballots = ("A > B > C", "A > B > C", "A > C > B", "A > B > C")
+    (tmp / "p.txt").write_text("alternatives: A B C\n" + "".join(f"voter {i}: {b}\n" for i, b in enumerate(ballots, 1)))
+    return {"table_profile": str(tmp / "p.txt"), "table_rule": str(tmp / "table.txt")}
 
 
 class TestGoldenOutputs:
-    """JSON reports and SVG figures are byte-identical to the committed ones:
+    """JSON and text reports and SVG figures are byte-identical to the committed ones:
     the CLI's determinism contract for a fixed config and seed."""
 
     @pytest.mark.parametrize(
@@ -800,6 +839,22 @@ class TestGoldenOutputs:
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["examples"], "examples.txt"),
+            (["verify", "--samples", "200", "--seed", "7"], "verify_samples200_seed7.txt"),
+            (["analyze", *BORDA_94_ARGS], "analyze_borda94.txt"),
+            (["safety", *BORDA_94_ARGS, "--type", "ABC", "--strategic", "ACB"], "safety_borda94_abc_acb.txt"),
+            (["safety", *TABLE_4_ARGS, "--type", "ABC", "--strategic", "CBA"], "safety_table4_seed0.txt"),
+        ],
+        ids=["examples", "verify-200-seed-7", "analyze-borda-94", "safety-borda-94", "safety-table-4"],
+    )
+    def test_text_matches_golden(self, files, capsys, argv, golden):
+        paths = {**files, **write_table_safety_files(files["tmp"])}
+        assert run([*(arg.format_map(paths) for arg in argv), "--format", "text"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
         "profile, scores, tiebreak, golden",
         [
             (PROFILE_PLURALITY_4, "1 0 0 0", "A > B > C > D", "analyze_plurality4.json"),
@@ -821,10 +876,7 @@ class TestGoldenOutputs:
         # is in the worsening coalition and in no improving one, so the
         # classifier asks whether voter 2 has the incentive too.
         tmp = files["tmp"]
-        (tmp / "w.txt").write_text(format_table_entries(random_table_rule(4, 3, 0)))
-        (tmp / "table.txt").write_text("rule: table\nn: 4\nm: 3\nentries: w.txt\n")
-        ballots = ("A > B > C", "A > B > C", "A > C > B", "A > B > C")
-        (tmp / "p.txt").write_text("alternatives: A B C\n" + "".join(f"voter {i}: {b}\n" for i, b in enumerate(ballots, 1)))
+        write_table_safety_files(tmp)
         argv = ["safety", "--profile", str(tmp / "p.txt"), "--rule", str(tmp / "table.txt"), "--format", "json"]
         assert run([*argv, "--type", "ABC", "--strategic", "CBA"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "safety_table4_seed0.json").read_text(encoding="utf-8")
@@ -839,10 +891,7 @@ class TestGoldenOutputs:
         ):
             (tmp / f"{name}.txt").write_text(profile)
             (tmp / f"{name}_rule.txt").write_text(f"rule: scoring\nscores: {scores}\ntiebreak: {tiebreak}\n")
-        (tmp / "w.txt").write_text(format_table_entries(random_table_rule(4, 3, 0)))
-        (tmp / "table.txt").write_text("rule: table\nn: 4\nm: 3\nentries: w.txt\n")
-        ballots = ("A > B > C", "A > B > C", "A > C > B", "A > B > C")
-        (tmp / "p.txt").write_text("alternatives: A B C\n" + "".join(f"voter {i}: {b}\n" for i, b in enumerate(ballots, 1)))
+        write_table_safety_files(tmp)
 
         def analyze(name):
             return ["analyze", "--profile", str(tmp / f"{name}.txt"), "--rule", str(tmp / f"{name}_rule.txt"), "--format", "json"]
