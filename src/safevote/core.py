@@ -7,7 +7,9 @@ CLI reports).
 Domains and the orders read from labels are shared: one `Domain` per label
 set, and one `LinearOrder` per (domain, ranking), which is also the one
 `all_orders` lists.  Both are kept for the life of the process, so a
-repeated parse builds nothing new.  Labels are ASCII letters in either case.
+repeated parse builds nothing new.  So are the first m! profiles that
+`all_profiles` walks for each voter count.  Labels are ASCII letters in
+either case.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class Domain:
                 raise ValueError(f"alternative {alt.label} has index {alt.index}, expected {i}")
         # The orders `LinearOrder.from_labels` returned, by compact labels.
         object.__setattr__(self, "_interned", {})
+        # The shared first line of `all_profiles`, per voter count.
+        object.__setattr__(self, "_first_lines", {})
         # A valid domain becomes the shared one for its labels; a second
         # domain over them would fail every identity check.
         if _DOMAINS.setdefault(labels, self) is not self:
@@ -291,6 +295,7 @@ _domain_of = operator.attrgetter("domain")
 class Profile:
     """A sequence of ballots, one strict linear order per voter.
 
+    `n` and `domain` are plain attributes, set when the profile is built.
     `counts` and `grouped_view` are built together the first time either is
     read, by `__getattr__`, and kept as plain attributes: a
     `cached_property` takes a lock on its first read on Python 3.11.  They
@@ -299,6 +304,12 @@ class Profile:
     """
 
     orders: tuple[LinearOrder, ...]
+
+    #: The voter count.
+    n: int = field(init=False, repr=False, compare=False)
+
+    #: The domain every ballot is over.
+    domain: Domain = field(init=False, repr=False, compare=False)
 
     #: Ballot count per type, in first-appearance order.
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
@@ -317,6 +328,8 @@ class Profile:
         domain = orders[0].domain
         if not all(map(operator.is_, map(_domain_of, orders), itertools.repeat(domain))):
             raise DomainMismatchError("all ballots in a profile must share one domain")
+        object.__setattr__(self, "n", len(orders))
+        object.__setattr__(self, "domain", domain)
 
     def __getattr__(self, name: str) -> object:
         # Reached only while `counts` and `grouped_view` are unset.
@@ -357,14 +370,6 @@ class Profile:
             {order: frozenset(itertools.chain.from_iterable(spans)) for order, spans in blocks.items()},
         )
         return profile
-
-    @property
-    def n(self) -> int:
-        return len(self.orders)
-
-    @property
-    def domain(self) -> Domain:
-        return self.orders[0].domain
 
     @property
     def index(self) -> int:
@@ -431,8 +436,25 @@ def decode_profile(index: int, n: int, orders: Sequence[LinearOrder]) -> Profile
 
 def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
     """All (m!)^n profiles in `Profile.index` order: the digit tuples,
-    voter 1 most significant."""
-    return map(Profile, itertools.product(domain._orders, repeat=n))
+    voter 1 most significant.
+
+    The first m! profiles, the first line of the space along the last
+    voter's axis, are the domain's shared objects for n voters, built the
+    first time any walk reaches them: a later scan that settles within
+    them, as most scans of a table rule do, builds no profile and reads
+    each one's index, counts and tallies as first computed.  The domain
+    keeps at most m! of them per voter count for as long as it keeps its m!
+    orders, which is the life of the process.  Every later profile is new.
+    """
+    line = domain._first_lines.setdefault(n, [])
+    tuples = itertools.product(domain._orders, repeat=n)
+    for i, orders in enumerate(itertools.islice(tuples, len(domain._orders))):
+        # Walks only add at the end of the line, so it holds profile i or
+        # ends just before it.
+        if i == len(line):
+            line.append(Profile(orders))
+        yield line[i]
+    yield from map(Profile, tuples)
 
 
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
@@ -458,7 +480,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     checks run in C, by identity first.
     """
     orders = profile.orders
-    if order.domain is not orders[0].domain:
+    if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if not voters:
         return profile
@@ -612,10 +634,12 @@ def parse_profile(text: str) -> Profile:
         if top != len(voter_entries):
             raise ParseError(f"voter indices must be contiguous 1..{len(voter_entries)}", top_line)
         return Profile(tuple(voter_entries[i] for i in sorted(voter_entries)))
+    # `no` is the last record's line: the header when no line follows it,
+    # else the last count line.
     if not count_entries:
-        raise ParseError("profile lists no ballots")
+        raise ParseError("profile lists no ballots", no)
     if not total:
-        raise ParseError("count lines total zero voters")
+        raise ParseError("count lines total zero voters", no)
     return Profile.from_counts(list(count_entries.items()))
 
 

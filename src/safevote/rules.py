@@ -463,7 +463,9 @@ class TableRule(Rule):
         object.__setattr__(self, "_places", tuple(map(pow, itertools.repeat(radix), range(self.n - 1, -1, -1))))
 
     def evaluate(self, profile: Profile) -> Alternative:
-        self.check_profile(profile)
+        # Inline, so a matching profile costs no call; `check_profile` raises.
+        if profile.domain is not self.domain or profile.n != self.n:
+            self.check_profile(profile)
         return self.winners[profile.index]
 
     def switches(
@@ -645,10 +647,13 @@ def parse_rule(text: str, base_dir: str = ".") -> Rule:
         fields[key] = value
         line_of[key] = no
 
-    kind = fields.get("rule")
+    if "rule" not in fields:
+        # At the first record's line; an empty file has none.
+        raise ParseError("rule file has no 'rule:' line", next(iter(line_of.values()), None))
+    kind = fields["rule"]
     keys = _RULE_KEYS.get(kind)
     if keys is None:
-        raise ParseError(f"unknown rule kind {kind!r}", line_of.get("rule"))
+        raise ParseError(f"unknown rule kind {kind!r}", line_of["rule"])
     for key in fields:
         if key not in keys:
             raise ParseError(f"a {kind} rule reads no key {key!r}; its keys are {', '.join(keys)}", line_of[key])
@@ -722,6 +727,7 @@ def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
     domain = Domain.of_size(m)
     total = profile_space_size(m, n)
     winners: dict[int, Alternative] = {}
+    no = None  # the last entry line; an empty file has none
     for no, head, label in _records(text, "'<index>: <label>'"):
         idx = _integer(head, no, "bad index {!r}")
         if not 0 <= idx < total:
@@ -734,5 +740,6 @@ def _parse_table_entries(text: str, n: int, m: int) -> TableRule:
             raise ParseError(str(exc), no) from exc
     # Every index is in range and none repeats, so a full count is all of them.
     if len(winners) != total:
-        raise ParseError(f"table indices must be contiguous 0..{total - 1}")
+        missing = next(i for i in range(total) if i not in winners)
+        raise ParseError(f"no entry for index {missing}; table indices must be contiguous 0..{total - 1}", no)
     return TableRule(domain, n, tuple(winners[i] for i in range(total)))

@@ -36,7 +36,10 @@ clause of the unsafe definition and of the lift is one check,
 `classify_safety` raises `NoIncentiveError`.  A `SafetyVerdict` carries
 its incentive witness, so one pass settles both questions.  The three
 theorem verifiers share one profile scan, `_scan`, which certifies the
-first move that a per-claim generator yields.
+first move that a per-claim generator yields.  It walks `all_profiles`,
+whose first m! profiles are the domain's shared ones, so the three scans
+of every rule at one (domain, n) read each of those profiles' index and
+type partition as computed once.
 
 Subset searches find each coalition's winner through the rule's switch
 kernel, `Rule.switches`, which builds no `Profile`: one set-up per walk,

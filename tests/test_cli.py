@@ -515,6 +515,25 @@ class TestErrors:
             (PROFILE_FOUR, "# borda\nrule: scoring\nscores: 2 1 0\n", "line 2: scoring rule needs 'scores'"),
             (PROFILE_FOUR, "rule: table\nn: 4\nentries: w.txt\n", "line 1: table rule needs 'm'"),
             (PROFILE_FOUR, "rule: runoff\n", "line 1: unknown rule kind 'runoff'"),
+            # The header of a profile with no ballot line, the last line of
+            # counts that total zero, the last line of entries that miss an
+            # index, and the first line of a rule file with no `rule:` line.
+            ("# no ballots\nalternatives: A B C\n", RULE_PLURALITY, "line 2: profile lists no ballots"),
+            (
+                "alternatives: A B C\n0: A > B > C\n# none\n0: B > A > C\n",
+                RULE_PLURALITY,
+                "line 4: count lines total zero voters",
+            ),
+            (
+                PROFILE_ONE,
+                (RULE_TABLE_1_3, "0: A\n1: B\n3: C\n4: A\n5: B\n# end\n"),
+                "line 5: no entry for index 2; table indices must be contiguous 0..5",
+            ),
+            (
+                PROFILE_FOUR,
+                "# plurality\nscores: 1 0 0\ntiebreak: A > B > C\n",
+                "line 2: rule file has no 'rule:' line",
+            ),
         ],
         ids=[
             "zero-voters", "negative-count", "table-n", "table-m", "table-n-plus", "table-n-underscore",
@@ -525,6 +544,7 @@ class TestErrors:
             "header-key-suffix", "arabic-indic-weight", "underscore-weight", "table-index-past-the-end",
             "table-index-negative", "scoring-rule-with-n", "scoring-rule-with-entries", "scoring-rule-with-weights",
             "voter-index-gap", "scoring-rule-without-tiebreak", "table-rule-without-m", "unknown-rule-kind",
+            "no-ballot-lines", "zero-voters-at-the-last-count", "table-index-missing", "rule-file-without-rule-key",
         ],
     )
     def test_malformed_input_is_a_parse_error(self, files, capsys, profile, rule, message):

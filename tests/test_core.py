@@ -543,6 +543,38 @@ class TestTableIndex:
                             self.assert_kept_index_is_the_encoding(rule, switch_votes(profile, coalition, target))
 
 
+class TestSharedFirstLine:
+    """`all_profiles` yields the domain's shared profiles for the first m!
+    of each voter count, built as walks reach them, and new ones after."""
+
+    @pytest.mark.parametrize("m, n", [(3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_walk_is_the_digit_tuples(self, monkeypatch, m, n):
+        domain = Domain.of_size(m)
+        monkeypatch.setitem(domain.__dict__, "_first_lines", {})
+        expected = list(map(Profile, itertools.product(domain._orders, repeat=n)))
+        for _ in ("cold", "warm"):
+            walked = list(all_profiles(domain, n))
+            assert walked == expected
+            assert [p.index for p in walked] == list(range(len(expected)))
+
+    def test_walks_share_the_first_m_factorial_profiles(self):
+        first, second = list(all_profiles(D3, 2)), list(all_profiles(D3, 2))
+        assert all(a is b for a, b in zip(first[:6], second[:6]))
+        assert first[6] == second[6] and first[6] is not second[6]
+        assert len(D3._first_lines[2]) == 6
+
+    def test_a_walk_keeps_only_what_it_reached(self, monkeypatch):
+        monkeypatch.setitem(D3.__dict__, "_first_lines", {})
+        reached = list(itertools.islice(all_profiles(D3, 3), 3))
+        assert len(D3._first_lines[3]) <= 3
+        # Interleaved walks read and grow one line.
+        walks = zip(all_profiles(D3, 3), all_profiles(D3, 3))
+        pairs = list(itertools.islice(walks, 7))
+        assert all(a is b for a, b in pairs[:6]) and pairs[6][0] is not pairs[6][1]
+        assert all(a is kept for (a, _), kept in zip(pairs, reached))
+        assert len(D3._first_lines[3]) == 6
+
+
 class TestProfileText:
     COUNTS_TEXT = "alternatives: A B C\n17: A > B > C\n15: A > C > B\n"
     VOTER_TEXT = "alternatives: A B C\nvoter 1: A > B > C\nvoter 2: C > A > B\n"

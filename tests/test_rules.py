@@ -267,6 +267,24 @@ class TestTableRule:
         with pytest.raises(DomainMismatchError):
             rule.evaluate(Profile((o("ABC"),)))
 
+    @pytest.mark.parametrize("kernel", ["evaluate", "switches", "solo_switches"])
+    def test_mismatched_profile_raises_the_check_profile_messages(self, kernel):
+        # `evaluate` checks a profile inline and calls `check_profile` only on
+        # a mismatch; every kernel raises the same messages.
+        rule = random_table_rule(2, 3, 0)
+        calls = {
+            "evaluate": lambda profile: rule.evaluate(profile),
+            "switches": lambda profile: rule.switches(profile, profile.orders[0]),
+            "solo_switches": lambda profile: list(rule.solo_switches(profile, all_orders(profile.domain))),
+        }
+        cases = [
+            (Profile((o("ABCD", Domain.of_size(4)),) * 2), "profile over ABCD does not match rule over ABC"),
+            (Profile((o("ABC"),) * 3), "rule expects 2 voters, profile has 3"),
+        ]
+        for profile, message in cases:
+            with pytest.raises(DomainMismatchError, match=f"^{message}$"):
+                calls[kernel](profile)
+
     def test_from_function_budget(self):
         with pytest.raises(BudgetExceededError):
             table_from_function(D3, 9, lambda p: p.orders[0].top)

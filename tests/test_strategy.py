@@ -29,6 +29,7 @@ from safevote.rules import (
     TableRule,
     all_profiles,
     borda,
+    check_predicates,
     decode_profile,
     k_approval,
     plurality,
@@ -891,6 +892,32 @@ class TestVerifiers:
     def test_needs_n_for_scoring_rules(self):
         with pytest.raises(ValueError):
             verify_gs(borda(o("ABC")))
+
+
+class TestSharedFirstLine:
+    """Profiles of the walk's first line, shared by every scan at their
+    (domain, n), carry what earlier questions left on them."""
+
+    def test_cold_and_warm_walks_give_the_same_certificates(self, monkeypatch):
+        rule = random_table_rule(2, 3, 3)
+        searches = (verify_gs, verify_safely_manipulable, verify_safe_pivotal)
+        cold = []
+        for search in searches:
+            monkeypatch.setitem(D3.__dict__, "_first_lines", {})
+            cold.append(search(rule).to_json())
+        # A scoring rule's predicate check walks every profile, so it leaves
+        # a tally on each shared one.
+        check_predicates(borda(o("ABC")), 2)
+        assert all("_tallies" in profile.__dict__ for profile in D3._first_lines[2])
+        assert [search(rule).to_json() for search in searches] == cold
+
+    def test_scoring_rules_read_their_own_scores_off_a_shared_profile(self):
+        rules = (borda(o("ABC")), plurality(o("CBA")), k_approval(2, o("BAC")), borda(o("ABC")))
+        for profile in itertools.islice(all_profiles(D3, 3), 6):
+            for rule in rules:
+                expected = {a: sum(rule.weights[order.rank(a)] for order in profile.orders) for a in D3}
+                assert rule.scores(profile) == expected
+            assert len(profile._tallies) >= 3
 
 
 class TestCertificateRecords:
