@@ -445,15 +445,17 @@ def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
     each one's index, counts and tallies as first computed.  The domain
     keeps at most m! of them per voter count for as long as it keeps its m!
     orders, which is the life of the process.  Every later profile is new.
+    One voter's first line is the whole space, so no line is kept for n = 1.
     """
-    line = domain._first_lines.setdefault(n, [])
     tuples = itertools.product(domain._orders, repeat=n)
-    for i, orders in enumerate(itertools.islice(tuples, len(domain._orders))):
-        # Walks only add at the end of the line, so it holds profile i or
-        # ends just before it.
-        if i == len(line):
-            line.append(Profile(orders))
-        yield line[i]
+    if n > 1:
+        line = domain._first_lines.setdefault(n, [])
+        for i, orders in enumerate(itertools.islice(tuples, len(domain._orders))):
+            # Walks only add at the end of the line, so it holds profile i or
+            # ends just before it.
+            if i == len(line):
+                line.append(Profile(orders))
+            yield line[i]
     yield from map(Profile, tuples)
 
 

@@ -12,10 +12,11 @@ Points come from the rule's integer lines (`ScoringRule.lines`): the
 profile's sincere totals, read from its one tally per score vector, and
 each alternative's change per switcher, so an arrow builds no switched
 profile and scores no ballot again.  A score vector with a negative weight
-is shifted to w - min(w) first (a constant one to -w).  Every ballot gains
-the same points from the shift, so the winner is unchanged at every
-profile, while the scores stay non-negative and the point stays inside
-the simplex.
+is drawn as w - min(w) (a constant one as -w): the rule's integer points p
+shift to p - s (`_shift`), a profile's totals to tally - n * s, and a
+switch's steps not at all.  Every ballot gains the same points from the
+shift, so the winner is unchanged at every profile, while the scores stay
+non-negative and the point stays inside the simplex.
 """
 
 from __future__ import annotations
@@ -82,16 +83,15 @@ def _normalized(scores: Sequence[Fraction | int]) -> BarycentricPoint:
     return BarycentricPoint._on_simplex(*(Fraction(s, total) for s in scores))
 
 
-def _nonnegative(rule: ScoringRule) -> ScoringRule:
-    """The rule itself when no weight is negative, else the rule on
-    w - min(w): the same winner at every profile.  A constant negative
-    vector goes to -w instead, which keeps its every point at the centre
-    rather than at zero."""
-    low = min(rule.weights)
+def _shift(rule: ScoringRule) -> int:
+    """The shift s that takes the rule's integer points p to p - s >= 0:
+    0 when no point is negative, else min(p).  A constant negative vector
+    shifts by 2 * min(p) instead, to -p, which keeps its every point at the
+    centre rather than at zero."""
+    low = min(rule._points)
     if low >= 0:
-        return rule
-    shift = 2 * low if rule.is_constant_vector else low
-    return ScoringRule(tuple(w - shift for w in rule.weights), rule.tiebreak)
+        return 0
+    return 2 * low if rule.is_constant_vector else low
 
 
 def trajectory(
@@ -130,7 +130,9 @@ def _switch_points(
     count = len(voters_of_present_type(profile, type_order))
     if not 0 <= k_max <= count:
         raise SafevoteError(f"k_max={k_max} is outside 0..{count}, the type count")
-    base, step = _nonnegative(rule).lines(profile, type_order, strategic_order)
+    base, step = rule.lines(profile, type_order, strategic_order)
+    shift = profile.n * _shift(rule)
+    base = [b - shift for b in base]
     total = sum(base)
     if total == 0:
         raise SafevoteError("cannot embed an all-zero score map")
@@ -163,12 +165,13 @@ def figure_spec(
 ) -> FigureSpec:
     """Build a FigureSpec from a profile and (type, strategic, k_max) moves.
 
-    The base point is taken under w - min(w) when a weight is negative,
-    off that rule's integer tally over its sum, with `embed`'s errors.
+    The base point is the rule's integer tally, shifted by n * `_shift`,
+    over its sum, with `embed`'s errors.
     Each arrow is checked as `trajectory` checks it, and only its end
     points are built.
     """
-    base = _normalized(_nonnegative(rule)._totals(profile))
+    shift = profile.n * _shift(rule)
+    base = _normalized([t - shift for t in rule._totals(profile)])
     arrows = []
     for type_order, strategic_order, k_max in moves:
         point = _switch_points(rule, profile, type_order, strategic_order, k_max)
@@ -228,7 +231,8 @@ def _region(rule: ScoringRule) -> tuple[list[Tri], int]:
     """
     if len(rule.domain) != 3:
         raise SafevoteError("realizable region is defined for three alternatives")
-    points = _nonnegative(rule)._points
+    shift = _shift(rule)
+    points = [p - shift for p in rule._points]
     total = sum(points)
     if total == 0:
         raise SafevoteError("score vector sums to zero; region undefined")

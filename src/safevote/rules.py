@@ -13,23 +13,19 @@ profile (`evaluate`, `scores`, and the switch and runs kernels below) reads
 them, so rules with equal points share them whatever their tie-break or
 weight scale.
 
-`Rule.switches` is the switch kernel the strategy searches evaluate
-through, set up once per (profile, type) and asked once per strategic
-order: the winner once a coalition of the type votes that order, found as
-a delta from the sincere profile with no `Profile` built.  A coalition is
-any collection of distinct voters of the type: the subset walk passes plain
-voter tuples, and every kernel checks one with `members.issuperset`, so a
-tuple and a frozenset of the same voters get the same winner, or the same
-`EditError`.  A scoring rule reads its integer lines (`ScoringRule.lines`):
-the sincere totals plus k times the per-alternative points change, and
-scores each coalition size once per order: later coalitions of a size it
-has met cost their membership check and one lookup.  A table rule reads the type's voters and
-the profile's table index once, so each order costs one id lookup, and
-adds each switcher's place value times the digit change to that index.
-The default kernel replays each switch through `switch_votes` and
-`evaluate`: the oracle, which tests reach through a view of `evaluate` alone.
-`Rule.solo_switches` is the pivot kernel beside it: every single voter's
-switch to every other order, asked once per profile.
+Every kernel is asked about one switch, a type T, a strategic order L and
+the profile, and takes `(profile, T, L)`.  `Rule.switches` is the switch
+kernel the subset searches evaluate through: the winner as a function of
+which T-voters vote L, found as a delta from the sincere profile with no
+`Profile` built.  A scoring rule reads its integer lines
+(`ScoringRule.lines`): the sincere totals plus k times the per-alternative
+points change, and scores each coalition size once: later coalitions of a
+size it has met cost their membership check and one lookup.  A table rule
+adds each switcher's place value times the digit change to the profile's
+table index.  The default kernel replays each switch through
+`switch_votes` and `evaluate`: the oracle, which tests reach through a view
+of `evaluate` alone.  `Rule.solo_switches` is the pivot kernel beside it:
+every single voter's switch to every other order, asked once per profile.
 
 `Rule.size_runs` is the runs kernel of anonymous rules, whose winner
 depends only on how many voters of the type switch: the switch counts k at
@@ -138,34 +134,31 @@ class Rule:
         raise NotImplementedError
 
     def switches(
-        self, profile: Profile, type_order: LinearOrder
-    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
-        """The switch kernel, set up once per (profile, type): the returned
-        function maps a strategic order to the winner once a coalition of
-        `type_order` voters all vote that order.
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        """The switch kernel: the winner once a coalition of `type_order`
+        voters all vote `order`, as a function of the coalition.
 
-        Asked for an order, it raises what `switch_votes` would for the
-        switch.  The coalition-to-winner function it returns takes any
-        collection of distinct voters of the type, a frozenset or a voter
-        tuple (the empty one gives the sincere winner), and raises EditError
-        for any other voter.  A tuple that repeats a voter is outside this
-        contract: no kernel checks for one, since the subset walk would pay
-        for the check on every coalition, and the kernels disagree on it.
-        This default replays every coalition through `switch_votes` and
-        `evaluate`; rules with a delta kernel override it.
+        The kernel contract, which every rule's kernel keeps: set-up raises
+        what `switch_votes` raises for the switch (`_switch_check`), before
+        any coalition is asked.  The function takes any collection of
+        distinct voters of the type, a voter tuple or a frozenset (the empty
+        one gives the sincere winner), tests it with `members.issuperset`,
+        and raises EditError for any other voter.  A tuple that repeats a
+        voter is outside the contract: no kernel checks for one, since the
+        subset walk would pay for the check on every coalition, and the
+        kernels disagree on it.  This default replays every coalition
+        through `switch_votes` and `evaluate`; rules with a delta kernel
+        override it.
         """
+        members = _switch_check(profile, type_order, order)
 
-        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
-            members = _switch_check(profile, type_order, order)
+        def winner(coalition: VoterSet) -> Alternative:
+            if not members.issuperset(coalition):
+                raise _stray(coalition, type_order)
+            return self.evaluate(switch_votes(profile, coalition, order))
 
-            def winner(coalition: VoterSet) -> Alternative:
-                if not members.issuperset(coalition):
-                    raise _stray(coalition, type_order)
-                return self.evaluate(switch_votes(profile, coalition, order))
-
-            return winner
-
-        return switched
+        return winner
 
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
@@ -174,11 +167,11 @@ class Rule:
         count where the winner changes, k ascending: the winner once any k
         `type_order` voters vote `order`, for an anonymous rule.
 
-        Set-up raises what `switches` raises for the order.  This default
-        asks the switch kernel about each canonical prefix in turn, lazily,
-        so a caller that stops at the first run it wants scores no further.
+        Set-up raises what `switches` raises.  This default asks the switch
+        kernel about each canonical prefix in turn, lazily, so a caller that
+        stops at the first run it wants scores no further.
         """
-        winner = self.switches(profile, type_order)(order)
+        winner = self.switches(profile, type_order, order)
         members = sorted(voters_of_type(profile, type_order))
         return _changes((k, winner(frozenset(members[:k]))) for k in range(len(members) + 1))
 
@@ -202,7 +195,7 @@ class Rule:
             solo = frozenset({voter})
             for order in orders:
                 if order != voter_order:
-                    yield voter, order, self.switches(profile, voter_order)(order)(solo)
+                    yield voter, order, self.switches(profile, voter_order, order)(solo)
 
     def config_text(self) -> str:
         """Canonical description, which `fingerprint` hashes.  A scoring rule's
@@ -232,10 +225,8 @@ class Rule:
 
 
 def _switch_check(profile: Profile, type_order: LinearOrder, order: LinearOrder) -> VoterSet:
-    """Set-up checks of a switch kernel, and the type's voters.  Each
-    kernel's `winner` tests `members.issuperset(coalition)` on every call,
-    which takes a voter tuple as well as a set, so a coalition is in range
-    and of one type, and raises `_stray` otherwise."""
+    """Set-up checks of a switch kernel, which raise what `switch_votes`
+    raises for the switch, and the type's voters."""
     if order.domain is not profile.domain:
         raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
     if order == type_order:
@@ -359,28 +350,24 @@ class ScoringRule(Rule):
         return winner
 
     def switches(
-        self, profile: Profile, type_order: LinearOrder
-    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        winner_after = self._winner_after(*self.lines(profile, type_order, order))
         members = voters_of_type(profile, type_order)
+        # Coalition size to winner, filled as sizes come up: a subset walk
+        # scores each size once, and a walk that asks few sizes scores few.
+        by_size: dict[int, Alternative] = {}
 
-        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
-            winner_after = self._winner_after(*self.lines(profile, type_order, order))
-            # Coalition size to winner, filled as sizes come up: a subset walk
-            # scores each size once, and a walk that asks few sizes scores few.
-            by_size: dict[int, Alternative] = {}
+        def winner(coalition: VoterSet) -> Alternative:
+            if not members.issuperset(coalition):
+                raise _stray(coalition, type_order)
+            k = len(coalition)
+            found = by_size.get(k)
+            if found is None:
+                found = by_size[k] = winner_after(k)
+            return found
 
-            def winner(coalition: VoterSet) -> Alternative:
-                if not members.issuperset(coalition):
-                    raise _stray(coalition, type_order)
-                k = len(coalition)
-                found = by_size.get(k)
-                if found is None:
-                    found = by_size[k] = winner_after(k)
-                return found
-
-            return winner
-
-        return switched
+        return winner
 
     def size_runs(
         self, profile: Profile, type_order: LinearOrder, order: LinearOrder
@@ -469,31 +456,19 @@ class TableRule(Rule):
         return self.winners[profile.index]
 
     def switches(
-        self, profile: Profile, type_order: LinearOrder
-    ) -> Callable[[LinearOrder], Callable[[VoterSet], Alternative]]:
-        members = voters_of_type(profile, type_order)
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        members = _switch_check(profile, type_order, order)
         self.check_profile(profile)
-        base = profile.index
-        ids = self.domain._order_ids
-        digit = ids[type_order]
-        places, winners = self._places, self.winners
+        ids, places, winners = self.domain._order_ids, self._places, self.winners
+        base, step = profile.index, ids[order] - ids[type_order]
 
-        def switched(order: LinearOrder) -> Callable[[VoterSet], Alternative]:
-            # The id lookup checks the order: an order over another domain
-            # has no id, and the type's own order no step, and
-            # `_switch_check` raises for both.
-            step = ids.get(order, digit) - digit
-            if not step:
-                _switch_check(profile, type_order, order)
+        def winner(coalition: VoterSet) -> Alternative:
+            if not members.issuperset(coalition):
+                raise _stray(coalition, type_order)
+            return winners[base + step * sum(map(places.__getitem__, coalition))]
 
-            def winner(coalition: VoterSet) -> Alternative:
-                if not members.issuperset(coalition):
-                    raise _stray(coalition, type_order)
-                return winners[base + step * sum(map(places.__getitem__, coalition))]
-
-            return winner
-
-        return switched
+        return winner
 
     def solo_switches(
         self, profile: Profile, orders: Sequence[LinearOrder]

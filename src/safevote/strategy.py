@@ -20,31 +20,32 @@ m! - 1.  Any other rule walks every order, which the tests use as the
 oracle.
 
 Each vote's searches (`has_incentive`, `classify_safety` and
-`lift_safe_pivotal`) read one move walk, `_walk`, set up once per (profile,
-voter) and asked once per strategic order.  Under an anonymous rule it
-reads the runs kernel, `Rule.size_runs`: the switch counts at which the
-winner changes, and a coalition is built only for a witness, as the voter
-plus the first k-1 other members in sorted order.  Otherwise it walks every
-coalition containing the voter, by size then lexicographically
-(`force_subsets=True` takes it on any rule, which the tests use as an
-oracle).  A single vote (`_moves`) builds its walk for that vote alone;
-`_votes` and the safe-pivotal scan build one per voter for all of the
-voter's orders.  Where any members may form a coalition, the per-member
-clause of the unsafe definition and of the lift is one check,
-`_incentivized`.  The per-vote searches over a walk, `_incentive` and
-`_classify`, return None for a vote without an incentive; only the public
-`classify_safety` raises `NoIncentiveError`.  A `SafetyVerdict` carries
-its incentive witness, so one pass settles both questions.  The three
-theorem verifiers share one profile scan, `_scan`, which certifies the
-first move that a per-claim generator yields.  It walks `all_profiles`,
-whose first m! profiles are the domain's shared ones, so the three scans
-of every rule at one (domain, n) read each of those profiles' index and
-type partition as computed once.
+`lift_safe_pivotal`) read one move walk, `_walk`, set up once per
+(profile, voter) and asked once per strategic order.  Under an anonymous
+rule it reads the runs kernel, `Rule.size_runs`: the switch counts at
+which the winner changes, and a coalition is built only for a witness, as
+the voter plus the first k-1 other members in sorted order.  Otherwise it
+walks every coalition containing the voter, by size then lexicographically
+(`has_incentive` and `classify_safety` take it on any rule with
+`force_subsets=True`, the oracle of the tests and the benchmark).  A
+single vote (`_moves`) builds its walk for that vote alone; `_votes` and
+the safe-pivotal scan build one per voter for all of the voter's orders.
+Where any members may form a coalition, the per-member clause of the
+unsafe definition and of the lift is one check, `_incentivized`.  The
+per-vote searches over a walk, `_incentive` and `_classify`, return None
+for a vote without an incentive; only the public `classify_safety` raises
+`NoIncentiveError`.  A `SafetyVerdict` carries its incentive witness, so
+one pass settles both questions.  The three theorem verifiers share one
+profile scan, `_scan`, which certifies the first move that a per-claim
+generator yields.  It walks `all_profiles`, whose first m! profiles are
+the domain's shared ones, so the three scans of every rule at one
+(domain, n) read each of those profiles' index and type partition as
+computed once.
 
 Subset searches find each coalition's winner through the rule's switch
-kernel, `Rule.switches`, which builds no `Profile`: one set-up per walk,
-asked once per strategic order.  `_subsets` builds each coalition once per
-walk, in C, as a plain voter tuple (the voter, then an
+kernel, `Rule.switches(profile, type, order)`, which builds no `Profile`:
+one per strategic order of a walk.  `_subsets` builds each coalition once
+per walk, in C, as a plain voter tuple (the voter, then an
 `itertools.combinations` tuple of the others) kept in one `itertools.tee`
 buffer; each order pairs the tuples with their winners in C (`zip` and
 `map`), and the searches compare outcomes by the type order's rank tuple,
@@ -229,12 +230,12 @@ def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False)
     (the voter, then the others in sorted order) scored by the order's
     switch kernel, and its coalition is `frozenset(key)`.
 
-    Either way the switch kernel (`Rule.switches`) is set up once per walk.
-    The subset walk also reads the sincere winner once, from `evaluate`, and
-    builds each voter tuple once, when the first order reaches it, since
-    `has_incentive` often stops early.  Each order pairs the tuples with
-    their winners in C: the kernel's `winner` is the one Python call per
-    coalition.
+    Either way each order sets up its own kernel, `Rule.size_runs` or
+    `Rule.switches`.  The subset walk reads the sincere winner once, from
+    `evaluate`, and builds each voter tuple once, when the first order
+    reaches it, since `has_incentive` often stops early.  Each order pairs
+    the tuples with their winners in C: the kernel's `winner` is the one
+    Python call per coalition.
     """
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
@@ -252,13 +253,13 @@ def _walk(rule: Rule, profile: Profile, voter: int, force_subsets: bool = False)
             return sincere, changes, prefix, True
 
         return runs
-    switches, sincere = rule.switches(profile, type_order), rule.evaluate(profile)
+    sincere = rule.evaluate(profile)
     # Only its copies advance, so the buffer keeps each coalition for every order.
     (coalitions,) = itertools.tee(_subsets((voter,), sorted(members - {voter}), range(len(members))), 1)
 
     def subsets(order: LinearOrder) -> _Moves:
         keys, walk = coalitions.__copy__(), coalitions.__copy__()
-        return sincere, zip(keys, map(switches(order), walk)), frozenset, False
+        return sincere, zip(keys, map(rule.switches(profile, type_order, order), walk)), frozenset, False
 
     return subsets
 
@@ -548,7 +549,6 @@ def find_L_inferior(
     profile: Profile,
     type_order: LinearOrder,
     strategic_order: LinearOrder,
-    force_subsets: bool = False,
 ) -> list[VoterSet]:
     """Proper subsets of the type class whose partial switch leaves the
     type strictly worse off than the full switch, smallest first.
@@ -558,17 +558,17 @@ def find_L_inferior(
     path returns every qualifying subset, lexicographically within a size.
     """
     # A stable sort of the largest-first walk keeps each size's sets in order.
-    return sorted(_inferior(rule, profile, type_order, strategic_order, force_subsets), key=len)
+    return sorted(_inferior(rule, profile, type_order, strategic_order), key=len)
 
 
 def _inferior(
-    rule: Rule, profile: Profile, type_order: LinearOrder, strategic_order: LinearOrder, force_subsets: bool = False
+    rule: Rule, profile: Profile, type_order: LinearOrder, strategic_order: LinearOrder
 ) -> Iterator[VoterSet]:
     """The subsets of `find_L_inferior`, largest size first and, within a
     size, lexicographically, each built only when the walk is asked for it."""
     if strategic_order == type_order:
         raise ValueError("strategic order must differ from the type order")
-    if rule.anonymous and not force_subsets:
+    if rule.anonymous:
         spans = _spans(rule, profile, type_order, strategic_order)
         full_outcome, ordered = spans[-1][1], sorted(voters_of_type(profile, type_order))
         for sizes, outcome in reversed(spans):
@@ -576,7 +576,7 @@ def _inferior(
                 yield from (frozenset(ordered[:k]) for k in reversed(sizes))
         return
     members = voters_of_present_type(profile, type_order)
-    winner = rule.switches(profile, type_order)(strategic_order)
+    winner = rule.switches(profile, type_order, strategic_order)
     ranks = type_order.ranks
     full_rank = ranks[winner(members).index]
     for subset in _subsets((), sorted(members), range(len(members) - 1, -1, -1)):
@@ -625,7 +625,7 @@ def construct_safe_from_endup(
     verdict = classify_safety(rule, profile, voter, strategic_order)
     type_order = profile.orders[voter]
     members = voters_of_type(profile, type_order)
-    full_outcome = rule.switches(profile, type_order)(strategic_order)(members)
+    full_outcome = rule.switches(profile, type_order, strategic_order)(members)
     if type_order.prefers(verdict.incentive.outcome_before, full_outcome):
         return None
     if verdict.status == SafetyStatus.SAFE:

@@ -3,10 +3,12 @@ classifier that figure tests compare with `evaluate`, the writer of
 table-rule entries files, three table builders (any function tabulated
 over the profile space, the perturbed dictatorship, and the entry-by-entry
 `randrange` draw that `random_table_rule` must match), the kernel oracle
-`ObjectPath`, and `object_path_replay`, the certificate replay through the
-searches that `safevote.check` replaced, kept as its oracle."""
+`ObjectPath`, the subset-walk view `SubsetWalk`, and `object_path_replay`,
+the certificate replay through the searches that `safevote.check`
+replaced, kept as its oracle."""
 
 import random
+from typing import Callable
 
 from safevote.core import (
     Alternative,
@@ -14,6 +16,7 @@ from safevote.core import (
     LinearOrder,
     Profile,
     SafevoteError,
+    VoterSet,
     all_profiles,
     profile_space_size,
     switch_votes,
@@ -88,6 +91,26 @@ class ObjectPath(Rule):
 
     def evaluate(self, profile: Profile) -> Alternative:
         return self.rule.evaluate(profile)
+
+
+class SubsetWalk(Rule):
+    """A rule seen as not anonymous, so every search walks its subsets; its
+    winners, switch kernel and fingerprint are the rule's."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.domain, self.anonymous, self.n = rule.domain, False, rule.n
+
+    def evaluate(self, profile: Profile) -> Alternative:
+        return self.rule.evaluate(profile)
+
+    def switches(
+        self, profile: Profile, type_order: LinearOrder, order: LinearOrder
+    ) -> Callable[[VoterSet], Alternative]:
+        return self.rule.switches(profile, type_order, order)
+
+    def config_text(self) -> str:
+        return self.rule.config_text()
 
 
 def _replays_record(rule: Rule, certificate: Certificate, sincere: Alternative) -> bool:

@@ -75,14 +75,9 @@ def first_switcher_only(switches):
     """`TableRule.switches` that moves the table index by the first
     switcher's place value only, whatever the coalition's size."""
 
-    def faulty(self, profile, type_order):
-        switched = switches(self, profile, type_order)
-
-        def kernel(order):
-            winner = switched(order)
-            return lambda coalition: winner(frozenset(sorted(coalition)[:1]))
-
-        return kernel
+    def faulty(self, profile, type_order, order):
+        winner = switches(self, profile, type_order, order)
+        return lambda coalition: winner(frozenset(sorted(coalition)[:1]))
 
     return faulty
 

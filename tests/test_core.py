@@ -574,6 +574,15 @@ class TestSharedFirstLine:
         assert all(a is kept for (a, _), kept in zip(pairs, reached))
         assert len(D3._first_lines[3]) == 6
 
+    def test_a_one_voter_walk_keeps_no_line(self, monkeypatch):
+        # One voter's first line is the whole profile space.
+        monkeypatch.setitem(D3.__dict__, "_first_lines", {})
+        first, second = list(all_profiles(D3, 1)), list(all_profiles(D3, 1))
+        assert first == second and first[0] is not second[0]
+        assert 1 not in D3._first_lines
+        assert len(list(all_profiles(D3, 2))) == 36
+        assert list(D3._first_lines) == [2] and len(D3._first_lines[2]) == 6
+
 
 class TestProfileText:
     COUNTS_TEXT = "alternatives: A B C\n17: A > B > C\n15: A > C > B\n"

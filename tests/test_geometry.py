@@ -278,7 +278,10 @@ def fraction_region(rule):
     """The oracle `realizable_region`: the simplex clipped in Fractions."""
     if len(rule.domain) != 3:
         raise SafevoteError("realizable region is defined for three alternatives")
-    weights = geometry._nonnegative(rule).weights
+    weights, low = rule.weights, min(rule.weights)
+    if low < 0:
+        # w - min(w), and -w for a constant vector, which w - min(w) would zero.
+        weights = [w - (2 * low if rule.is_constant_vector else low) for w in weights]
     total = sum(weights)
     if total == 0:
         raise SafevoteError("score vector sums to zero; region undefined")

@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import ObjectPath, perturbed_dictatorship
+from helpers import ObjectPath, SubsetWalk, perturbed_dictatorship
 from safevote import cli, strategy
 from safevote.core import (
     MAX_VOTERS,
@@ -219,7 +220,7 @@ def test_integer_scores_match_fraction_reference(data):
 
 def assert_kernel_matches_oracle(rule, profile, type_order, target, coalitions):
     """The switch kernel's winner is the object path's on every coalition."""
-    winner = rule.switches(profile, type_order)(target)
+    winner = rule.switches(profile, type_order, target)
     for coalition in coalitions:
         assert winner(coalition) == rule.evaluate(switch_votes(profile, coalition, target))
 
@@ -366,7 +367,7 @@ def test_shared_tally_answers_as_a_fresh_profile(rules, data):
                 return getattr(rule, question)(profile)
             if question == "size_runs":
                 return list(rule.size_runs(profile, type_order, target))
-            winner = rule.switches(profile, type_order)(target)
+            winner = rule.switches(profile, type_order, target)
             return [winner(frozenset(members[:k])) for k in range(len(members) + 1)]
 
         assert ask(shared) == ask(Profile(ballots)), (question, rule)
@@ -386,23 +387,30 @@ def test_kernel_errors_match_switch_votes(kind):
     profile = Profile((abc, abc, bac))
 
     def both_raise(error, type_order, coalition, target):
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             switch_votes(profile, coalition, target)
         with pytest.raises(error):
-            rule.switches(profile, type_order)(target)(coalition)
+            rule.switches(profile, type_order, target)(coalition)
+        return f"^{re.escape(str(raised.value))}$"
 
     both_raise(EditError, abc, frozenset({0, 3}), acb)  # out-of-range voter
     both_raise(EditError, abc, frozenset({0, 2}), acb)  # mixed-type coalition
-    both_raise(EditError, abc, frozenset({0}), abc)  # L == T
+    own = both_raise(EditError, abc, frozenset({0}), abc)  # L == T
     foreign = LinearOrder.from_labels("XYZ", Domain.from_labels("XYZ"))
-    both_raise(DomainMismatchError, abc, frozenset({0}), foreign)
-    # Both L == T and a foreign order fail once the order is given, before
-    # any coalition, and the runs kernel fails the same way.
-    for kernel in (lambda order: rule.switches(profile, abc)(order), partial(rule.size_runs, profile, abc)):
-        with pytest.raises(EditError):
-            kernel(abc)
-        with pytest.raises(DomainMismatchError):
-            kernel(foreign)
+    alien = both_raise(DomainMismatchError, abc, frozenset({0}), foreign)
+    # Both L == T and a foreign order fail at set-up, before any coalition
+    # is asked, with `switch_votes`' own message, and so do the runs kernel
+    # and, on its first read, the pivot kernel.
+    for order, error, message in ((abc, EditError, own), (foreign, DomainMismatchError, alien)):
+        with pytest.raises(error, match=message):
+            rule.switches(profile, abc, order)
+        with pytest.raises(error, match=message):
+            rule.size_runs(profile, abc, order)
+    with pytest.raises(DomainMismatchError, match=alien):
+        next(rule.solo_switches(profile, [foreign]))
+    # The pivot kernel switches no voter to their own order, so it has no
+    # L == T case: it skips the ABC voters and asks only voter 3.
+    assert [(voter, order) for voter, order, _ in rule.solo_switches(profile, [abc])] == [(2, abc)]
 
 
 @pytest.mark.parametrize("kind", KERNEL_RULES)
@@ -411,7 +419,7 @@ def test_kernels_take_a_coalition_as_a_voter_tuple_or_a_frozenset(kind):
     rule = KERNEL_RULES[kind]
     abc, acb, bac = ORDERS_3[0], ORDERS_3[1], ORDERS_3[2]
     profile = Profile((abc, bac, abc))
-    winner = rule.switches(profile, abc)(acb)
+    winner = rule.switches(profile, abc, acb)
     for voters in ((), (0,), (2,), (0, 2), (2, 0)):  # empty, solo and the whole type
         expected = rule.evaluate(switch_votes(profile, frozenset(voters), acb))
         assert winner(voters) == winner(frozenset(voters)) == expected
@@ -541,7 +549,7 @@ def test_forced_subset_walks_return_frozensets(case):
         for strategic in ORDERS_3:
             if strategic == type_order:
                 continue
-            inferior = find_L_inferior(rule, profile, type_order, strategic, force_subsets=True)
+            inferior = find_L_inferior(SubsetWalk(rule), profile, type_order, strategic)
             witness = has_incentive(rule, profile, voter, strategic, force_subsets=True)
             verdict = witness and classify_safety(rule, profile, voter, strategic, force_subsets=True)
             returned += inferior

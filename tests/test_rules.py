@@ -274,7 +274,7 @@ class TestTableRule:
         rule = random_table_rule(2, 3, 0)
         calls = {
             "evaluate": lambda profile: rule.evaluate(profile),
-            "switches": lambda profile: rule.switches(profile, profile.orders[0]),
+            "switches": lambda profile: rule.switches(profile, profile.orders[0], all_orders(profile.domain)[-1]),
             "solo_switches": lambda profile: list(rule.solo_switches(profile, all_orders(profile.domain))),
         }
         cases = [
@@ -515,8 +515,8 @@ class TestScoringSizeMemo:
         members = sorted(voters_of_type(profile, type_order))
         walk = [frozenset(c) for k in range(len(members) + 1) for c in itertools.combinations(members, k)]
         rng.shuffle(walk)
-        kernel = rule.switches(profile, type_order)(target)
-        oracle = ObjectPath(rule).switches(profile, type_order)(target)
+        kernel = rule.switches(profile, type_order, target)
+        oracle = ObjectPath(rule).switches(profile, type_order, target)
         for coalition in walk:
             assert kernel(coalition) == oracle(coalition)
         # Every size is known now; a coalition of a known size that reaches

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import perturbed_dictatorship, table_from_function
+from helpers import SubsetWalk, perturbed_dictatorship, table_from_function
 from safevote import strategy
 from safevote.core import (
     Domain,
@@ -232,19 +232,14 @@ class TestHasIncentive:
             evaluated.append(profile)
             return evaluate(rule, profile)
 
-        def recording(rule, profile, type_order):
-            switched = kernel(rule, profile, type_order)
+        def recording(rule, profile, type_order, order):
+            winner = kernel(rule, profile, type_order, order)
 
-            def asking(order):
-                winner = switched(order)
+            def ask(coalition):
+                asked.append(coalition)
+                return winner(coalition)
 
-                def ask(coalition):
-                    asked.append(coalition)
-                    return winner(coalition)
-
-                return ask
-
-            return asking
+            return ask
 
         monkeypatch.setattr(ScoringRule, "switches", recording)
         monkeypatch.setattr(ScoringRule, "evaluate", counting)
@@ -495,10 +490,9 @@ class TestLInferior:
 
     def test_absent_type_rejected(self):
         # Both walks check the type, and so does the construction.
-        for force_subsets in (False, True):
-            with pytest.raises(SafevoteError, match="type CAB not present in the profile"):
-                find_L_inferior(BORDA_94, PROFILE_2, o("CAB"), o("ABC"), force_subsets=force_subsets)
         for rule in (BORDA_94, SubsetWalk(BORDA_94)):
+            with pytest.raises(SafevoteError, match="type CAB not present in the profile"):
+                find_L_inferior(rule, PROFILE_2, o("CAB"), o("ABC"))
             with pytest.raises(SafevoteError, match="type CAB not present in the profile"):
                 construct_safe_from_inferior(rule, PROFILE_2, o("CAB"), o("ABC"))
 
@@ -509,7 +503,7 @@ class TestLInferior:
     def test_subset_path_agrees_on_sizes(self):
         profile = counts_profile(D3, {"ACB": 4, "BAC": 3, "CAB": 2})
         fast = find_L_inferior(BORDA_94, profile, o("ACB"), o("CAB"))
-        slow = find_L_inferior(BORDA_94, profile, o("ACB"), o("CAB"), force_subsets=True)
+        slow = find_L_inferior(SubsetWalk(BORDA_94), profile, o("ACB"), o("CAB"))
         assert sorted({len(s) for s in fast}) == sorted({len(s) for s in slow})
 
 
@@ -582,24 +576,6 @@ class TestOneTallyPerScoreVector:
         assert profile.counts.scans == 1
         assert plurality(o("BAC")).evaluate(profile) == o("BAC").top
         assert profile.counts.scans == 2
-
-
-class SubsetWalk(Rule):
-    """A rule seen as not anonymous, so every search walks its subsets; its
-    winners, switch kernel and fingerprint are the rule's."""
-
-    def __init__(self, rule: Rule):
-        self.rule = rule
-        self.domain, self.anonymous, self.n = rule.domain, False, rule.n
-
-    def evaluate(self, profile):
-        return self.rule.evaluate(profile)
-
-    def switches(self, profile, type_order):
-        return self.rule.switches(profile, type_order)
-
-    def config_text(self):
-        return self.rule.config_text()
 
 
 class TestLiftReadsRuns:
