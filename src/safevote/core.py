@@ -4,12 +4,12 @@ Voter indices are 0-based everywhere inside the library and converted to
 1-based only at I/O boundaries (profile text files, certificate JSON,
 CLI reports).
 
-Domains and the orders read from labels are shared: one `Domain` per label
-set, and one `LinearOrder` per (domain, ranking), which is also the one
-`all_orders` lists.  Both are kept for the life of the process, so a
-repeated parse builds nothing new.  So are the first m! profiles that
-`all_profiles` walks for each voter count.  Labels are ASCII letters in
-either case.
+Domains and orders are shared: one `Domain` per label set, and one
+`LinearOrder` per (domain, ranking), kept in the domain's one registry,
+`Domain._interned`, whether a parse or `all_orders` built it first.  Both
+are kept for the life of the process, so a repeated parse builds nothing
+new.  So are the first m! profiles that `all_profiles` walks for each
+voter count.  Labels are ASCII letters in either case.
 """
 
 from __future__ import annotations
@@ -85,7 +85,12 @@ class Alternative:
 
 @dataclass(frozen=True)
 class Domain:
-    """The ordered set of alternatives an election chooses from."""
+    """The ordered set of alternatives an election chooses from.
+
+    It keeps the one registry of its orders, `_interned`: the shared
+    `LinearOrder` of each ranking that a parse or `all_orders` has asked
+    for, under its compact labels.
+    """
 
     alternatives: tuple[Alternative, ...]
 
@@ -96,7 +101,7 @@ class Domain:
         for i, alt in enumerate(self.alternatives):
             if alt.index != i:
                 raise ValueError(f"alternative {alt.label} has index {alt.index}, expected {i}")
-        # The orders `LinearOrder.from_labels` returned, by compact labels.
+        # The order registry: all m! orders once `_orders` has listed them.
         object.__setattr__(self, "_interned", {})
         # The shared first line of `all_profiles`, per voter count.
         object.__setattr__(self, "_first_lines", {})
@@ -135,13 +140,11 @@ class Domain:
 
     @cached_property
     def _orders(self) -> tuple[LinearOrder, ...]:
-        """The m! orders over the domain, built once, lexicographic by labels.
-        An order `LinearOrder.from_labels` already built keeps its place, so
-        both give one instance per ranking."""
-        orders = [LinearOrder(perm) for perm in itertools.permutations(self.alternatives)]
-        for order in self._interned.values():
-            orders[_position(order)] = order
-        return tuple(orders)
+        """The m! orders over the domain, listed once, lexicographic by
+        labels: each the registry's order for its ranking, so one parsed
+        before keeps its identity."""
+        orders = map(LinearOrder, itertools.permutations(self.alternatives))
+        return tuple(self._interned.setdefault(order.compact, order) for order in orders)
 
     @cached_property
     def _order_ids(self) -> Mapping[LinearOrder, int]:
@@ -167,16 +170,6 @@ class Domain:
 
 
 _DOMAINS: dict[tuple[str, ...], Domain] = {}
-
-
-def _position(order: LinearOrder) -> int:
-    """The order's place in `itertools.permutations` of its domain, so in
-    `Domain._orders`: its Lehmer code read in the factorial number system."""
-    indices = [a.index for a in order.ranking]
-    position = 0
-    for i, index in enumerate(indices):
-        position = position * (len(indices) - i) + sum(later < index for later in indices[i + 1 :])
-    return position
 
 
 @dataclass(frozen=True)
@@ -219,9 +212,10 @@ class LinearOrder:
         in either case.  A spelling is checked the first time its ranking
         is read; one that fails is not kept.
 
-        The domain keeps each order as long as it lives, and a domain lives
-        as long as the process, as `_DOMAINS` keeps it: at most m! orders
-        per label set, the price of one object per ranking.
+        The domain's registry keeps each order as long as the domain lives,
+        and a domain lives as long as the process, as `_DOMAINS` keeps it:
+        at most m! orders per label set, the price of one object per
+        ranking.  Once `all_orders` has listed them all, a parse builds none.
         """
         # ASCII only: `str.upper` of other letters can spell a kept key.
         order = domain._interned.get(labels.upper()) if labels.isascii() else None
@@ -230,8 +224,6 @@ class LinearOrder:
             if len(ranking) != len(domain):
                 raise DomainMismatchError(f"order {labels!r} does not cover domain {domain.labels}")
             order = cls(ranking)
-            if "_orders" in domain.__dict__:
-                order = domain._orders[_position(order)]
             domain._interned[order.compact] = order
         return order
 
@@ -296,11 +288,12 @@ class Profile:
     """A sequence of ballots, one strict linear order per voter.
 
     `n` and `domain` are plain attributes, set when the profile is built.
-    `counts` and `grouped_view` are built together the first time either is
-    read, by `__getattr__`, and kept as plain attributes: a
-    `cached_property` takes a lock on its first read on Python 3.11.  They
-    are found in C from the runs of one ballot object, one Python step per
-    run, not per voter; `from_counts` gives them from its count lines.
+    Every derived value, `index`, `counts` and `grouped_view` (built
+    together) and the tally memo, is computed by `__getattr__` the first
+    time it is read and kept as a plain attribute: a `cached_property`
+    takes a lock on its first read on Python 3.11.  The counts and voter
+    sets are found in C from the runs of one ballot object, one Python step
+    per run, not per voter; `from_counts` gives them from its count lines.
     """
 
     orders: tuple[LinearOrder, ...]
@@ -311,6 +304,12 @@ class Profile:
     #: The domain every ballot is over.
     domain: Domain = field(init=False, repr=False, compare=False)
 
+    #: The profile's position in `all_profiles` order: its order ids in
+    #: mixed radix m!, voter 1 the most significant digit.  It indexes a
+    #: table rule's winners, so it is part of the table file format, and
+    #: it is computed here alone.
+    index: int = field(init=False, repr=False, compare=False)
+
     #: Ballot count per type, in first-appearance order.
     counts: Mapping[LinearOrder, int] = field(init=False, repr=False, compare=False)
 
@@ -318,8 +317,9 @@ class Profile:
     #: anonymous analysis.
     grouped_view: Mapping[LinearOrder, VoterSet] = field(init=False, repr=False, compare=False)
 
-    #: `index`, once read.
-    _index: int | None = field(default=None, init=False, repr=False, compare=False)
+    #: `tally` per points vector.  Profiles are immutable, so an entry
+    #: never goes stale.
+    _tallies: dict[tuple[int, ...], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         orders = self.orders
@@ -332,20 +332,31 @@ class Profile:
         object.__setattr__(self, "domain", domain)
 
     def __getattr__(self, name: str) -> object:
-        # Reached only while `counts` and `grouped_view` are unset.
-        if name not in ("counts", "grouped_view"):
+        # Reached only while the named value is unset.
+        if name == "index":
+            ids = self.domain._order_ids
+            radix = len(ids)
+            value = 0
+            for order in self.orders:
+                value = value * radix + ids[order]
+        elif name == "_tallies":
+            value = {}
+        elif name in ("counts", "grouped_view"):
+            orders = self.orders
+            ids = list(map(id, orders))
+            # Parsed and listed orders are the domain's shared instances, so
+            # a run of one object is a run of one type; equal orders built
+            # apart are merged by value.
+            groups: dict[LinearOrder, list[int]] = {}
+            for _, run in itertools.groupby(range(len(ids)), ids.__getitem__):
+                voters = list(run)
+                groups.setdefault(orders[voters[0]], []).extend(voters)
+            self._keep(dict(zip(groups, map(len, groups.values()))), dict(zip(groups, map(frozenset, groups.values()))))
+            return self.__dict__[name]
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        orders = self.orders
-        ids = list(map(id, orders))
-        # Parsed and listed orders are the domain's shared instances, so a
-        # run of one object is a run of one type; equal orders built apart
-        # are merged by value.
-        groups: dict[LinearOrder, list[int]] = {}
-        for _, run in itertools.groupby(range(len(ids)), ids.__getitem__):
-            voters = list(run)
-            groups.setdefault(orders[voters[0]], []).extend(voters)
-        self._keep(dict(zip(groups, map(len, groups.values()))), dict(zip(groups, map(frozenset, groups.values()))))
-        return self.__dict__[name]
+        object.__setattr__(self, name, value)
+        return value
 
     def _keep(self, counts: Mapping[LinearOrder, int], groups: Mapping[LinearOrder, VoterSet]) -> None:
         object.__setattr__(self, "counts", counts)
@@ -370,30 +381,6 @@ class Profile:
             {order: frozenset(itertools.chain.from_iterable(spans)) for order, spans in blocks.items()},
         )
         return profile
-
-    @property
-    def index(self) -> int:
-        """The profile's position in `all_profiles` order: its order ids in
-        mixed radix m!, voter 1 the most significant digit.  It indexes a
-        table rule's winners, so it is part of the table file format.
-        It is computed here alone, on first read, and kept."""
-        index = self._index
-        if index is None:
-            ids = self.domain._order_ids
-            radix = len(ids)
-            index = 0
-            for order in self.orders:
-                index = index * radix + ids[order]
-            # A plain attribute, not a cached_property, whose first read
-            # takes a lock on Python 3.11.
-            object.__setattr__(self, "_index", index)
-        return index
-
-    @cached_property
-    def _tallies(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """`tally` per points vector.  Profiles are immutable, so an entry
-        never goes stale."""
-        return {}
 
     def tally(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """Each alternative's total when position k on a ballot earns
@@ -459,10 +446,15 @@ def all_profiles(domain: Domain, n: int) -> Iterator[Profile]:
     yield from map(Profile, tuples)
 
 
+def _foreign(order: LinearOrder, domain: Domain) -> DomainMismatchError:
+    """The error of an order asked about a domain it is not over."""
+    return DomainMismatchError(f"order {order.compact} is not over domain {domain.labels}")
+
+
 def voters_of_type(profile: Profile, order: LinearOrder) -> VoterSet:
     """All voters whose ballot equals the given order (possibly empty)."""
     if order.domain is not profile.domain:
-        raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
+        raise _foreign(order, profile.domain)
     return profile.grouped_view.get(order, frozenset())
 
 
@@ -483,7 +475,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     """
     orders = profile.orders
     if order.domain is not profile.domain:
-        raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
+        raise _foreign(order, profile.domain)
     if not voters:
         return profile
     n = len(orders)
@@ -500,6 +492,16 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     for v in voters:
         switched[v] = order
     return Profile(tuple(switched))
+
+
+def _switch_check(profile: Profile, type_order: LinearOrder, order: LinearOrder) -> VoterSet:
+    """Set-up checks of a switch kernel, which raise what `switch_votes`
+    raises for the switch, and the type's voters."""
+    if order.domain is not profile.domain:
+        raise _foreign(order, profile.domain)
+    if order == type_order:
+        raise EditError(f"coalition already votes {order.compact}")
+    return voters_of_type(profile, type_order)
 
 
 def all_orders(domain: Domain) -> list[LinearOrder]:

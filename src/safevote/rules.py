@@ -78,11 +78,13 @@ from safevote.core import (
     SafevoteError,
     VoterSet,
     _capitals,
+    _foreign,
     _integer,
     _is_integer,
     _key,
     _order_labels,
     _records,
+    _switch_check,
     all_profiles,
     decode_profile,  # noqa: F401 - bench/tracing.py traces rules.decode_profile
     profile_space_size,
@@ -224,16 +226,6 @@ class Rule:
             raise DomainMismatchError(f"rule expects {self.n} voters, profile has {profile.n}")
 
 
-def _switch_check(profile: Profile, type_order: LinearOrder, order: LinearOrder) -> VoterSet:
-    """Set-up checks of a switch kernel, which raise what `switch_votes`
-    raises for the switch, and the type's voters."""
-    if order.domain is not profile.domain:
-        raise DomainMismatchError(f"order {order.compact} is not over domain {profile.domain.labels}")
-    if order == type_order:
-        raise EditError(f"coalition already votes {order.compact}")
-    return voters_of_type(profile, type_order)
-
-
 def _stray(coalition: VoterSet, type_order: LinearOrder) -> EditError:
     """The error of a kernel asked about a coalition outside the type's voters."""
     return EditError(f"coalition {sorted(coalition)} is not within the {type_order.compact} voters")
@@ -297,7 +289,7 @@ class ScoringRule(Rule):
     @property
     def is_constant_vector(self) -> bool:
         """All weights equal: the rule is constant up to tie-break."""
-        return len(set(self.weights)) == 1
+        return len(set(self._points)) == 1
 
     def _totals(self, profile: Profile) -> tuple[int, ...]:
         """Every alternative's score times `_scale`, indexed by alternative
@@ -479,8 +471,7 @@ class TableRule(Rule):
         try:
             targets = [(order, ids[order]) for order in orders]
         except KeyError as exc:
-            foreign = exc.args[0].compact
-            raise DomainMismatchError(f"order {foreign} is not over domain {self.domain.labels}") from None
+            raise _foreign(exc.args[0], self.domain) from None
         winners = self.winners
         for voter, (voter_order, place) in enumerate(zip(profile.orders, self._places)):
             digit = ids[voter_order]

@@ -221,7 +221,7 @@ class TestOrderTable:
             "d4 = Domain.of_size(4)\n"
             "orders = all_orders(d4)\n"
             "p = parse_profile('alternatives: D C B A\\n1: D > B > C > A\\n1: a b c d\\n')\n"
-            "assert p.orders[0] is orders[21] and p.orders[1] is orders[0] and len(d4._interned) == 2\n"
+            "assert p.orders[0] is orders[21] and p.orders[1] is orders[0] and len(d4._interned) == 24\n"
             "assert all(LinearOrder.from_labels(x.compact, d4) is x for x in orders)\n"
             "print(len(d._interned), len(d4._interned))\n"
         )
@@ -232,6 +232,17 @@ class TestOrderTable:
             capture_output=True, text=True, check=True,
         ).stdout
         assert out == "6 24\n"
+
+    def test_a_parse_after_listing_builds_no_order(self, monkeypatch):
+        # The label set is this test's own, so no earlier parse has read it.
+        listed = all_orders(Domain.from_labels("PQR"))
+        built = []
+        post_init = LinearOrder.__post_init__
+        monkeypatch.setattr(LinearOrder, "__post_init__", lambda order: built.append(order) or post_init(order))
+        profile = parse_profile("alternatives: r q p\n2: R > P > Q\n1: q p r\n3: pRq\n")
+        assert built == []
+        assert [listed.index(order) for order in profile.types_present()] == [4, 2, 1]
+        assert all(order is listed[listed.index(order)] for order in profile.orders)
 
     @given(spelling=spellings())
     @settings(max_examples=300, deadline=None)
@@ -499,9 +510,9 @@ class TestTableIndex:
         # and the rule's lookup reads and keeps it: a walked or decoded
         # profile's index is that of the same ballots built afresh.
         fresh = Profile(profile.orders)
-        assert fresh._index is None
+        assert "index" not in vars(fresh)
         winner = rule.evaluate(profile)
-        index = profile._index
+        index = vars(profile)["index"]
         assert index == fresh.index
         assert winner == rule.winners[index]
         assert profile.index == index

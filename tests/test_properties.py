@@ -122,9 +122,10 @@ def test_grouped_view_partitions_voters(domain, data):
 
 
 @given(
-    lines=st.lists(st.tuples(st.sampled_from(ORDERS_3), st.integers(0, 4), st.booleans()), min_size=1, max_size=8)
+    lines=st.lists(st.tuples(st.sampled_from(ORDERS_3), st.integers(0, 4), st.booleans()), min_size=1, max_size=8),
+    reads=st.permutations(["index", "counts", "grouped_view", "tally"]),
 )
-def test_counts_and_voter_sets_match_the_per_voter_count(lines):
+def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads):
     # Count lines may repeat a type or count zero, and some carry an equal
     # order built apart from the shared one.
     counts = [(LinearOrder(order.ranking) if apart else order, count) for order, count, apart in lines]
@@ -136,7 +137,20 @@ def test_counts_and_voter_sets_match_the_per_voter_count(lines):
     oracle_groups: dict = {}
     for voter, order in enumerate(ballots):
         oracle_groups.setdefault(order, set()).add(voter)
+    # The index oracle: the ballots' order ids in mixed radix m!.
+    ids = D3._order_ids
+    oracle_index = sum(ids[order] * len(ids) ** (len(ballots) - 1 - v) for v, order in enumerate(ballots))
+    points = (5, 2, 0)
+    oracle_tally = tuple(sum(points[order.rank(a)] for order in ballots) for a in D3)
     for profile in (Profile(ballots), Profile.from_counts(counts)):
+        # Each lazy value is filled on its first read, whichever comes first.
+        for name in reads:
+            if name == "tally":
+                assert profile.tally(points) == oracle_tally
+            else:
+                getattr(profile, name)
+        assert profile.index == oracle_index
+        assert decode_profile(profile.index, profile.n, ORDERS_3) == profile
         assert profile.orders == ballots
         assert list(map(id, profile.counts)) == list(map(id, oracle_counts))
         assert list(profile.counts.values()) == list(oracle_counts.values())
