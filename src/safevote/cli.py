@@ -12,9 +12,11 @@ naming no order of the domain), 3 inconclusive scans.
 Each `cmd_*` returns (exit code, report, text lines); `main` alone writes
 the JSON report or the text lines to `--out` or stdout, and text lines are
 built only for `--format text`.  `main` is reentrant: it builds its
-argument parser once per process and keeps no state between calls.
-`analyze` scores each strategic vote once; one incentive walk per type
-gives both its summary and its escape.
+argument parser once per process and keeps no state between calls.  It
+hands `<subcommand> ...` straight to that subcommand's parser and sends
+every other argv, and a subcommand's that leaves unrecognized arguments,
+to the full parser.  `analyze` scores each strategic vote once; one
+incentive walk per type gives both its summary and its escape.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def _order(text: str, domain: Domain, flag: str) -> LinearOrder:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safevote", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # what `_parse` dispatches on
 
     def common(p: argparse.ArgumentParser, *, profile=False, rule=False, report=True) -> None:
         if profile:
@@ -298,8 +301,27 @@ def _examples_text(report):
     yield report["summary"]
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, without the top-level pass when
+    argv[0] names a subcommand.
+
+    That pass only picks the subcommand; argparse then parses the rest with
+    the subcommand's parser and sets `command`, as here.  Every other argv,
+    and a subcommand's arguments that leave extras, go to the full parser,
+    so every usage message, help text and exit code is argparse's own.
+    """
+    parser = _build_parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # Looked up at each call: a patched module binding takes effect.
         code, report, text = globals()[f"cmd_{args.command}"](args)

@@ -265,25 +265,40 @@ def realizable_region(rule: ScoringRule) -> list[Bary]:
 def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
     """Equal-score boundary segments between adjacent winner regions.
 
-    For each pair (i, j), the locus x_i = x_j >= x_k clipped to the
-    realizable region: clipping by x_i <= x_j and then x_j <= x_i leaves
-    the points on the line.  Degenerate (point or empty) loci are dropped.
+    For each pair (i, j), the locus x_i = x_j >= x_k within the realizable
+    region, as its two end points (`_boundaries`).  Degenerate (point or
+    empty) loci are dropped.
     """
     region, scale = _region(rule)
     return [(_exact(a, scale), _exact(b, scale)) for a, b in _boundaries(region)]
 
 
 def _boundaries(region: list[Tri]) -> list[tuple[Tri, Tri]]:
-    """`region_boundaries` of a rule whose integer region is given."""
-    segments: list[tuple[Tri, Tri]] = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        k = 3 - i - j
-        poly = _clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
-        on_line = _clip(_clip(poly, lambda x, i=i, j=j: x[i] - x[j]), lambda x, i=i, j=j: x[j] - x[i])
-        unique = sorted(set(on_line))
-        if len(unique) >= 2:
-            segments.append((unique[0], unique[-1]))
-    return segments
+    """`region_boundaries` of a rule whose integer region is given.
+
+    The region is lo <= x_a <= hi on the plane x_1 + x_2 + x_3 = S, with lo
+    and hi its smallest and largest coordinates.  Pair (i, j)'s locus
+    x_i = x_j = t >= x_k = S - 2t meets it where
+    max(lo, (S - hi) / 2, S / 3) <= t <= min(hi, (S - lo) / 2), the same
+    range for every pair; S, lo and hi are multiples of 6 (`_region`), so
+    both ends lie on the grid.  Each segment runs from its smaller end to
+    its larger, as tuples compare.
+    """
+    scale = sum(region[0])
+    lo, hi = min(map(min, region)), max(map(max, region))
+    low, high = max(lo, (scale - hi) // 2, scale // 3), min(hi, (scale - lo) // 2)
+    if low >= high:
+        return []
+
+    def end(i: int, j: int, t: int) -> Tri:
+        vertex = [scale - 2 * t] * 3
+        vertex[i] = vertex[j] = t
+        return tuple(vertex)  # type: ignore[return-value]
+
+    return [
+        tuple(sorted((end(i, j, low), end(i, j, high))))  # type: ignore[misc]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -769,14 +769,15 @@ class TestSingleWalk:
 
 
 class TestReentrantMain:
-    def test_each_call_parses_as_the_first(self, files, capsys):
+    def test_each_call_parses_as_the_first(self, files, capsys, monkeypatch):
         # `main` builds its parser once per process.  Each call must still
         # give what the same argv gives as a fresh process's first call: no
         # `--trajectory` arrows left from an earlier call and no `--out`
-        # path carried over.
+        # path carried over, also after a call that the full parser ended
+        # with help or a usage error.
         base = ["--profile", files["profile94"], "--rule", files["borda"]]
         out_file = files["tmp"] / "analyze.json"
-        argvs = [
+        calls = [
             ["figure", *base, "--trajectory", "ABC:ACB:17", "--trajectory", "ACB:CAB:15"],
             ["figure", *base, "--trajectory", "ABC:ACB:17"],
             ["figure", *base],
@@ -785,7 +786,15 @@ class TestReentrantMain:
             ["safety", *base, "--type", "ABC", "--strategic", "ACB", "--format", "text", "--out", str(out_file)],
             ["examples", "--out", str(out_file)],
         ]
+        exits = [
+            ["--help"],
+            ["figure", *base, "--trajectory", "ABC:ACB:17", "--out", str(out_file), "--bogus"],
+            ["analyze", *base, "--format", "json", "stray"],
+        ]
+        # Each call is followed by an exit: --help, --bogus, stray, --help, ...
+        argvs = [argv for i, call in enumerate(calls) for argv in (call, exits[i % len(exits)])]
         src = str(pathlib.Path(__file__).parents[1] / "src")
+        monkeypatch.setenv("COLUMNS", "80")  # one help-text width in and out of process
 
         def written():
             text = out_file.read_text() if out_file.exists() else None
@@ -797,20 +806,144 @@ class TestReentrantMain:
                 [sys.executable, "-m", "safevote.cli", *argv],
                 env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
             )
-            return proc.returncode, proc.stdout, written()
+            return proc.returncode, proc.stdout, proc.stderr, written()
 
         def in_process(argv):
-            code = run(argv)
-            return code, capsys.readouterr().out, written()
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, written()
 
         expected = [first_call(argv) for argv in argvs]
-        assert [out.count('class="trajectory"') for _, out, _ in expected[:3]] == [2, 1, 0]
-        assert expected[3][1] == "" and expected[3][2] == expected[4][1] and expected[4][2] is None
-        assert [(out, text.splitlines()[0]) for _, out, text in expected[5:]] == [
+        results, ends = expected[::2], expected[1::2]
+        assert [out.count('class="trajectory"') for _, out, _, _ in results[:3]] == [2, 1, 0]
+        assert results[3][1] == "" and results[3][3] == results[4][1] and results[4][3] is None
+        assert [(out, text.splitlines()[0]) for _, out, _, text in results[5:]] == [
             ("", "type ABC voting A > C > B: Unsafe"),
             ("", "[PASS] plurality-4-voters"),
         ]
+        assert all(err == "" for _, _, err, _ in results)
+        assert [code for code, _, _, _ in ends] == [0, 2, 2] * 2 + [0]
+        assert all(out.startswith("usage: safevote [-h]") for _, out, _, _ in ends[::3])
+        assert [err.splitlines()[-1] for _, _, err, _ in ends[1:3]] == [
+            "safevote: error: unrecognized arguments: --bogus",
+            "safevote: error: unrecognized arguments: stray",
+        ]
+        assert all(text is None for *_, text in ends)
         assert [in_process(argv) for argv in argvs] == expected
+
+
+def parsed(parse, argv, capsys):
+    """What `parse(argv)` gives: its namespace's fields or its exit code, and
+    what it wrote to stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+FILES = ["--profile", "p.txt", "--rule", "r.txt"]
+
+#: Argument vectors on which `cli._parse` must agree with the full parser:
+#: each subcommand, help at both levels, and the usage errors that argparse
+#: reports itself, from the top-level parser or from a subcommand's.
+PARSE_ARGVS = {
+    "no-args": [],
+    "help": ["--help"],
+    "h": ["-h"],
+    "help-before-command": ["--help", "analyze"],
+    "bogus-command": ["bogus"],
+    "option-before-command": ["-x", "analyze"],
+    "dash-dash-before-command": ["--", "analyze"],
+    "analyze": ["analyze", *FILES],
+    "analyze-json-out": ["analyze", *FILES, "--format", "json", "--out", "o.json"],
+    "analyze-h": ["analyze", "-h"],
+    "analyze-dash-dash-profile": ["analyze", "--", "--profile", "p.txt"],
+    "analyze-prof-abbreviation": ["analyze", "--prof", "p.txt", "--rule", "r.txt"],
+    "analyze-profile-equals": ["analyze", "--profile=p.txt", "--rule=r.txt"],
+    "analyze-profile-equals-empty": ["analyze", "--profile=", "--rule", "r.txt"],
+    "analyze-profile-twice": ["analyze", *FILES, "--profile", "q.txt"],
+    "analyze-missing-rule": ["analyze", "--profile", "p.txt"],
+    "analyze-out-without-value": ["analyze", *FILES, "--out"],
+    "analyze-format-svg": ["analyze", *FILES, "--format", "svg"],
+    "analyze-bogus-option": ["analyze", *FILES, "--bogus"],
+    "analyze-stray-positional": ["analyze", *FILES, "stray"],
+    "analyze-help-then-bogus": ["analyze", "--help", "--bogus"],
+    "safety": ["safety", *FILES, "--type", "ABC", "--strategic", "ACB", "--format", "json"],
+    "safety-help": ["safety", "--help"],
+    "safety-missing-strategic": ["safety", *FILES, "--type", "ABC"],
+    "safety-bogus-short-option": ["safety", *FILES, "--type", "ABC", "--strategic", "ACB", "-x"],
+    "verify": ["verify", "--samples", "3", "--seed", "7"],
+    "verify-all-options": ["verify", "--n", "3", "--m", "4", "--samples", "3", "--seed", "7", "--budget", "9"],
+    "verify-negative-samples": ["verify", "--samples", "-3", "--seed", "1"],
+    "verify-missing-samples": ["verify", "--seed", "1"],
+    "verify-h": ["verify", "-h"],
+    "figure": ["figure", *FILES, "--trajectory", "ABC:ACB:17", "--trajectory=ACB:CAB:15"],
+    "figure-format-json": ["figure", *FILES, "--format", "json"],
+    "figure-help": ["figure", "--help"],
+    "figure-trajectory-without-value": ["figure", *FILES, "--trajectory"],
+    "examples": ["examples"],
+    "examples-json-out": ["examples", "--format", "json", "--out", "o.json"],
+    "examples-then-command": ["examples", "analyze"],
+    "examples-h": ["examples", "-h"],
+}
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", PARSE_ARGVS.values(), ids=PARSE_ARGVS.keys())
+    def test_same_namespace_or_exit_as_the_full_parser(self, argv, capsys):
+        result = parsed(cli._parse, argv, capsys)
+        assert result == parsed(cli._build_parser().parse_args, argv, capsys)
+        if isinstance(result[0], dict):
+            assert result[0]["command"] == argv[0] and result[1:] == ("", "")
+        elif result[0] == 0:
+            assert result[1].startswith("usage: safevote") and result[2] == ""
+        else:
+            assert result[0] == 2 and result[1] == "" and "error: " in result[2]
+
+    def test_the_battery_reaches_both_paths(self, capsys):
+        # Some argvs parse, some end in help and some in a usage error; each
+        # of the last two from the top-level parser and from a subcommand's.
+        outcomes = [parsed(cli._parse, argv, capsys) for argv in PARSE_ARGVS.values()]
+        kinds = {"namespace" if isinstance(code, dict) else code for code, _, _ in outcomes}
+        assert kinds == {"namespace", 0, 2}
+        progs = {err.splitlines()[-1].split(": error:")[0] for code, _, err in outcomes if code == 2}
+        assert {"safevote", "safevote analyze", "safevote safety", "safevote verify", "safevote figure"} <= progs
+        assert {out.split(" [")[0] for code, out, _ in outcomes if code == 0} == {
+            "usage: safevote", *(f"usage: safevote {command}" for command in cli._build_parser().subcommands)
+        }
+
+    def test_subcommands_skip_the_top_level_parser(self, files, capsys, monkeypatch):
+        # argparse's top-level pass only picks the subcommand; `main` hands
+        # the rest of the argv to that subcommand's parser.
+        base = ["--profile", files["profile94"], "--rule", files["borda"]]
+        argvs = [
+            ["analyze", *base, "--format", "json"],
+            ["safety", *base, "--type", "ABC", "--strategic", "ACB", "--format", "json"],
+            ["verify", "--samples", "2", "--seed", "7", "--format", "json"],
+            ["figure", *base, "--trajectory", "ABC:ACB:17"],
+            ["examples", "--format", "json"],
+        ]
+
+        def outputs():
+            return [(run(argv), capsys.readouterr().out) for argv in argvs]
+
+        expected = outputs()
+        assert [code for code, _ in expected] == [0] * len(argvs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        parser = cli._build_parser()
+        monkeypatch.setitem(vars(parser), "parse_args", refuse)
+        monkeypatch.setitem(vars(parser), "parse_known_args", refuse)
+        assert outputs() == expected
+        with pytest.raises(AssertionError, match="the top-level parser ran"):
+            run(["--help"])
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
