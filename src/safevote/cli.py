@@ -8,15 +8,6 @@ times therefore go to stderr, never into JSON).  Exit codes: 0 success,
 profile and a rule over different alternatives or, for a table rule, a
 different voter count, or an argument out of range, not an integer or
 naming no order of the domain), 3 inconclusive scans.
-
-Each `cmd_*` returns (exit code, report, text lines); `main` alone writes
-the JSON report or the text lines to `--out` or stdout, and text lines are
-built only for `--format text`.  `main` is reentrant: it builds its
-argument parser once per process and keeps no state between calls.  It
-hands `<subcommand> ...` straight to that subcommand's parser and sends
-every other argv, and a subcommand's that leaves unrecognized arguments,
-to the full parser.  `analyze` scores each strategic vote once; one
-incentive walk per type gives both its summary and its escape.
 """
 
 from __future__ import annotations
@@ -321,6 +312,17 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; `--help` prints the module docstring.
+
+    Each `cmd_*` returns (exit code, report, text lines); `main` alone writes
+    the JSON report or the text lines to `--out` or stdout, and text lines are
+    built only for `--format text`.  `main` is reentrant: it builds its
+    argument parser once per process and keeps no state between calls.  It
+    hands `<subcommand> ...` straight to that subcommand's parser and sends
+    every other argv, and a subcommand's that leaves unrecognized arguments,
+    to the full parser (`_parse`).  `analyze` scores each strategic vote
+    once; one incentive walk per type gives both its summary and its escape.
+    """
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # Looked up at each call: a patched module binding takes effect.

@@ -3,10 +3,11 @@
 Normalized scores of the three alternatives are a point of the standard
 2-simplex; the winner is the alternative whose coordinate is largest, so
 winner regions partition the simplex and coordinated switching traces a
-straight trajectory through them.  The region and boundary geometry runs
-on integer coordinates over one common scale S per score vector (a point
-is (c1, c2, c3) / S); the public functions return exact `Fraction`s, and
-floats appear only in SVG text, as c / S.
+straight trajectory through them.  The realizable region (the score
+vector's permutations) and its winner boundaries are closed forms in
+integers over one common scale S per score vector (a point is (c1, c2,
+c3) / S); the public functions return exact `Fraction`s, and floats
+appear only in SVG text, as c / S.
 
 Points come from the rule's integer lines (`ScoringRule.lines`): the
 profile's sincere totals, read from its one tally per score vector, and
@@ -190,44 +191,13 @@ Bary = tuple[Fraction, Fraction, Fraction]
 Tri = tuple[int, int, int]
 
 
-def _clip(polygon: list[Tri], f: Callable[[Tri], int]) -> list[Tri]:
-    """Sutherland-Hodgman clip of a convex polygon against f(x) <= 0, for
-    an affine f.  An edge from p to q crosses f = 0 at
-    (fp * q - fq * p) / (fp - fq); a crossing off the integer grid raises
-    SafevoteError instead of being rounded."""
-    if not polygon:
-        return []
-    result: list[Tri] = []
-    for i, p in enumerate(polygon):
-        q = polygon[(i + 1) % len(polygon)]
-        fp, fq = f(p), f(q)
-        if fp <= 0:
-            result.append(p)
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            crossing = [divmod(fp * b - fq * a, fp - fq) for a, b in zip(p, q)]
-            if any(r for _, r in crossing):
-                raise SafevoteError(f"edge {p}-{q} crosses the clip line off the integer grid")
-            result.append(tuple(c for c, _ in crossing))  # type: ignore[arg-type]
-    # Drop consecutive duplicates introduced by on-boundary vertices.
-    deduped: list[Tri] = []
-    for p in result:
-        if not deduped or p != deduped[-1]:
-            deduped.append(p)
-    if len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    return deduped
+def _region(rule: ScoringRule) -> tuple[int, int, int]:
+    """`realizable_region` in integers: the scale S and the bounds
+    lo <= x_a <= hi that cut the region from the plane x_1 + x_2 + x_3 = S.
 
-
-def _region(rule: ScoringRule) -> tuple[list[Tri], int]:
-    """`realizable_region` as integer vertices, with its scale S.
-
-    With p the rule's integer points (after the negative-weight shift),
-    every vertex of the region and of its boundary segments is where two
-    of the lines x_a = p_min / sum(p), x_a = p_max / sum(p) and x_a = x_b
-    cross on the simplex.  Two bounds leave 1 - c1 - c2 for the third
-    coordinate, a bound and x_a = x_b give c, c, 1 - 2c or c and twice
-    (1 - c) / 2, and two equalities give the centre's 1/3: multiples of
-    1 / (6 * sum(p)) all, so S = 6 * sum(p) puts each on the integer grid.
+    With p the rule's integer points after the negative-weight shift, S, lo
+    and hi are 6 times sum(p), min(p) and max(p); the 6 puts the boundary
+    ends S / 3, (S - lo) / 2 and (S - hi) / 2 on the grid (`_boundaries`).
     """
     if len(rule.domain) != 3:
         raise SafevoteError("realizable region is defined for three alternatives")
@@ -236,13 +206,24 @@ def _region(rule: ScoringRule) -> tuple[list[Tri], int]:
     total = sum(points)
     if total == 0:
         raise SafevoteError("score vector sums to zero; region undefined")
-    scale = 6 * total
-    lo, hi = 6 * min(points), 6 * max(points)
-    polygon: list[Tri] = [(scale, 0, 0), (0, scale, 0), (0, 0, scale)]
-    for i in range(3):
-        polygon = _clip(polygon, lambda x, i=i: x[i] - hi)
-        polygon = _clip(polygon, lambda x, i=i: lo - x[i])
-    return polygon, scale
+    return 6 * total, 6 * min(points), 6 * max(points)
+
+
+def _vertices(scale: int, lo: int, hi: int) -> list[Tri]:
+    """The region's vertices, the distinct cyclic permutations of
+    (hi, mid, lo) with mid = S - hi - lo: a hexagon, a triangle or the
+    centre alone.
+
+    The hexagon starts at index 0 when lo = 0, at 1 when 0 < lo <= hi - mid
+    and at 2 otherwise: the order of the simplex clipped by each
+    coordinate's bounds in turn (the tests' Fraction oracle), which the SVG
+    path keeps."""
+    mid = scale - hi - lo
+    hexagon = [(hi, mid, lo), (mid, hi, lo), (lo, hi, mid), (lo, mid, hi), (mid, lo, hi), (hi, lo, mid)]
+    start = 0 if lo == 0 else 1 if lo <= hi - mid else 2
+    # Equal vertices are cyclic neighbours: keeping each one's first
+    # occurrence drops repeats and a last vertex equal to the first.
+    return list(dict.fromkeys(hexagon[start:] + hexagon[:start]))
 
 
 def _exact(vertex: Tri, scale: int) -> Bary:
@@ -254,12 +235,13 @@ def realizable_region(rule: ScoringRule) -> list[Bary]:
 
     Each alternative's per-voter score lies between the smallest and the
     largest weight, so each normalized coordinate is pinned between
-    w_min/sum and w_max/sum; clipping the simplex by those bounds yields
-    the region (a hexagon for Borda-type vectors).  A negative weight is
-    shifted away first, as in `figure_spec`.
+    w_min/sum and w_max/sum; those bounds cut from the simplex the polygon
+    whose vertices are the permutations of the score vector over its sum
+    (a hexagon for Borda-type vectors).  A negative weight is shifted away
+    first, as in `figure_spec`.
     """
-    region, scale = _region(rule)
-    return [_exact(vertex, scale) for vertex in region]
+    scale, lo, hi = _region(rule)
+    return [_exact(vertex, scale) for vertex in _vertices(scale, lo, hi)]
 
 
 def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
@@ -269,23 +251,20 @@ def region_boundaries(rule: ScoringRule) -> list[tuple[Bary, Bary]]:
     region, as its two end points (`_boundaries`).  Degenerate (point or
     empty) loci are dropped.
     """
-    region, scale = _region(rule)
-    return [(_exact(a, scale), _exact(b, scale)) for a, b in _boundaries(region)]
+    scale, lo, hi = _region(rule)
+    return [(_exact(a, scale), _exact(b, scale)) for a, b in _boundaries(scale, lo, hi)]
 
 
-def _boundaries(region: list[Tri]) -> list[tuple[Tri, Tri]]:
-    """`region_boundaries` of a rule whose integer region is given.
+def _boundaries(scale: int, lo: int, hi: int) -> list[tuple[Tri, Tri]]:
+    """`region_boundaries` of the integer region lo <= x_a <= hi on the
+    plane x_1 + x_2 + x_3 = S (`_region`).
 
-    The region is lo <= x_a <= hi on the plane x_1 + x_2 + x_3 = S, with lo
-    and hi its smallest and largest coordinates.  Pair (i, j)'s locus
-    x_i = x_j = t >= x_k = S - 2t meets it where
+    Pair (i, j)'s locus x_i = x_j = t >= x_k = S - 2t meets it where
     max(lo, (S - hi) / 2, S / 3) <= t <= min(hi, (S - lo) / 2), the same
-    range for every pair; S, lo and hi are multiples of 6 (`_region`), so
-    both ends lie on the grid.  Each segment runs from its smaller end to
-    its larger, as tuples compare.
+    range for every pair; S, lo and hi are multiples of 6, so both ends
+    lie on the grid.  Each segment runs from its smaller end to its
+    larger, as tuples compare.
     """
-    scale = sum(region[0])
-    lo, hi = min(map(min, region)), max(map(max, region))
     low, high = max(lo, (scale - hi) // 2, scale // 3), min(hi, (scale - lo) // 2)
     if low >= high:
         return []
@@ -356,21 +335,20 @@ def render_svg(spec: FigureSpec) -> str:
         "</marker>",
         "</defs>",
     ]
-    region, scale = _region(spec.rule)
+    scale, lo, hi = _region(spec.rule)
 
     def xy(vertex: Tri) -> tuple[float, float]:
         return _to_xy([c / scale for c in vertex])
 
-    if region:
-        lines.append(
-            f'<path class="realizable-region" d="{_path([xy(p) for p in region], close=True)}" '
-            'fill="#d9d9d9" stroke="none"/>'
-        )
+    lines.append(
+        f'<path class="realizable-region" d="{_path([xy(p) for p in _vertices(scale, lo, hi)], close=True)}" '
+        'fill="#d9d9d9" stroke="none"/>'
+    )
     lines.append(
         f'<path class="simplex" d="{_path([_to_xy(p) for p in corners], close=True)}" '
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
-    for a, b in _boundaries(region):
+    for a, b in _boundaries(scale, lo, hi):
         lines.append(
             f'<path class="region-boundary" d="{_path([xy(a), xy(b)])}" '
             'fill="none" stroke="black" stroke-width="0.8"/>'

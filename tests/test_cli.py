@@ -917,6 +917,16 @@ class TestParse:
             "usage: safevote", *(f"usage: safevote {command}" for command in cli._build_parser().subcommands)
         }
 
+    def test_help_is_the_usage_paragraph(self, capsys):
+        # The help names the exit codes and none of `main`'s workings.
+        with pytest.raises(SystemExit) as exit_info:
+            run(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exit_info.value.code == 0
+        assert "Exit codes: 0 success, 1 assertion/claim failure, 2 parse or usage error" in out
+        assert "3 inconclusive scans" in out
+        assert "cmd_" not in out and "reentrant" not in out
+
     def test_subcommands_skip_the_top_level_parser(self, files, capsys, monkeypatch):
         # argparse's top-level pass only picks the subcommand; `main` hands
         # the rest of the argv to that subcommand's parser.
@@ -1079,12 +1089,19 @@ class TestGoldenOutputs:
             ("1 0 0", "A > B > C", ["ABC:BCA:17", "CAB:ACB:14"], "figure_plurality.svg"),
             ("1 1 0", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_2approval.svg"),
             ("3/2 1/2 -1", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_fraction_negative.svg"),
+            ("3 2 1", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_321.svg"),
+            ("4 3 2", "B > A > C", ["ABC:ACB:17", "ACB:CAB:15"], "figure_432.svg"),
         ],
-        ids=["plurality-triangle", "2-approval-triangle", "fraction-and-negative-weights"],
+        ids=[
+            "plurality-triangle", "2-approval-triangle", "fraction-and-negative-weights",
+            "hexagon-from-1", "hexagon-from-2",
+        ],
     )
     def test_more_figures_match_golden(self, files, capsys, scores, tiebreak, moves, golden):
-        # Regions unlike the Borda hexagon: the whole simplex, a triangle, and
-        # a vector that is shifted and scaled before it is clipped.
+        # Regions unlike the Borda hexagon: the whole simplex, a triangle, a
+        # vector that is shifted and scaled first, and two hexagons off the
+        # simplex's edges, whose region paths start at the hexagon's second
+        # and third vertex (`geometry._vertices`).
         rule = files["tmp"] / "rule.txt"
         rule.write_text(f"rule: scoring\nscores: {scores}\ntiebreak: {tiebreak}\n")
         arrows = [arg for move in moves for arg in ("--trajectory", move)]

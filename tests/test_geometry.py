@@ -1,12 +1,12 @@
 """Unit tests for the barycentric score geometry and SVG rendering."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from safevote import geometry
 from safevote.core import Domain, LinearOrder, Profile, all_orders, switch_votes, voters_of_type
 from safevote.geometry import (
     BarycentricPoint,
@@ -333,6 +333,19 @@ class TestIntegerGeometry:
         if isinstance(region, list):
             assert all(type(c) is Fraction for point in region for c in point)
 
+    def test_matches_the_fraction_clip_on_a_grid(self):
+        # Every non-increasing triple of n / q for n in -6..9 and q in 1..3:
+        # regions that touch the simplex's edges or not, triangles, the
+        # centre alone and the zero vector.  Then draws that the test above
+        # rarely makes: near the centre, two equal weights, constant vectors
+        # and a negative weight.
+        values = sorted({Fraction(n, q) for n in range(-6, 10) for q in (1, 2, 3)}, reverse=True)
+        rare = [(13, 12, 12), (5, 5, 2), (4, 1, 1), (1, 1, 1), (-1, -1, -1), (Fraction(3, 2), Fraction(1, 2), -1)]
+        for weights in [*itertools.combinations_with_replacement(values, 3), *rare]:
+            rule = ScoringRule(weights, o("BAC"))
+            assert outcome(realizable_region, rule) == outcome(fraction_region, rule), weights
+            assert outcome(region_boundaries, rule) == outcome(fraction_boundaries, rule), weights
+
     def test_zero_vector_and_four_alternatives_fail_as_the_oracle(self):
         zero = ScoringRule.from_ints((0, 0, 0), o("ABC"))
         four = borda(LinearOrder.from_labels("ABCD", Domain.from_labels("ABCD")))
@@ -345,13 +358,6 @@ class TestIntegerGeometry:
     def test_true_division_is_the_fraction_float(self, c, scale):
         # `render_svg` places a vertex at c / S instead of float(Fraction(c, S)).
         assert c / scale == float(Fraction(c, scale))
-
-    def test_off_grid_crossing_raises(self):
-        # The edge (2, 0, 0)-(0, 2, 0) crosses 3 * x0 = 2 at (2/3, 4/3, 0).
-        triangle = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        with pytest.raises(SafevoteError, match="off the integer grid"):
-            geometry._clip(triangle, lambda x: 3 * x[0] - 2)
-        assert geometry._clip(triangle, lambda x: x[0] - 1) == [(1, 1, 0), (0, 2, 0), (0, 0, 2), (1, 0, 1)]
 
 
 class TestRenderSvg:
