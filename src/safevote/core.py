@@ -292,8 +292,8 @@ class Profile:
     together) and the tally memo, is computed by `__getattr__` the first
     time it is read and kept as a plain attribute: a `cached_property`
     takes a lock on its first read on Python 3.11.  The counts and voter
-    sets are found in C from the runs of one ballot object, one Python step
-    per run, not per voter; `from_counts` gives them from its count lines.
+    sets have one path, whichever way the profile was built: the runs of
+    equal ballots are found in C, one Python step per run, not per voter.
     """
 
     orders: tuple[LinearOrder, ...]
@@ -343,44 +343,36 @@ class Profile:
             value = {}
         elif name in ("counts", "grouped_view"):
             orders = self.orders
-            ids = list(map(id, orders))
             # Parsed and listed orders are the domain's shared instances, so
-            # a run of one object is a run of one type; equal orders built
-            # apart are merged by value.
-            groups: dict[LinearOrder, list[int]] = {}
-            for _, run in itertools.groupby(range(len(ids)), ids.__getitem__):
-                voters = list(run)
-                groups.setdefault(orders[voters[0]], []).extend(voters)
-            self._keep(dict(zip(groups, map(len, groups.values()))), dict(zip(groups, map(frozenset, groups.values()))))
+            # a run of one type is compared by identity in C; equal orders
+            # built apart are compared by value, once per run boundary.  A
+            # run is kept as its range: no voter gets a list entry.
+            bounds = [next(run) for _, run in itertools.groupby(range(self.n), orders.__getitem__)]
+            bounds.append(self.n)
+            spans: dict[LinearOrder, list[range]] = {}
+            for start, end in itertools.pairwise(bounds):
+                spans.setdefault(orders[start], []).append(range(start, end))
+            view = {order: frozenset(itertools.chain.from_iterable(runs)) for order, runs in spans.items()}
+            object.__setattr__(self, "counts", dict(zip(view, map(len, view.values()))))
+            object.__setattr__(self, "grouped_view", view)
             return self.__dict__[name]
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
         return value
 
-    def _keep(self, counts: Mapping[LinearOrder, int], groups: Mapping[LinearOrder, VoterSet]) -> None:
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "grouped_view", groups)
-
     @classmethod
-    def from_counts(cls, counts: Sequence[tuple[LinearOrder, int]]) -> "Profile":
+    def from_counts(cls, counts: Iterable[tuple[LinearOrder, int]]) -> "Profile":
         """Expand an anonymous (type, count) multiset into per-voter ballots,
-        each count line's voters one block, in line order.  The counts and
-        voter sets are read off the lines, with no pass over the voters."""
+        each count line's voters one block, in line order.  `counts` is read
+        once, so an iterator of pairs will do; the counts and voter sets are
+        found from the ballots, as for any profile."""
         orders: list[LinearOrder] = []
-        blocks: dict[LinearOrder, list[range]] = {}
         for order, count in counts:
             if count < 0:
                 raise ValueError(f"negative count {count} for {order.compact}")
-            if count:
-                blocks.setdefault(order, []).append(range(len(orders), len(orders) + count))
-                orders.extend(itertools.repeat(order, count))
-        profile = cls(tuple(orders))
-        profile._keep(
-            {order: sum(map(len, spans)) for order, spans in blocks.items()},
-            {order: frozenset(itertools.chain.from_iterable(spans)) for order, spans in blocks.items()},
-        )
-        return profile
+            orders.extend(itertools.repeat(order, count))
+        return cls(tuple(orders))
 
     def tally(self, points: tuple[int, ...]) -> tuple[int, ...]:
         """Each alternative's total when position k on a ballot earns

@@ -425,6 +425,31 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile.from_counts([(o("ABC"), -1)])
 
+    def test_count_profiles_find_their_partition_as_a_per_voter_profile(self):
+        # A repeated type line, a zero count and an equal order built apart.
+        apart = LinearOrder(o("ABC").ranking)
+        pairs = [(o("ABC"), 2), (o("BAC"), 0), (o("CBA"), 1), (apart, 1), (o("BCA"), 3)]
+        built = Profile.from_counts(pairs)
+        parsed = parse_profile("alternatives: A B C\n2: A > B > C\n0: B > A > C\n1: C > B > A\n3: B > C > A\n")
+        cases = [
+            (built, "counts", (o("ABC"), o("ABC"), o("CBA"), apart, o("BCA"), o("BCA"), o("BCA"))),
+            (parsed, "grouped_view", (o("ABC"), o("ABC"), o("CBA"), o("BCA"), o("BCA"), o("BCA"))),
+        ]
+        for profile, first, ballots in cases:
+            # Nothing is filled in advance: the partition waits for its first read.
+            assert "counts" not in vars(profile) and "grouped_view" not in vars(profile)
+            getattr(profile, first)
+            per_voter = Profile(ballots)
+            assert list(map(id, profile.orders)) == list(map(id, ballots))
+            for name in ("counts", "grouped_view"):
+                got, want = getattr(profile, name), getattr(per_voter, name)
+                assert list(got.items()) == list(want.items()), name
+                assert list(map(id, got)) == list(map(id, want)), name
+        # The pairs are read once, so a generator gives the list's profile.
+        streamed = Profile.from_counts(pair for pair in pairs)
+        assert list(map(id, streamed.orders)) == list(map(id, built.orders))
+        assert list(streamed.grouped_view.items()) == list(built.grouped_view.items())
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
             Profile(())

@@ -294,9 +294,9 @@ def fraction_region(rule):
     return polygon
 
 
-def fraction_boundaries(rule):
-    """The oracle `region_boundaries`, clipped in Fractions."""
-    region, segments = fraction_region(rule), []
+def fraction_boundaries(region):
+    """The oracle `region_boundaries` of the oracle's region, clipped in Fractions."""
+    segments = []
     for i, j in ((0, 1), (0, 2), (1, 2)):
         k = 3 - i - j
         poly = fraction_clip(list(region), lambda x, i=i, k=k: x[k] - x[i])
@@ -315,6 +315,13 @@ def outcome(function, rule):
         return type(exc), str(exc)
 
 
+def fraction_oracle(rule):
+    """The `outcome`s of the oracle's region and boundaries: the region is
+    clipped once, and its error is the error of both."""
+    region = outcome(fraction_region, rule)
+    return region, fraction_boundaries(region) if isinstance(region, list) else region
+
+
 WEIGHT = st.one_of(st.integers(-30, 30), st.fractions(-5, 5, max_denominator=12))
 
 
@@ -328,8 +335,9 @@ class TestIntegerGeometry:
             weights = [weights[0] if shape == "constant" else 0] * 3
         rule = ScoringRule(tuple(weights), LinearOrder(tuple(data.draw(st.permutations(D3.alternatives)))))
         region = outcome(realizable_region, rule)
-        assert region == outcome(fraction_region, rule)
-        assert outcome(region_boundaries, rule) == outcome(fraction_boundaries, rule)
+        oracle_region, oracle_boundaries = fraction_oracle(rule)
+        assert region == oracle_region
+        assert outcome(region_boundaries, rule) == oracle_boundaries
         if isinstance(region, list):
             assert all(type(c) is Fraction for point in region for c in point)
 
@@ -343,15 +351,16 @@ class TestIntegerGeometry:
         rare = [(13, 12, 12), (5, 5, 2), (4, 1, 1), (1, 1, 1), (-1, -1, -1), (Fraction(3, 2), Fraction(1, 2), -1)]
         for weights in [*itertools.combinations_with_replacement(values, 3), *rare]:
             rule = ScoringRule(weights, o("BAC"))
-            assert outcome(realizable_region, rule) == outcome(fraction_region, rule), weights
-            assert outcome(region_boundaries, rule) == outcome(fraction_boundaries, rule), weights
+            oracle_region, oracle_boundaries = fraction_oracle(rule)
+            assert outcome(realizable_region, rule) == oracle_region, weights
+            assert outcome(region_boundaries, rule) == oracle_boundaries, weights
 
     def test_zero_vector_and_four_alternatives_fail_as_the_oracle(self):
         zero = ScoringRule.from_ints((0, 0, 0), o("ABC"))
         four = borda(LinearOrder.from_labels("ABCD", Domain.from_labels("ABCD")))
         for rule in (zero, four):
-            for function, oracle in ((realizable_region, fraction_region), (region_boundaries, fraction_boundaries)):
-                assert outcome(function, rule) == outcome(oracle, rule)
+            for function, expected in zip((realizable_region, region_boundaries), fraction_oracle(rule)):
+                assert outcome(function, rule) == expected
                 assert outcome(function, rule)[0] is SafevoteError
 
     @given(c=st.integers(-(10**80), 10**80), scale=st.integers(1, 10**60))

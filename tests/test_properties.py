@@ -124,25 +124,29 @@ def test_grouped_view_partitions_voters(domain, data):
 @given(
     lines=st.lists(st.tuples(st.sampled_from(ORDERS_3), st.integers(0, 4), st.booleans()), min_size=1, max_size=8),
     reads=st.permutations(["index", "counts", "grouped_view", "tally"]),
+    data=st.data(),
 )
-def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads):
+def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads, data):
     # Count lines may repeat a type or count zero, and some carry an equal
     # order built apart from the shared one.
     counts = [(LinearOrder(order.ranking) if apart else order, count) for order, count, apart in lines]
     ballots = tuple(order for order, count in counts for _ in range(count))
     assume(ballots)
-    # The oracle: `Counter` over the ballots, and one set per type built
-    # voter by voter; each keeps a type's first ballot as its key.
-    oracle_counts = dict(Counter(ballots))
-    oracle_groups: dict = {}
-    for voter, order in enumerate(ballots):
-        oracle_groups.setdefault(order, set()).add(voter)
-    # The index oracle: the ballots' order ids in mixed radix m!.
-    ids = D3._order_ids
-    oracle_index = sum(ids[order] * len(ids) ** (len(ballots) - 1 - v) for v, order in enumerate(ballots))
+    # The same ballots shuffled: runs of one voter, and equal orders built
+    # apart side by side, which one run of equal ballots takes in.
+    shuffled = tuple(data.draw(st.permutations(ballots)))
     points = (5, 2, 0)
-    oracle_tally = tuple(sum(points[order.rank(a)] for order in ballots) for a in D3)
-    for profile in (Profile(ballots), Profile.from_counts(counts)):
+    ids = D3._order_ids
+    for profile, voters in ((Profile(ballots), ballots), (Profile.from_counts(counts), ballots), (Profile(shuffled), shuffled)):
+        # The oracle: `Counter` over the ballots, and one set per type built
+        # voter by voter; each keeps a type's first ballot as its key.
+        oracle_counts = dict(Counter(voters))
+        oracle_groups: dict = {}
+        for voter, order in enumerate(voters):
+            oracle_groups.setdefault(order, set()).add(voter)
+        # The index oracle: the ballots' order ids in mixed radix m!.
+        oracle_index = sum(ids[order] * len(ids) ** (len(voters) - 1 - v) for v, order in enumerate(voters))
+        oracle_tally = tuple(sum(points[order.rank(a)] for order in voters) for a in D3)
         # Each lazy value is filled on its first read, whichever comes first.
         for name in reads:
             if name == "tally":
@@ -151,7 +155,7 @@ def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads):
                 getattr(profile, name)
         assert profile.index == oracle_index
         assert decode_profile(profile.index, profile.n, ORDERS_3) == profile
-        assert profile.orders == ballots
+        assert profile.orders == voters
         assert list(map(id, profile.counts)) == list(map(id, oracle_counts))
         assert list(profile.counts.values()) == list(oracle_counts.values())
         assert list(map(id, profile.grouped_view)) == list(map(id, oracle_groups))
