@@ -9,7 +9,9 @@ Domains and orders are shared: one `Domain` per label set, and one
 `Domain._interned`, whether a parse or `all_orders` built it first.  Both
 are kept for the life of the process, so a repeated parse builds nothing
 new.  So are the first m! profiles that `all_profiles` walks for each
-voter count.  Labels are ASCII letters in either case.
+voter count.  An order's id, its position in `all_orders`, is its hash,
+computed from its ranking: no table maps orders to ids.  Labels are ASCII
+letters in either case.
 """
 
 from __future__ import annotations
@@ -65,12 +67,10 @@ class Alternative:
         # Capitals only: `Domain.by_label` reads each label in either case.
         if len(self.label) != 1 or self.label not in _LABELS:
             raise ValueError(f"alternative label {self.label!r} must be a single letter A-Z")
-        # From the index alone, so the hash is the same in every process;
-        # equal alternatives have equal indices, so it agrees with equality.
-        object.__setattr__(self, "_hash", hash(self.index))
 
     def __hash__(self) -> int:
-        return self._hash
+        # The same in every process, and equal alternatives share it.
+        return self.index
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -147,12 +147,6 @@ class Domain:
         return tuple(self._interned.setdefault(order.compact, order) for order in orders)
 
     @cached_property
-    def _order_ids(self) -> Mapping[LinearOrder, int]:
-        """Order ids: an order's position in `_orders`, the digit it gives
-        a profile's `Profile.index`."""
-        return {order: i for i, order in enumerate(self._orders)}
-
-    @cached_property
     def _by_label(self) -> Mapping[str, Alternative]:
         """Each alternative under its label in either case: `str.upper`
         would also read letters such as "ſ" and "ı" as ASCII capitals."""
@@ -176,46 +170,52 @@ _DOMAINS: dict[tuple[str, ...], Domain] = {}
 class LinearOrder:
     """A strict total ranking of every alternative, best first.
 
-    A voter's sincere order is their "type".  Orders compare and hash by
-    value.  Those read from labels, and the domain's `all_orders`, are one
-    shared instance per (domain, ranking): `from_labels(o.compact, d) is o`
-    for every `o` in `all_orders(d)`.  An order built directly from a
-    ranking is a new instance, equal to the shared one.
+    A voter's sincere order is their "type".  Orders compare by value and
+    hash as their `id`, which two domains of one size share.  Those read
+    from labels, and the domain's `all_orders`, are one shared instance
+    per (domain, ranking): `from_labels(o.compact, d) is o` for every `o`
+    in `all_orders(d)`.  An order built directly from a ranking is a new
+    instance, equal to the shared one.
     """
 
     ranking: tuple[Alternative, ...]
 
+    #: The order's position in `itertools.permutations` of its domain's
+    #: alternatives and so in `all_orders`: its digit in `Profile.index`.
+    id: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        indices = tuple(a.index for a in self.ranking)
-        if sorted(indices) != list(range(len(indices))):
-            raise ValueError(f"ranking {self.ranking} is not a permutation of a full domain")
-        # Integer indices only, so the hash is the same in every process;
-        # equal orders have equal indices, so it agrees with equality.
-        object.__setattr__(self, "_hash", hash(indices))
+        # Factorial base: each alternative's place among those not yet ranked.
+        rest, code = list(range(len(self.ranking))), 0
+        for alt in self.ranking:
+            try:
+                place = rest.index(alt.index)
+            except ValueError:
+                raise ValueError(f"ranking {self.ranking} is not a permutation of a full domain") from None
+            code = code * len(rest) + place
+            del rest[place]
+        object.__setattr__(self, "id", code)
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.id
 
     def __eq__(self, other: object) -> bool:
         # Orders are mostly the domain's interned instances, and two
-        # different ones almost always differ in hash, so the rankings are
-        # compared only on a hash match.
+        # different ones of one domain differ in id, so the rankings are
+        # compared only on an id match.
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._hash == other._hash and self.ranking == other.ranking
+        return self.id == other.id and self.ranking == other.ranking
 
     @classmethod
     def from_labels(cls, labels: str, domain: Domain) -> "LinearOrder":
         """The domain's shared order for a compact label string like "ACB",
         in either case.  A spelling is checked the first time its ranking
-        is read; one that fails is not kept.
-
-        The domain's registry keeps each order as long as the domain lives,
-        and a domain lives as long as the process, as `_DOMAINS` keeps it:
-        at most m! orders per label set, the price of one object per
-        ranking.  Once `all_orders` has listed them all, a parse builds none.
+        is read; one that fails is not kept.  The registry keeps each order
+        for the life of the process, at most m! per label set: once
+        `all_orders` has listed them all, a parse builds none.
         """
         # ASCII only: `str.upper` of other letters can spell a kept key.
         order = domain._interned.get(labels.upper()) if labels.isascii() else None
@@ -304,10 +304,10 @@ class Profile:
     #: The domain every ballot is over.
     domain: Domain = field(init=False, repr=False, compare=False)
 
-    #: The profile's position in `all_profiles` order: its order ids in
-    #: mixed radix m!, voter 1 the most significant digit.  It indexes a
-    #: table rule's winners, so it is part of the table file format, and
-    #: it is computed here alone.
+    #: The profile's position in `all_profiles` order: its ballots' `id`s
+    #: in radix m!, voter 1 the most significant digit, with no order listed.
+    #: It indexes a table rule's winners, so it is part of the table file
+    #: format, and it is computed here alone.
     index: int = field(init=False, repr=False, compare=False)
 
     #: Ballot count per type, in first-appearance order.
@@ -334,11 +334,10 @@ class Profile:
     def __getattr__(self, name: str) -> object:
         # Reached only while the named value is unset.
         if name == "index":
-            ids = self.domain._order_ids
-            radix = len(ids)
+            radix = math.factorial(len(self.domain))
             value = 0
             for order in self.orders:
-                value = value * radix + ids[order]
+                value = value * radix + order.id
         elif name == "_tallies":
             value = {}
         elif name in ("counts", "grouped_view"):
@@ -476,7 +475,7 @@ def switch_votes(profile: Profile, voters: VoterSet, order: LinearOrder) -> Prof
     ballots = list(map(orders.__getitem__, voters))
     kind = ballots[0]
     if ballots.count(kind) != len(ballots):
-        types = set(ballots)
+        types = sorted(set(ballots), key=operator.attrgetter("id"))
         raise EditError(f"coalition {sorted(voters)} mixes types {[t.compact for t in types]}")
     if kind == order:
         raise EditError(f"coalition already votes {order.compact}")

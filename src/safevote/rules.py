@@ -41,13 +41,13 @@ key is the points an order gives each alternative: plurality has m keys,
 k-approval C(m, k) and Borda m!.  The default key, the order itself, walks
 every order and is the oracle.
 
-Table rules work on order ids: an order's position in the domain's
-`_orders`, read from the `Domain`'s order-to-id map.  There is one `Domain`
-per label set, so every order and profile over the rule's alternatives
-shares it and domain checks are identity tests.  A table rule reads a
-profile's winner at `Profile.index`, which only the profile computes, and
-the pivot kernel reads `winners[base + (id - digit) * R^(n-1-v)]`, with the
-place values R^(n-1-v) computed when the rule is built (`TableRule._places`).
+Table rules work on order ids, `LinearOrder.id`: an order's position in
+`all_orders`, computed when the order is built.  There is one `Domain` per
+label set, so every order and profile over the rule's alternatives shares
+it and domain checks are identity tests.  A table rule reads a profile's
+winner at `Profile.index`, and the pivot kernel reads
+`winners[base + (id - digit) * R^(n-1-v)]`, the place values R^(n-1-v)
+computed when the rule is built (`TableRule._places`).
 
 `check_predicates` reports only what the paper's theorems assume of a
 rule: that it is onto and not dictatorial.  It walks digit tuples beside
@@ -452,8 +452,8 @@ class TableRule(Rule):
     ) -> Callable[[VoterSet], Alternative]:
         members = _switch_check(profile, type_order, order)
         self.check_profile(profile)
-        ids, places, winners = self.domain._order_ids, self._places, self.winners
-        base, step = profile.index, ids[order] - ids[type_order]
+        places, winners = self._places, self.winners
+        base, step = profile.index, order.id - type_order.id
 
         def winner(coalition: VoterSet) -> Alternative:
             if not members.issuperset(coalition):
@@ -467,14 +467,14 @@ class TableRule(Rule):
     ) -> Iterator[tuple[int, LinearOrder, Alternative]]:
         self.check_profile(profile)
         base = profile.index
-        ids = self.domain._order_ids
-        try:
-            targets = [(order, ids[order]) for order in orders]
-        except KeyError as exc:
-            raise _foreign(exc.args[0], self.domain) from None
+        # Orders over another domain of this size share its ids.
+        for order in orders:
+            if order.domain is not self.domain:
+                raise _foreign(order, self.domain)
+        targets = [(order, order.id) for order in orders]
         winners = self.winners
         for voter, (voter_order, place) in enumerate(zip(profile.orders, self._places)):
-            digit = ids[voter_order]
+            digit = voter_order.id
             for order, target in targets:
                 if target != digit:
                     yield voter, order, winners[base + (target - digit) * place]

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -61,7 +63,10 @@ class TestDomain:
 
     def test_order_id_tables(self):
         orders = all_orders(D3)
-        assert D3._order_ids == {order: i for i, order in enumerate(orders)}
+        assert [order.id for order in orders] == list(range(len(orders)))
+        # The orders carry their ids: no table of the domain is keyed by order.
+        tables = [value for value in vars(D3).values() if isinstance(value, dict)]
+        assert tables and not any(isinstance(key, LinearOrder) for table in tables for key in table)
 
     def test_by_label_case_insensitive(self):
         assert D3.by_label("b") == Alternative(1, "B")
@@ -179,7 +184,7 @@ class TestOrderTable:
         first, second = parse_profile(text), parse_profile(text)
         assert all(x is y for x, y in zip(first.orders, second.orders))
         orders = first.domain._orders
-        assert all(orders[first.domain._order_ids[order]] is order for order in first.types_present())
+        assert all(orders[order.id] is order for order in first.types_present())
 
     def test_tiebreak_and_profile_line_are_one_order(self):
         profile = parse_profile("alternatives: A B C\n2: B > A > C\n1: C > B > A\n")
@@ -259,7 +264,44 @@ class TestOrderTable:
             return
         order = LinearOrder.from_string(text, domain)
         assert order == expected and hash(order) == hash(expected)
-        assert order is LinearOrder.from_labels(labels, domain) is domain._orders[domain._order_ids[expected]]
+        assert order is LinearOrder.from_labels(labels, domain) is domain._orders[expected.id]
+
+
+class TestOrderIds:
+    """An order's id is its position in `all_orders`, computed from its
+    ranking, and is its hash."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_ids_count_up_over_all_orders(self, m):
+        orders = all_orders(Domain.of_size(m))
+        assert [order.id for order in orders] == list(range(math.factorial(m)))
+        assert all(hash(order) == order.id for order in orders)
+
+    @pytest.mark.parametrize("labels", ["AAB", "AC", "ABD"])
+    def test_a_ranking_that_is_not_a_permutation_is_rejected(self, labels):
+        # Repeated, short (B missing) and out-of-range (D past C) rankings.
+        ranking = tuple(Alternative("ABCD".index(c), c) for c in labels)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'ranking {ranking} is not a permutation of a full domain')}$"):
+            LinearOrder(ranking)
+
+    def test_orders_of_two_domains_share_ids_but_not_equality(self):
+        xyz = Domain.from_labels("XYZ")
+        for abc in all_orders(D3):
+            other = all_orders(xyz)[abc.id]
+            assert other.id == abc.id and hash(other) == hash(abc)
+            assert abc != other and other != abc and not abc == other
+            kept = {abc: "ABC", other: "XYZ"}
+            assert len({abc, other}) == len(kept) == 2 and kept[abc] == "ABC" and kept[other] == "XYZ"
+
+    def test_reading_an_index_lists_no_orders(self):
+        # No other test asks for this domain, so nothing has listed its
+        # 5,040 orders before the index is read.
+        domain = Domain.from_labels("QRSTUVW")
+        first, second = LinearOrder.from_labels("WQRSTUV", domain), LinearOrder.from_labels("QRSTUWV", domain)
+        index = Profile((first, second)).index
+        assert "_orders" not in vars(domain)
+        orders = all_orders(domain)
+        assert index == orders.index(first) * len(orders) + orders.index(second)
 
 
 class TestAlternative:
@@ -512,6 +554,12 @@ class TestSwitchVotes:
     def test_mixed_type_coalition_rejected(self):
         with pytest.raises(EditError):
             switch_votes(PROFILE_1, frozenset({0, 1}), o("CAB"))
+
+    def test_mixed_types_are_listed_in_order_id_order(self):
+        profile = Profile((o("CBA"), o("ABC"), o("BCA"), o("ABC")))
+        message = "coalition [0, 1, 2] mixes types ['ABC', 'BCA', 'CBA']"
+        with pytest.raises(EditError, match=f"^{re.escape(message)}$"):
+            switch_votes(profile, frozenset({0, 1, 2}), o("CAB"))
 
     def test_no_op_switch_rejected(self):
         with pytest.raises(EditError):

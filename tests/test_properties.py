@@ -18,6 +18,7 @@ from helpers import ObjectPath, SubsetWalk, perturbed_dictatorship
 from safevote import cli, strategy
 from safevote.core import (
     MAX_VOTERS,
+    Alternative,
     Domain,
     DomainMismatchError,
     EditError,
@@ -121,6 +122,17 @@ def test_grouped_view_partitions_voters(domain, data):
     assert seen == set(range(profile.n))
 
 
+@given(data=st.data())
+def test_an_order_built_apart_has_its_permutation_position_as_id(data):
+    m = data.draw(st.integers(1, 7))
+    domain = Domain.of_size(m)
+    indices = tuple(data.draw(st.permutations(range(m))))
+    order = LinearOrder(tuple(Alternative(i, domain.labels[i]) for i in indices))
+    assert order.id == list(itertools.permutations(range(m))).index(indices)
+    shared = LinearOrder.from_labels(order.compact, domain)
+    assert order is not shared and order == shared == order and hash(order) == hash(shared) == order.id
+
+
 @given(
     lines=st.lists(st.tuples(st.sampled_from(ORDERS_3), st.integers(0, 4), st.booleans()), min_size=1, max_size=8),
     reads=st.permutations(["index", "counts", "grouped_view", "tally"]),
@@ -136,7 +148,6 @@ def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads, data):
     # apart side by side, which one run of equal ballots takes in.
     shuffled = tuple(data.draw(st.permutations(ballots)))
     points = (5, 2, 0)
-    ids = D3._order_ids
     for profile, voters in ((Profile(ballots), ballots), (Profile.from_counts(counts), ballots), (Profile(shuffled), shuffled)):
         # The oracle: `Counter` over the ballots, and one set per type built
         # voter by voter; each keeps a type's first ballot as its key.
@@ -144,8 +155,9 @@ def test_counts_and_voter_sets_match_the_per_voter_count(lines, reads, data):
         oracle_groups: dict = {}
         for voter, order in enumerate(voters):
             oracle_groups.setdefault(order, set()).add(voter)
-        # The index oracle: the ballots' order ids in mixed radix m!.
-        oracle_index = sum(ids[order] * len(ids) ** (len(voters) - 1 - v) for v, order in enumerate(voters))
+        # The index oracle: the ballots' positions in `all_orders`, in radix m!.
+        radix = len(ORDERS_3)
+        oracle_index = sum(ORDERS_3.index(order) * radix ** (len(voters) - 1 - v) for v, order in enumerate(voters))
         oracle_tally = tuple(sum(points[order.rank(a)] for order in voters) for a in D3)
         # Each lazy value is filled on its first read, whichever comes first.
         for name in reads:
